@@ -44,6 +44,18 @@ class EliminationForest:
         self._roots = list(roots)
         if not roots and parent:
             raise DecompositionError("a non-empty forest needs at least one root")
+        #: Each parent's children in ``repr`` order, built on first use.
+        self._children: Optional[Dict[Vertex, List[Vertex]]] = None
+
+    def __getstate__(self) -> Tuple[Dict[Vertex, Vertex], List[Vertex]]:
+        # Forests travel inside pickled solve results, many per batch; the
+        # children map is derived from the parent map, so it stays out of
+        # the pickle and a receiver that needs it builds it.
+        return self._parent, self._roots
+
+    def __setstate__(self, state: Tuple[Dict[Vertex, Vertex], List[Vertex]]) -> None:
+        self._parent, self._roots = state
+        self._children = None
 
     @property
     def parent(self) -> Dict[Vertex, Vertex]:
@@ -61,9 +73,14 @@ class EliminationForest:
 
     def children(self, vertex: Vertex) -> List[Vertex]:
         """Return the children of ``vertex`` in a deterministic order."""
-        return sorted(
-            (child for child, par in self._parent.items() if par == vertex), key=repr
-        )
+        if self._children is None:
+            children: Dict[Vertex, List[Vertex]] = {}
+            for child, par in self._parent.items():
+                children.setdefault(par, []).append(child)
+            for siblings in children.values():
+                siblings.sort(key=repr)
+            self._children = children
+        return list(self._children.get(vertex, ()))
 
     def ancestors(self, vertex: Vertex) -> List[Vertex]:
         """Return the ancestors of ``vertex``, nearest first (excluding itself)."""

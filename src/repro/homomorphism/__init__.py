@@ -18,7 +18,8 @@
   routed through the join engine; the ``legacy_*`` variants keep the
   product-based reference implementation.
 * :mod:`repro.homomorphism.treedepth_solver` — the bounded-tree-depth
-  recursion of Lemma 3.3 (the para-L case of the classification).
+  recursion of Lemma 3.3 (the para-L case of the classification),
+  compiled once per solver and driven by the target's hash indexes.
 """
 
 from repro.homomorphism.backtracking import (

@@ -1,31 +1,94 @@
-"""The bounded-tree-depth homomorphism algorithm (Lemma 3.3).
+"""The bounded-tree-depth homomorphism algorithm (Lemma 3.3), compiled.
 
 The paper shows that when ``td(core(A)) ≤ w`` the problem ``p-HOM(A)`` is
 in para-L: ``A`` is characterised by an ``{∧,∃}``-sentence of quantifier
 rank ``≤ w + 1`` (built along an elimination forest of the core), and such
-sentences can be model-checked in space ``O(f(k) + log n)``.
+sentences can be model-checked in space ``O(f(k) + log n)``.  The sentence
+itself is built by :mod:`repro.logic.treedepth_sentence`.
 
-This module implements the *algorithmic content* of that proof directly as
-a recursion over an elimination forest: the recursion depth is the tree
-depth, and the live state is one assignment of the current root path —
-exactly the space the paper's machine uses.  The sentence itself is built
-by :mod:`repro.logic.treedepth_sentence`; the tests check that both routes
-agree with brute force.
+:class:`TreeDepthSolver` runs the algorithmic content of that proof: a
+recursion over an elimination forest whose depth is the tree depth and
+whose live state is one assignment of the current root path.  The
+constructor compiles the recursion once per (structure, forest):
+
+* every vertex gets its children list;
+* every positive-arity atom is attached to its *deepest* forest vertex.
+  The elements of an atom are pairwise adjacent in the Gaifman graph and
+  the forest witnesses that graph, so they are pairwise in
+  ancestor/descendant relation: they lie on one root path, and when the
+  recursion assigns the deepest of them all of them are assigned.  The
+  atoms attached along a root path are then exactly the atoms inside it,
+  so checking each vertex's attached atoms as it is assigned checks what
+  the proof checks — that the root-path assignment is a partial
+  homomorphism — with every atom checked once instead of at every
+  vertex below it.
+
+:meth:`TreeDepthSolver.exists` and :meth:`TreeDepthSolver.count` draw a
+vertex's candidate values from the target's hash indexes
+(:func:`~repro.structures.indexes.structure_index`): of the atoms attached
+there, the one with the fewest rows matching the already-assigned
+positions supplies the values, and the others are checked by membership.
+Only a vertex with no attached atom ranges over the whole universe, sorted
+once per call.
+
+The indexes trade the paper's ``O(f(k) + log n)`` space for time: they
+hold hash tables over the target's relations.  The logspace recursion,
+which tests every universe value by rebuilding the induced root-path
+substructure, is kept with the tests (``tests/oracles/treedepth_recursion.py``)
+as the reference this module is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.decomposition.treedepth import EliminationForest, exact_elimination_forest
 from repro.exceptions import DecompositionError
-from repro.homomorphism.backtracking import is_partial_homomorphism
 from repro.homomorphism.cores import core as compute_core
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.gaifman import gaifman_graph
+from repro.structures.indexes import stable_sorted, structure_index
 from repro.structures.structure import Structure
 
 Element = Hashable
+Assignment = Dict[Element, Element]
+RelationTuple = Tuple[Element, ...]
+
+
+class _Atom(NamedTuple):
+    """A source atom, attached to the deepest forest vertex among its elements."""
+
+    name: str
+    elements: RelationTuple
+    #: The positions holding an ancestor of the attachment vertex (sorted),
+    #: and the ancestors there: assigned whenever the vertex is.
+    bound_positions: Tuple[int, ...]
+    bound_elements: RelationTuple
+    #: The positions holding the attachment vertex itself (at least one).
+    own_positions: Tuple[int, ...]
+
+
+class _Lookup(NamedTuple):
+    """An attached atom resolved against one target."""
+
+    #: Values at the atom's bound positions → the target rows carrying them.
+    rows_by_key: Mapping[RelationTuple, Sequence[RelationTuple]]
+    bound_elements: RelationTuple
+    own_positions: Tuple[int, ...]
+    #: The target relation (empty when the target gives the symbol another arity).
+    relation: FrozenSet[RelationTuple]
+    elements: RelationTuple
 
 
 class TreeDepthSolver:
@@ -63,6 +126,11 @@ class TreeDepthSolver:
         #: Maximum number of simultaneously live assignments — the recursion
         #: depth, which equals the forest height (the paper's tree depth bound).
         self.max_live_assignment = forest.height()
+        self._roots: Tuple[Element, ...] = tuple(forest.roots)
+        self._children: Dict[Element, Tuple[Element, ...]] = {
+            vertex: tuple(forest.children(vertex)) for vertex in forest.vertices()
+        }
+        self._attached = _attach_atoms(self._source, forest)
 
     @property
     def source(self) -> Structure:
@@ -74,6 +142,43 @@ class TreeDepthSolver:
         """The elimination forest guiding the recursion."""
         return self._forest
 
+    # -- binding to a target ---------------------------------------------------
+    def _resolve(
+        self, target: Structure
+    ) -> Tuple[Dict[Element, Tuple[_Lookup, ...]], List[Element]]:
+        """Resolve every attached atom against ``target``'s hash indexes.
+
+        Also returns the values of a vertex with no attached atom: the
+        sorted universe, or nothing when every vertex has an atom.
+        """
+        for symbol in self._source.vocabulary:
+            # A target that does not interpret a source symbol is an error,
+            # even when the source relation is empty.
+            target.relation(symbol.name)
+        index = structure_index(target)
+        lookups: Dict[Element, Tuple[_Lookup, ...]] = {}
+        for vertex, atoms in self._attached.items():
+            resolved = []
+            for atom in atoms:
+                if target.vocabulary.arity(atom.name) == len(atom.elements):
+                    rows_by_key = index.relation(atom.name).table(atom.bound_positions)
+                    relation = target.relation(atom.name)
+                else:  # no target tuple can be the atom's image
+                    rows_by_key, relation = {}, frozenset()
+                resolved.append(
+                    _Lookup(
+                        rows_by_key,
+                        atom.bound_elements,
+                        atom.own_positions,
+                        relation,
+                        atom.elements,
+                    )
+                )
+            lookups[vertex] = tuple(resolved)
+        if all(lookups.values()):
+            return lookups, []
+        return lookups, stable_sorted(target.universe)
+
     # -- solving -------------------------------------------------------------
     def exists(self, target: Structure) -> bool:
         """Return True when there is a homomorphism from the source into ``target``."""
@@ -81,34 +186,30 @@ class TreeDepthSolver:
         # (which touches no element) must be checked before it starts.
         if nullary_obstruction(self._source, target):
             return False
+        lookups, universe = self._resolve(target)
+        assignment: Assignment = {}
         return all(
-            self._component_satisfiable(root, target) for root in self._forest.roots
+            self._extends(root, assignment, lookups, universe) for root in self._roots
         )
 
-    def _component_satisfiable(self, root: Element, target: Structure) -> bool:
-        for value in sorted(target.universe, key=repr):
-            if self._satisfiable(root, {root: value}, target):
-                return True
-        return False
-
-    def _satisfiable(
-        self, vertex: Element, assignment: Dict[Element, Element], target: Structure
+    def _extends(
+        self,
+        vertex: Element,
+        assignment: Assignment,
+        lookups: Dict[Element, Tuple[_Lookup, ...]],
+        universe: List[Element],
     ) -> bool:
-        """Check φ_vertex under ``assignment`` of the root path (Lemma 3.3 recursion)."""
-        if not is_partial_homomorphism(assignment, self._source, target):
-            return False
-        for child in self._forest.children(vertex):
-            found = False
-            for value in sorted(target.universe, key=repr):
-                assignment[child] = value
-                if self._satisfiable(child, assignment, target):
-                    found = True
-                del assignment[child]
-                if found:
+        """Decide ``∃x_vertex φ_vertex`` under the assignment of the root path above."""
+        children = self._children[vertex]
+        for _ in _candidates(vertex, lookups[vertex], assignment, universe):
+            for child in children:
+                if not self._extends(child, assignment, lookups, universe):
                     break
-            if not found:
-                return False
-        return True
+            else:
+                del assignment[vertex]
+                return True
+        assignment.pop(vertex, None)
+        return False
 
     # -- counting -----------------------------------------------------------
     def count(self, target: Structure) -> int:
@@ -125,37 +226,101 @@ class TreeDepthSolver:
             )
         if nullary_obstruction(self._source, target):
             return 0
+        lookups, universe = self._resolve(target)
+        assignment: Assignment = {}
         total = 1
-        for root in self._forest.roots:
-            component_total = 0
-            for value in sorted(target.universe, key=repr):
-                component_total += self._count_below(root, {root: value}, target)
-            total *= component_total
+        for root in self._roots:
+            total *= self._count_extensions(root, assignment, lookups, universe)
             if total == 0:
                 return 0
         return total
 
-    def _count_below(
-        self, vertex: Element, assignment: Dict[Element, Element], target: Structure
+    def _count_extensions(
+        self,
+        vertex: Element,
+        assignment: Assignment,
+        lookups: Dict[Element, Tuple[_Lookup, ...]],
+        universe: List[Element],
     ) -> int:
-        """Count extensions of ``assignment`` to the subtree rooted at ``vertex``.
+        """Count extensions of the root-path assignment to the subtree at ``vertex``.
 
         Mirrors the sum–product–sum recursion of the counting classification
         (Theorem 6.1, case 3).
         """
-        if not is_partial_homomorphism(assignment, self._source, target):
-            return 0
-        product = 1
-        for child in self._forest.children(vertex):
-            child_total = 0
-            for value in sorted(target.universe, key=repr):
-                assignment[child] = value
-                child_total += self._count_below(child, assignment, target)
-                del assignment[child]
-            product *= child_total
-            if product == 0:
-                return 0
-        return product
+        children = self._children[vertex]
+        total = 0
+        for _ in _candidates(vertex, lookups[vertex], assignment, universe):
+            product = 1
+            for child in children:
+                product *= self._count_extensions(child, assignment, lookups, universe)
+                if product == 0:
+                    break
+            total += product
+        assignment.pop(vertex, None)
+        return total
+
+
+def _attach_atoms(
+    structure: Structure, forest: EliminationForest
+) -> Dict[Element, Tuple[_Atom, ...]]:
+    """Attach every positive-arity atom to its deepest forest vertex."""
+    depth = {vertex: forest.depth(vertex) for vertex in forest.vertices()}
+    attached: Dict[Element, List[_Atom]] = {vertex: [] for vertex in depth}
+    for symbol in structure.vocabulary:
+        if symbol.arity == 0:
+            continue
+        for tup in stable_sorted(structure.relation(symbol.name)):
+            vertex = max(tup, key=depth.__getitem__)
+            bound = tuple(p for p, x in enumerate(tup) if x != vertex)
+            attached[vertex].append(
+                _Atom(
+                    name=symbol.name,
+                    elements=tup,
+                    bound_positions=bound,
+                    bound_elements=tuple(tup[p] for p in bound),
+                    own_positions=tuple(p for p, x in enumerate(tup) if x == vertex),
+                )
+            )
+    return {vertex: tuple(atoms) for vertex, atoms in attached.items()}
+
+
+def _candidates(
+    vertex: Element,
+    lookups: Tuple[_Lookup, ...],
+    assignment: Assignment,
+    universe: List[Element],
+) -> Iterator[Element]:
+    """Yield each value of ``vertex`` that satisfies its attached atoms.
+
+    The value is bound in ``assignment`` before it is yielded.  The atom
+    with the fewest rows matching the assigned positions supplies the
+    values; the others are checked by membership.
+    """
+    if not lookups:
+        for value in universe:
+            assignment[vertex] = value
+            yield value
+        return
+    rows, chosen = None, lookups[0]
+    for lookup in lookups:
+        key = tuple(assignment[x] for x in lookup.bound_elements)
+        found = lookup.rows_by_key.get(key, ())
+        if not found:
+            return
+        if rows is None or len(found) < len(rows):
+            rows, chosen = found, lookup
+    first, *repeated = chosen.own_positions
+    others = [lookup for lookup in lookups if lookup is not chosen]
+    for row in rows:
+        value = row[first]
+        if repeated and any(row[p] != value for p in repeated):
+            continue
+        assignment[vertex] = value
+        if all(
+            tuple(assignment[x] for x in lookup.elements) in lookup.relation
+            for lookup in others
+        ):
+            yield value
 
 
 def homomorphism_exists_treedepth(source: Structure, target: Structure) -> bool:

@@ -104,6 +104,31 @@ def _fallback_seed() -> Dict[str, int]:
     }
 
 
+#: How long a store operation waits for the shared lock.  The lock guards
+#: a few proxy operations; one still held after this long belongs to a
+#: process that died inside the critical section (a pool worker
+#: terminated while its pool broke), and a manager never releases it.
+#: Timing out makes that a transient store failure — retried, then
+#: degraded to local mode — instead of a hang.
+LOCK_TIMEOUT_SECONDS = 2.0
+
+
+class _TimedLock:
+    """A (manager or local) lock whose ``with`` gives up after a timeout."""
+
+    def __init__(self, lock: Any, timeout: float = LOCK_TIMEOUT_SECONDS) -> None:
+        self._inner = lock
+        self._timeout = timeout
+
+    def __enter__(self) -> "_TimedLock":
+        if not self._inner.acquire(timeout=self._timeout):
+            raise TimeoutError(f"store lock still held after {self._timeout:g} s")
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self._inner.release()
+
+
 class SharedStore:
     """A two-level (shared + process-local L1) key/value store.
 
@@ -157,7 +182,7 @@ class SharedStore:
         if capacity < 1 or l1_capacity < 1:
             raise ValueError("store capacities must be at least 1")
         self._data = data
-        self._lock = lock
+        self._lock = _TimedLock(lock)
         self._counters = counters
         self._capacity = capacity
         self._l1_capacity = l1_capacity
@@ -299,7 +324,7 @@ class SharedStore:
         new backend is presumed healthy until it proves otherwise.
         """
         self._data = data
-        self._lock = lock
+        self._lock = _TimedLock(lock)
         self._counters = counters
         self._breaker.reset()
 
@@ -612,7 +637,7 @@ class TelemetrySink:
         if max_batches < 1:
             raise ValueError("max_batches must be at least 1")
         self._batches = batches
-        self._lock = lock
+        self._lock = _TimedLock(lock)
         self._max_batches = max_batches
         self._policy = policy
         self._breaker = CircuitBreaker()
@@ -645,7 +670,7 @@ class TelemetrySink:
     def rebind(self, batches: Any, lock: Any) -> None:
         """Point the sink at replacement backings (post-failover)."""
         self._batches = batches
-        self._lock = lock
+        self._lock = _TimedLock(lock)
         self._breaker.reset()
 
     def record(self, samples: list) -> None:

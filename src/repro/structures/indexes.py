@@ -106,22 +106,38 @@ class RelationIndex:
             self._columns[position] = cached
         return cached
 
-    def matching(self, bound: Mapping[int, Element]) -> Sequence[RelationTuple]:
-        """Return the tuples agreeing with ``bound`` (position → value).
+    def table(self, pattern: Positions) -> Mapping[RelationTuple, Sequence[RelationTuple]]:
+        """Return the hash table for a bound-position pattern (sorted positions).
 
-        An empty ``bound`` returns every tuple.  The hash table for the
-        bound-position pattern is built on first use and reused afterwards.
+        It maps the values at those positions to the tuples carrying them;
+        it is built on first use and reused afterwards.  Callers that look
+        up one pattern many times fetch its table once instead of going
+        through :meth:`matching` per lookup.
         """
-        pattern: Positions = tuple(sorted(bound))
-        if pattern and not 0 <= pattern[0] <= pattern[-1] < self._arity:
-            raise IndexError(f"bound positions {pattern} out of range for arity {self._arity}")
         table = self._by_pattern.get(pattern)
         if table is None:
+            if pattern and not 0 <= pattern[0] <= pattern[-1] < self._arity:
+                raise IndexError(
+                    f"bound positions {pattern} out of range for arity {self._arity}"
+                )
             table = {}
             for tup in self._tuples:
                 key = tuple(tup[i] for i in pattern)
                 table.setdefault(key, []).append(tup)
             self._by_pattern[pattern] = table
+        return table
+
+    def matching(self, bound: Mapping[int, Element]) -> Sequence[RelationTuple]:
+        """Return the tuples agreeing with ``bound`` (position → value).
+
+        An empty ``bound`` returns every tuple.
+        """
+        pattern: Positions = tuple(sorted(bound))
+        # The join engine calls this in its innermost loop: a built table
+        # is one dict lookup away, without a method call.
+        table = self._by_pattern.get(pattern)
+        if table is None:
+            table = self.table(pattern)
         return table.get(tuple(bound[i] for i in pattern), ())
 
     def values(self, position: int, bound: Mapping[int, Element]) -> FrozenSet[Element]:

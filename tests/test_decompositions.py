@@ -1,5 +1,7 @@
 """Tests for tree/path decompositions, exact widths, tree depth and nice decompositions."""
 
+import pickle
+
 import pytest
 
 from conftest import (
@@ -235,6 +237,25 @@ class TestEliminationForest:
     def test_structure_facade(self):
         forest = optimal_elimination_forest(path(7))
         assert forest.height() == 3
+
+    def test_children_in_repr_order(self):
+        parent = {"b": "r", 10: "r", 2: "r", "a": "b", "leaf": 2}
+        forest = EliminationForest(parent, ["r"])
+        assert forest.children("r") == ["b", 10, 2]
+        assert forest.children("b") == ["a"]
+        assert forest.children("a") == []
+        # Callers get a copy: mutating it leaves the forest as it was.
+        forest.children("r").clear()
+        assert forest.children("r") == ["b", 10, 2]
+
+    def test_pickle_leaves_out_the_children_map(self):
+        forest = exact_elimination_forest(path_graph(7))
+        fresh = pickle.dumps(forest)
+        children = {v: forest.children(v) for v in forest.vertices()}
+        assert pickle.dumps(forest) == fresh
+        copy = pickle.loads(fresh)
+        assert {v: copy.children(v) for v in copy.vertices()} == children
+        assert copy.parent == forest.parent and copy.roots == forest.roots
 
 
 class TestNiceDecomposition:

@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from repro.service.store import ServiceStores, SharedStore, StoreManager, TelemetrySink
+from repro.service.store import (
+    ServiceStores,
+    SharedStore,
+    StoreManager,
+    TelemetrySink,
+    _TimedLock,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -197,6 +203,20 @@ class TestLocalStore:
         assert results == ["value"] * 4
         assert len(computes) == 1
         assert store.info()["waits"] == 3
+
+    def test_lock_never_released_degrades_instead_of_hanging(self):
+        # A process that dies inside the critical section (a pool worker
+        # terminated while its pool broke) never releases a manager lock.
+        held = threading.Lock()
+        held.acquire()
+        store = SharedStore.local()
+        store._lock = _TimedLock(held, timeout=0.01)
+        sink = TelemetrySink.local()
+        sink._lock = _TimedLock(held, timeout=0.01)
+        assert store.get_or_compute("k", lambda: "v") == "v"
+        assert store.get_or_compute("k", lambda: "other") == "v"
+        sink.record([("sample",)])
+        assert sink.drain() == []
 
 
 class TestPickling:

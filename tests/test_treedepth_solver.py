@@ -1,0 +1,198 @@
+"""Differential tests for the compiled Lemma 3.3 recursion (``TreeDepthSolver``).
+
+Each case runs the compiled ``exists``/``count`` against two references:
+the literal recursion of ``tests/oracles/treedepth_recursion.py`` along
+the same elimination forest, and the generic backtracking solver
+(``has_homomorphism`` / ``count_homomorphisms``).  The inputs cover what
+the compiled program treats specially: atoms of arity 3, variables
+repeated inside an atom, unary atoms, several forest roots, nullary atoms,
+a forest the caller supplies, and the patterns and targets of the
+``mixed_vocabulary`` scenario.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from oracles import treedepth_recursion as oracle
+from repro.classification.classifier import classify_structure
+from repro.decomposition.treedepth import dfs_elimination_forest
+from repro.exceptions import VocabularyError
+from repro.homomorphism import (
+    TreeDepthSolver,
+    count_homomorphisms,
+    count_homomorphisms_join,
+    has_homomorphism,
+)
+from repro.structures import Structure, Vocabulary, gaifman_graph, random_structure
+from repro.workloads import scenario_by_name
+
+TERNARY = Vocabulary({"R": 3, "E": 2})
+UNARY = Vocabulary({"E": 2, "C": 1})
+NULLARY = Vocabulary({"E": 2, "Z": 0})
+
+
+def assert_agrees(source: Structure, target: Structure, forest=None) -> None:
+    """Compiled, literal and backtracking answers coincide (exists and count)."""
+    solver = TreeDepthSolver(source, forest=forest, use_core=False)
+    expected_count = count_homomorphisms(source, target)
+    assert oracle.count(source, solver.forest, target) == expected_count
+    assert solver.count(target) == expected_count
+    expected = has_homomorphism(source, target)
+    assert expected == (expected_count > 0)
+    assert oracle.exists(source, solver.forest, target) == expected
+    assert solver.exists(target) == expected
+    assert TreeDepthSolver(source).exists(target) == expected
+
+
+def random_pairs(vocabulary: Vocabulary, seed: int, pairs: int = 4):
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        source = random_structure(vocabulary, rng.randint(1, 4), rng.randint(1, 4), rng)
+        target = random_structure(vocabulary, rng.randint(2, 5), rng.randint(3, 12), rng)
+        yield source, target
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ternary_atoms(seed):
+    for source, target in random_pairs(TERNARY, 7000 + seed):
+        assert_agrees(source, target)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_unary_atoms(seed):
+    for source, target in random_pairs(UNARY, 8000 + seed):
+        assert_agrees(source, target)
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        {"E": [(0, 0)]},
+        {"E": [(0, 0), (0, 1)]},
+        {"E": [(0, 1), (1, 1), (1, 2)]},
+        {"R": [(0, 1, 0)]},
+        {"R": [(0, 1, 0), (1, 2, 1)], "E": [(2, 2)]},
+        {"R": [(0, 0, 0), (0, 1, 1)]},
+    ],
+)
+def test_repeated_variables(relations):
+    universe = sorted({x for tuples in relations.values() for tup in tuples for x in tup})
+    source = Structure(TERNARY, universe, relations)
+    rng = random.Random(repr(relations))
+    for _ in range(6):
+        target = random_structure(TERNARY, rng.randint(2, 4), rng.randint(4, 14), rng)
+        assert_agrees(source, target)
+
+
+def test_disconnected_pattern_has_several_roots():
+    source = Structure(
+        UNARY,
+        range(7),
+        {"E": [(0, 1), (1, 2), (3, 4), (4, 3)], "C": [(2,), (5,)]},
+    )
+    assert len(TreeDepthSolver(source, use_core=False).forest.roots) == 4
+    rng = random.Random(11)
+    for _ in range(8):
+        target = random_structure(UNARY, rng.randint(2, 4), rng.randint(2, 8), rng)
+        assert_agrees(source, target)
+
+
+@pytest.mark.parametrize("target_has_nullary", [False, True])
+def test_nullary_atom(target_has_nullary):
+    source = Structure(NULLARY, [0, 1, 2], {"E": [(0, 1), (1, 2)], "Z": [()]})
+    rng = random.Random(int(target_has_nullary))
+    for _ in range(4):
+        edges = {(rng.randrange(4), rng.randrange(4)) for _ in range(6)}
+        target = Structure(
+            NULLARY, range(4), {"E": edges, "Z": [()] if target_has_nullary else []}
+        )
+        assert_agrees(source, target)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_caller_supplied_dfs_forest(seed):
+    vocabulary = TERNARY if seed % 2 else UNARY
+    for source, target in random_pairs(vocabulary, 9000 + seed):
+        forest = dfs_elimination_forest(gaifman_graph(source))
+        assert_agrees(source, target, forest=forest)
+
+
+@pytest.mark.parametrize("missing", ["C", "E"])
+@pytest.mark.parametrize("source_relation_empty", [False, True])
+def test_target_missing_a_source_symbol_raises(missing, source_relation_empty):
+    relations = {"E": [(0, 1)], "C": [] if source_relation_empty else [(1,)]}
+    if missing == "E" and source_relation_empty:
+        relations = {"E": [], "C": [(1,)]}
+    source = Structure(UNARY, [0, 1], relations)
+    kept = "E" if missing == "C" else "C"
+    target = Structure(
+        Vocabulary({kept: UNARY.arity(kept)}),
+        [0, 1],
+        {kept: [(0, 1)] if kept == "E" else [(0,)]},
+    )
+    solver = TreeDepthSolver(source, use_core=False)
+    with pytest.raises(VocabularyError):
+        solver.exists(target)
+    with pytest.raises(VocabularyError):
+        solver.count(target)
+
+
+def test_target_giving_a_symbol_another_arity_has_no_homomorphism():
+    source = Structure(Vocabulary({"R": 2}), [0, 1], {"R": [(0, 1)]})
+    target = Structure(Vocabulary({"R": 3}), [0, 1], {"R": [(0, 1, 0), (0, 1, 1)]})
+    solver = TreeDepthSolver(source, use_core=False)
+    assert oracle.exists(source, solver.forest, target) is False
+    assert solver.exists(target) is False
+    assert oracle.count(source, solver.forest, target) == solver.count(target) == 0
+
+
+@pytest.fixture(scope="module")
+def mixed_vocabulary_cases():
+    """Every distinct pattern of ``mixed_vocabulary`` seed 1 (600 queries) with
+    its target and classification profile."""
+    scenario = scenario_by_name("mixed_vocabulary", count=600, seed=1)
+    cases = {}
+    for query in scenario.queries:
+        cases.setdefault((query.canonical_structure(), query.vocabulary()), None)
+    targets = {}
+    return [
+        (
+            pattern,
+            targets.setdefault(vocabulary, scenario.database.to_structure(vocabulary)),
+            classify_structure(pattern),
+        )
+        for pattern, vocabulary in cases
+    ]
+
+
+def test_mixed_vocabulary_patterns_exist(mixed_vocabulary_cases):
+    # Runs the recursion the para-L route runs: on the core, along the
+    # profile's elimination forest.
+    for pattern, target, profile in mixed_vocabulary_cases:
+        core, forest = profile.core, profile.core_elimination_forest
+        expected = has_homomorphism(core, target)
+        assert oracle.exists(core, forest, target) == expected, pattern
+        solver = TreeDepthSolver(core, forest=forest, use_core=False)
+        assert solver.exists(target) == expected, pattern
+
+
+def test_mixed_vocabulary_patterns_count(mixed_vocabulary_cases):
+    # The literal recursion and backtracking enumeration cost |target|^k
+    # here (42 elements), so they run on the cores of at most two
+    # elements; the semiring join engine checks every core of the random
+    # queries (the long path queries have counts past 10^15).
+    compared = 0
+    for pattern, target, profile in mixed_vocabulary_cases:
+        core, forest = profile.core, profile.core_elimination_forest
+        if len(core) > 5:
+            continue
+        counted = TreeDepthSolver(core, forest=forest, use_core=False).count(target)
+        assert counted == count_homomorphisms_join(core, target), pattern
+        if len(core) <= 2:
+            assert oracle.count(core, forest, target) == counted, pattern
+            assert count_homomorphisms(core, target) == counted, pattern
+            compared += 1
+    assert compared >= 300
