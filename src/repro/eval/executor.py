@@ -32,7 +32,7 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import (
     TYPE_CHECKING,
@@ -174,17 +174,24 @@ class _EvaluationContext:
         use_cache: bool,
         slim: bool = False,
         stores: "Optional[ServiceStores]" = None,
+        timed: bool = False,
     ) -> None:
         self.database = database
         self.config = config
         self.use_cache = use_cache
         self.slim = slim
         #: Service-lifetime shared state (:mod:`repro.service.store`):
-        #: cross-process profile/answer stores and the telemetry sink.
-        #: None keeps the historical per-context behaviour.
+        #: cross-process profile/answer stores and, in the parent, the
+        #: telemetry sink.  None keeps the historical per-context
+        #: behaviour.
         self.stores = stores
-        #: Locally buffered telemetry samples, flushed to the shared sink
-        #: once per chunk/batch (one IPC round trip, not one per solve).
+        #: Whether solves are timed into :attr:`telemetry_buffer`: when
+        #: ``stores`` carries the sink, or when ``timed`` says the parent's
+        #: does (a pool worker's bundle comes without it).
+        self.timed = timed or (stores is not None and stores.telemetry is not None)
+        #: Samples of the solves since the last hand-off: a worker
+        #: returns them with each chunk's results, the parent records
+        #: them into its sink once per batch.
         self.telemetry_buffer: List[object] = []
         self.targets: Dict[Vocabulary, Structure] = {}
         self.stats: Dict[Vocabulary, DatabaseStatistics] = {}
@@ -347,14 +354,13 @@ class _EvaluationContext:
                 return shared
         target = self.target_for(vocabulary)
         profile = self.profile_for(pattern, deadline)
-        telemetry = self.stores.telemetry if self.stores is not None else None
         stats = (
             self.stats_for(vocabulary)
-            if self.config.mode == "cost" or telemetry is not None
+            if self.config.mode == "cost" or self.timed
             else None
         )
         plan = plan_query_cached(profile, stats, self.config)
-        if telemetry is not None:
+        if self.timed:
             start = time.perf_counter()
             result = solve_with_degree(pattern, target, plan.degree, profile)
             elapsed = time.perf_counter() - start
@@ -372,11 +378,15 @@ class _EvaluationContext:
             answers.put(key, result)
         return result
 
+    def take_samples(self) -> List[object]:
+        """Hand over the buffered telemetry samples and start a new buffer."""
+        samples, self.telemetry_buffer = self.telemetry_buffer, []
+        return samples
+
     def flush_telemetry(self) -> None:
-        """Ship buffered telemetry samples to the shared sink (if any)."""
+        """Record buffered telemetry samples into the sink (parent side)."""
         if self.telemetry_buffer and self.stores is not None and self.stores.telemetry is not None:
-            self.stores.telemetry.record(self.telemetry_buffer)
-            self.telemetry_buffer = []
+            self.stores.telemetry.record(self.take_samples())
 
 
 #: The worker-process context, installed by :func:`_initialize_worker` at
@@ -390,21 +400,25 @@ def _initialize_worker(
     use_cache: bool,
     slim: bool,
     stores: "Optional[ServiceStores]" = None,
+    timed: bool = False,
 ) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _EvaluationContext(database, config, use_cache, slim, stores)
+    _WORKER_CONTEXT = _EvaluationContext(
+        database, config, use_cache, slim, stores, timed
+    )
 
 
 def _evaluate_chunk(
     queries: Tuple[ConjunctiveQuery, ...],
     deadline: "Optional[DeadlineBudget]" = None,
-) -> List[AnySolveResult]:
+) -> Tuple[List[AnySolveResult], List[object]]:
     """The picklable work unit: evaluate one chunk in the worker's context.
 
+    Returns the chunk's results and the telemetry samples of the solves
+    it ran; the parent records the samples when it yields the chunk.
     With ``slim_results`` configured the worker projects each result
     before it crosses the process boundary, so the parent never pays for
-    unpickling profiles it does not want.  Telemetry buffered during the
-    chunk is flushed to the shared sink before the results ship.
+    unpickling profiles it does not want.
 
     ``deadline`` is the batch's shared budget (``time.monotonic`` is
     system-wide on Linux, so the pickled expiry means the same instant
@@ -421,9 +435,9 @@ def _evaluate_chunk(
         if deadline is not None:
             deadline.check("worker chunk query")
         results.append(_WORKER_CONTEXT.solve(query, deadline))
-    _WORKER_CONTEXT.flush_telemetry()
+    samples = _WORKER_CONTEXT.take_samples()
     _WORKER_CONTEXT.beat("chunk-done")
-    return results
+    return results, samples
 
 
 def _chunks(
@@ -768,6 +782,7 @@ class EvalService:
         budget: "Optional[DeadlineBudget]" = None,
     ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
         pool = self._ensure_pool(use_cache)
+        sink = self._stores.telemetry if self._stores is not None else None
         window = self._executor.effective_workers() * self._executor.inflight_factor
         deadline = self._executor.chunk_deadline_seconds
         chunk_iterator = _chunks(queries, self._executor.chunk_size)
@@ -801,9 +816,9 @@ class EvalService:
                 if budget is not None:
                     remaining = budget.clamp(remaining)
                 if remaining is None:
-                    results = future.result()
+                    results, samples = future.result()
                 else:
-                    results = future.result(timeout=max(remaining, 0.0))
+                    results, samples = future.result(timeout=max(remaining, 0.0))
             except DeadlineExceededError:
                 # A worker's budget check fired mid-chunk.  Every other
                 # in-flight chunk shares the same expired budget, so
@@ -853,6 +868,10 @@ class EvalService:
             chunk = submitted.pop(next_yield)
             submit_times.pop(next_yield, None)
             next_yield += 1
+            # Recorded here, where each chunk index passes exactly once,
+            # so a recycle's re-dispatch never records a chunk twice.
+            if samples and sink is not None:
+                sink.record(samples)
             yield from zip(chunk, results)
 
     def _recycle_pool(
@@ -935,6 +954,13 @@ class EvalService:
         if self._pool is not None and self._pool_key != key:
             self.close()
         if self._pool is None:
+            stores = self._stores
+            timed = stores is not None and stores.telemetry is not None
+            if timed:
+                # The sink stays in the parent (its lock cannot be
+                # pickled, and a forked copy would swallow samples):
+                # workers time their solves and return the samples.
+                stores = replace(stores, telemetry=None)
             self._pool = ProcessPoolExecutor(
                 max_workers=self._executor.effective_workers(),
                 initializer=_initialize_worker,
@@ -943,7 +969,8 @@ class EvalService:
                     self._planner,
                     use_cache,
                     self._executor.slim_results,
-                    self._stores,
+                    stores,
+                    timed,
                 ),
             )
             self._pool_key = key

@@ -333,7 +333,7 @@ class QueryService:
         self._mode_history: List[Dict[str, Any]] = []
         self._queries_served = 0
         self._batches_served = 0
-        self._samples_consumed = 0
+        self._telemetry_cursor = 0
         self._drift_events_seen = 0
         self._planner_version = 0
         self._register_metrics()
@@ -517,24 +517,22 @@ class QueryService:
             self.autotuner.observe_batch(batch, ran_mode, elapsed, new_samples)
 
     def _consume_new_samples(self) -> list:
-        """Telemetry samples that arrived since the last batch.
+        """Telemetry samples recorded since the last batch, each once.
 
-        The sink is bounded (oldest batches dropped under flood), so the
-        consumed offset is clamped to what is still retained; after a
-        drop a small overlap window may be re-consumed, which only
-        re-counts some route-mix increments — never loses new samples.
+        The cursor counts the sink's recorded batches, not its retained
+        samples, so it keeps advancing when the bounded sink is full and
+        dropping its oldest batches; only batches recorded and dropped
+        between two calls are never seen.
         """
         sink = self.stores.telemetry
         if sink is None:
             return []
-        everything = sink.drain()
-        offset = min(self._samples_consumed, len(everything))
-        self._samples_consumed = len(everything)
-        return everything[offset:]
+        samples, self._telemetry_cursor = sink.since(self._telemetry_cursor)
+        return samples
 
     # -- calibration --------------------------------------------------------
     def telemetry_samples(self) -> list:
-        """Every solve sample recorded so far (drained non-destructively)."""
+        """Every solve sample the sink retains (read non-destructively)."""
         sink = self.stores.telemetry
         return [] if sink is None else sink.drain()
 

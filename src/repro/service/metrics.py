@@ -20,9 +20,10 @@ This module gives them one production-style home:
 Everything is thread-safe: the front-end, the monitor and test threads
 all bump metrics concurrently.  Cross-*process* aggregation is handled
 one level up — pool workers never touch the registry directly; their
-activity reaches it through the shared stores and the telemetry sink,
-both of which are already cross-process, via callback gauges and the
-front-end's per-batch accounting (:func:`register_store_metrics`).
+activity reaches it through the shared stores (already cross-process)
+and through the telemetry samples they return with each chunk, via
+callback gauges and the front-end's per-batch accounting
+(:func:`register_store_metrics`).
 """
 
 from __future__ import annotations

@@ -21,12 +21,14 @@ level:
   pays **at most one** compute per distinct key — the guarantee the
   classification-dedup benchmark gates on — with a timeout fallback so
   a crashed claimant can never wedge the store.
-* :class:`TelemetrySink` — the cross-process sample buffer behind
-  telemetry-driven planner calibration (:mod:`repro.service.telemetry`):
-  workers append batches of solve samples, the parent drains them.
-* :class:`ServiceStores` — the picklable bundle the executor threads
-  through pool initialisation, plus :class:`StoreManager`, the owner of
-  the manager process's lifetime.
+* :class:`TelemetrySink` — the parent-side sample buffer behind
+  telemetry-driven planner calibration (:mod:`repro.service.telemetry`).
+  It never crosses a process boundary: pool workers send each chunk's
+  solve samples back with the chunk's results, and the parent records
+  them.
+* :class:`ServiceStores` — the bundle the executor threads through pool
+  initialisation (workers get it without the sink), plus
+  :class:`StoreManager`, the owner of the manager process's lifetime.
 
 Every shared-level operation is executed through the resilience layer
 (:mod:`repro.service.resilience`): bounded retries with jittered
@@ -54,9 +56,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.caching import BoundedLRU
 from repro.exceptions import StoreUnavailableError
@@ -215,8 +219,6 @@ class SharedStore:
         sequential service path reports the same counters the parallel
         path does.
         """
-        import threading
-
         return cls(
             data={},
             lock=threading.Lock(),
@@ -612,117 +614,68 @@ class SharedStore:
 
 
 class TelemetrySink:
-    """A cross-process, *bounded* buffer of solve samples.
+    """The parent process's *bounded* buffer of solve samples.
 
-    Workers flush whole chunks of samples with one ``append`` (a single
-    manager round trip); :meth:`drain` flattens everything retained so
-    far for the calibration layer.  The buffer keeps at most
+    Every sample lands here in the parent: sequential batches record
+    the in-process context's buffer, and a parallel batch records each
+    chunk's samples as that chunk's results come back from the pool.
+    Each :meth:`record` keeps one batch; the sink retains at most
     ``max_batches`` most-recent batches — a long-lived service records
     telemetry forever, and calibration wants a recent window anyway
-    (old-regime samples would outvote a shifted workload).  The local
-    form uses a plain list.
+    (old-regime samples would outvote a shifted workload).
 
-    Telemetry is advisory: under manager failure, :meth:`record` drops
-    the batch (counted) and :meth:`drain` reads empty rather than
-    raising — calibration simply sees fewer samples.
+    The sink also counts every batch it ever recorded, which makes
+    :meth:`since` a cursor read: a consumer asks for the batches after
+    the count it last saw and gets exactly those still retained, even
+    once the bound is dropping old batches.  A metrics scrape may read
+    the sink from another thread while a batch records into it, so
+    every access holds the lock.
     """
 
-    def __init__(
-        self,
-        batches: Any,
-        lock: Any,
-        max_batches: int = 1024,
-        policy: Optional[FaultPolicy] = DEFAULT_FAULT_POLICY,
-    ) -> None:
+    def __init__(self, max_batches: int = 1024) -> None:
         if max_batches < 1:
             raise ValueError("max_batches must be at least 1")
-        self._batches = batches
-        self._lock = _TimedLock(lock)
-        self._max_batches = max_batches
-        self._policy = policy
-        self._breaker = CircuitBreaker()
-        self._dropped_batches = 0
-
-    @classmethod
-    def local(cls, max_batches: int = 1024) -> "TelemetrySink":
-        import threading
-
-        return cls([], threading.Lock(), max_batches)
-
-    @classmethod
-    def managed(cls, manager: Any, max_batches: int = 1024) -> "TelemetrySink":
-        return cls(manager.list(), manager.Lock(), max_batches)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_breaker"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._breaker = CircuitBreaker()
-
-    def _guard(self, op_name: str, operation: Callable[[], Any]) -> Any:
-        if self._policy is None:
-            return operation()
-        return self._policy.run(operation, op_name=op_name, breaker=self._breaker)
-
-    def rebind(self, batches: Any, lock: Any) -> None:
-        """Point the sink at replacement backings (post-failover)."""
-        self._batches = batches
-        self._lock = _TimedLock(lock)
-        self._breaker.reset()
+        self._batches: Deque[Tuple[Any, ...]] = deque(maxlen=max_batches)
+        self._lock = threading.Lock()
+        #: Batches recorded over the sink's lifetime (the cursor space).
+        self._recorded = 0
+        #: Samples in the retained batches, so ``len()`` is O(1).
+        self._retained = 0
 
     def record(self, samples: list) -> None:
-        """Append one batch of samples, dropping the oldest when full.
-
-        The append and the trim are separate list-proxy operations, so
-        the whole cycle holds the sink lock: two workers trimming on a
-        stale ``len`` otherwise over-pop (dropping batches that never
-        exceeded the bound) or race ``pop(0)`` into an IndexError.
-        """
+        """Append one batch of samples, dropping the oldest batch when full."""
         if not samples:
             return
+        batch = tuple(samples)
+        with self._lock:
+            if len(self._batches) == self._batches.maxlen:
+                self._retained -= len(self._batches[0])
+            self._batches.append(batch)
+            self._retained += len(batch)
+            self._recorded += 1
 
-        def _record_raw() -> None:
-            with self._lock:
-                self._batches.append(tuple(samples))
-                while len(self._batches) > self._max_batches:
-                    self._batches.pop(0)
+    def since(self, cursor: int) -> Tuple[list, int]:
+        """Samples of the batches recorded after ``cursor``, and the new cursor.
 
-        try:
-            self._guard("telemetry-record", _record_raw)
-        except StoreUnavailableError:
-            self._dropped_batches += 1
+        ``cursor`` is a batch count this method returned before (0 for
+        the start).  Batches recorded after it but already dropped by
+        the bound are gone; everything still retained comes back once.
+        """
+        with self._lock:
+            recorded = self._recorded
+            fresh = min(recorded - cursor, len(self._batches))
+            batches = list(itertools.islice(reversed(self._batches), fresh))
+        return [sample for batch in reversed(batches) for sample in batch], recorded
 
     def drain(self) -> list:
-        """Return every sample recorded so far (order of arrival)."""
-
-        def _drain_raw() -> list:
-            return list(self._batches)
-
-        try:
-            batches = self._guard("telemetry-drain", _drain_raw)
-        except StoreUnavailableError:
-            return []
+        """Return every retained sample (order of arrival), non-destructively."""
+        with self._lock:
+            batches = list(self._batches)
         return [sample for batch in batches for sample in batch]
 
     def __len__(self) -> int:
-        def _len_raw() -> list:
-            return list(self._batches)
-
-        try:
-            batches = self._guard("telemetry-len", _len_raw)
-        except StoreUnavailableError:
-            return 0
-        return sum(len(batch) for batch in batches)
-
-    def info(self) -> Dict[str, Any]:
-        """This process's sink resilience state."""
-        return {
-            "dropped_batches": self._dropped_batches,
-            "breaker": self._breaker.info(),
-        }
+        with self._lock:
+            return self._retained
 
 
 def _board_size(board: Any) -> int:
@@ -739,12 +692,15 @@ def _board_size(board: Any) -> int:
 
 @dataclass
 class ServiceStores:
-    """The picklable bundle of shared state a service threads to workers.
+    """The bundle of shared state a service threads to workers.
 
     Any field may be None — the executor then falls back to its
     per-context behaviour for that concern.  The bundle deliberately
     excludes the manager itself (not picklable, owned by
-    :class:`StoreManager` in the parent).
+    :class:`StoreManager` in the parent).  ``telemetry`` is the parent's
+    in-process sink: pool workers get a copy of the bundle with it set
+    to None, which leaves the copy picklable, and return their samples
+    with each chunk's results.
 
     ``control`` is the hot-swap channel: a (manager) dict the parent
     publishes versioned control values into — today a single key,
@@ -760,10 +716,10 @@ class ServiceStores:
 
     After a :meth:`StoreManager.failover` the *same bundle object* is
     re-pointed in place (stores rebound, fresh ``control`` and
-    ``heartbeats`` proxies), so every parent-side holder — executor,
-    monitor, metrics callbacks — sees the replacement without
-    re-plumbing.  Pool workers hold pickled copies and are restarted by
-    the front-end.
+    ``heartbeats`` proxies; the sink, having no manager state, stays as
+    it is), so every parent-side holder — executor, monitor, metrics
+    callbacks — sees the replacement without re-plumbing.  Pool workers
+    hold copies and are restarted by the front-end.
     """
 
     profiles: Optional[SharedStore] = None
@@ -799,9 +755,11 @@ class StoreManager:
     every store re-pointed **in place** so the executor, monitor and
     metrics callbacks keep working through the same objects.  Shared
     state is cache-semantics by construction (profiles and answers are
-    recomputable, telemetry is advisory, heartbeats repopulate on the
-    next chunk), so nothing is copied out of the corpse; the stores'
-    L1s and reconcile queues refill the new backend lazily.
+    recomputable, heartbeats repopulate on the next chunk), so nothing
+    is copied out of the corpse; the stores' L1s and reconcile queues
+    refill the new backend lazily.  The telemetry sink lives in the
+    parent, not the manager, so it keeps its samples through a
+    failover.
     """
 
     def __init__(
@@ -815,7 +773,6 @@ class StoreManager:
     ) -> None:
         self._manager = None
         self._policy = policy
-        self._telemetry_enabled = telemetry
         #: Bumped on every :meth:`failover`; the front-end records it so
         #: stats can show how many managers this service outlived.
         self.generation = 0
@@ -835,25 +792,17 @@ class StoreManager:
                 claim_timeout=claim_timeout,
                 policy=policy,
             )
-            sink = (
-                TelemetrySink(
-                    self._manager.list(), self._manager.Lock(), policy=policy
-                )
-                if telemetry
-                else None
-            )
             control: Any = self._manager.dict()
             heartbeats: Any = self._manager.dict()
         else:
             profiles = SharedStore.local(capacity=profile_capacity, policy=policy)
             answers = SharedStore.local(capacity=answer_capacity, policy=policy)
-            sink = TelemetrySink.local() if telemetry else None
             control = {}
             heartbeats = {}
         self.stores = ServiceStores(
             profiles=profiles,
             answers=answers,
-            telemetry=sink,
+            telemetry=TelemetrySink() if telemetry else None,
             control=control,
             heartbeats=heartbeats,
         )
@@ -887,9 +836,8 @@ class StoreManager:
 
         A fresh manager is started and every store in :attr:`stores` is
         re-pointed at fresh backings **in place** — same
-        :class:`SharedStore` / :class:`TelemetrySink` / bundle objects,
-        new proxies inside — so parent-side holders recover without
-        re-plumbing.  The shared state is rebuilt lazily: L1s and
+        :class:`SharedStore` / bundle objects, new proxies inside — so
+        parent-side holders recover without re-plumbing.  The shared state is rebuilt lazily: L1s and
         reconcile queues republish what this process knows, workers
         re-populate the rest on demand.  The caller (the front-end)
         still owns two follow-ups: republish the planner control slot
@@ -915,8 +863,6 @@ class StoreManager:
                 lock=manager.Lock(),
                 counters=manager.dict(_counter_seed()),
             )
-        if stores.telemetry is not None:
-            stores.telemetry.rebind(manager.list(), manager.Lock())
         stores.control = manager.dict()
         stores.heartbeats = manager.dict()
         self.generation += 1

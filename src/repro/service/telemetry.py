@@ -9,7 +9,7 @@ time ``t`` it realised.  This module closes the loop:
 
 * :class:`SolveSample` — one ``(route, database features, x, t)``
   observation, recorded by the executor on every realised solve and
-  shipped through the :class:`~repro.service.store.TelemetrySink`.
+  collected in the parent's :class:`~repro.service.store.TelemetrySink`.
 * :func:`fit_route_weights` — per-route least squares through the
   origin, ``w_r = Σ x·t / Σ x²`` over the route's samples.  The fitted
   weights are in **seconds per unit**, so the planner's cost estimates

@@ -301,8 +301,8 @@ def flood_telemetry(sink: Any, batches: int = 1200, per_batch: int = 3) -> int:
     """Record far more sample batches than the sink retains.
 
     Exercises the bounded sink's oldest-batch dropping and, downstream,
-    the front-end's consumed-offset clamp.  Returns the number of
-    samples recorded.
+    the front-end's batch cursor, which must keep reading every new
+    batch from a full sink.  Returns the number of samples recorded.
     """
     route = next(iter(ComplexityDegree)).value
     sample = SolveSample(

@@ -1,5 +1,8 @@
 """Tests for the query-service front-end (:mod:`repro.service.frontend`)."""
 
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.cq import evaluate_query_set_sequential
@@ -89,6 +92,43 @@ class TestClassificationDedup:
         # The second wave hit the answer store / memo: no new solves.
         assert first > 0
         assert second == first
+
+
+def distinct_patterns(queries):
+    """One query per distinct (canonical pattern, vocabulary) key."""
+    return list(
+        {(query.canonical_structure(), query.vocabulary()): query for query in queries}.values()
+    )
+
+
+class TestTelemetryFromWorkers:
+    def test_parallel_flush_records_worker_samples_in_the_parent(self, scenario):
+        distinct = distinct_patterns(scenario.queries)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config) as service:
+            for query in distinct:
+                service.submit(query)
+            service.flush(mode="parallel")
+            # Every unseen pattern is solved once, by one worker, and its
+            # sample comes back with the chunk into the parent's sink.
+            assert len(service.stores.telemetry) == len(distinct)
+            assert service.stats()["stores"]["telemetry_samples"] == len(distinct)
+            # The workers' bundle leaves the sink (and its thread lock)
+            # behind, so the pool can start under spawn as well.
+            pickle.dumps(service._eval._pool._initargs)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="in-process stores reach pool workers only by fork",
+    )
+    def test_in_process_stores_lose_no_forked_worker_sample(self, scenario):
+        # Forked workers hold copies of in-process stores; their samples
+        # must still reach the parent's sink, not a copy of it.
+        distinct = distinct_patterns(scenario.queries)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config, shared=False) as service:
+            service.evaluate(distinct, mode="parallel")
+            assert len(service.stores.telemetry) == len(distinct)
 
 
 class TestUseCacheContract:

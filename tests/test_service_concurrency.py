@@ -1,14 +1,15 @@
 """Thread-stress tests for the shared in-process primitives.
 
 :class:`BoundedLRU` backs the plan cache and the store L1s;
-:class:`TelemetrySink` (local form) takes concurrent records from the
-front-end and the monitor thread.  Both claim thread safety — these
+:class:`TelemetrySink` takes records, cursor reads and metrics-scrape
+lengths from several threads at once.  Both claim thread safety — these
 tests hammer them from many threads and check the structural
 invariants afterwards (no exception, bounds respected, nothing lost
 that could not legally be evicted/dropped).
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -122,7 +123,7 @@ class TestBoundedLRUThreadStress:
 class TestTelemetrySinkThreadStress:
     def test_concurrent_records_all_retained_when_unbounded_enough(self):
         threads, per_thread = 8, 50
-        sink = TelemetrySink.local(max_batches=threads * per_thread)
+        sink = TelemetrySink(max_batches=threads * per_thread)
 
         def worker(index):
             for i in range(per_thread):
@@ -138,8 +139,46 @@ class TestTelemetrySinkThreadStress:
             (index, i) for index in range(threads) for i in range(per_thread)
         )
 
+    def test_cursor_reader_gets_each_sample_at_most_once(self):
+        threads, per_thread = 8, 200
+        sink = TelemetrySink(max_batches=16)
+        stop = threading.Event()
+        seen = []
+        cursor = [0]
+
+        def reader():
+            while not stop.is_set():
+                new, cursor[0] = sink.since(cursor[0])
+                seen.extend(new)
+
+        def recorder(index):
+            for i in range(per_thread):
+                sink.record([(index, i, 0), (index, i, 1)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        follower = threading.Thread(target=reader)
+        try:
+            follower.start()
+            run_threads(recorder, threads)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        follower.join(timeout=30)
+        assert not follower.is_alive()
+        new, cursor[0] = sink.since(cursor[0])
+        seen.extend(new)
+        # No batch count lost, no sample read twice, and the O(1) length
+        # agrees with what the sink retains.
+        assert cursor[0] == threads * per_thread
+        assert len(seen) == len(set(seen))
+        assert len(sink) == len(sink.drain()) == 16 * 2
+        for index in range(threads):
+            mine = [i for thread, i, _ in seen if thread == index]
+            assert mine == sorted(mine)
+
     def test_bounded_sink_drops_only_oldest_batches(self):
-        sink = TelemetrySink.local(max_batches=8)
+        sink = TelemetrySink(max_batches=8)
 
         def worker(index):
             for i in range(100):
@@ -158,11 +197,11 @@ class TestTelemetrySinkThreadStress:
             assert max(seen) >= 100 - 8 - 1
 
     def test_empty_record_is_a_noop(self):
-        sink = TelemetrySink.local(max_batches=4)
+        sink = TelemetrySink(max_batches=4)
         sink.record([])
         assert len(sink) == 0
         assert sink.drain() == []
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
-            TelemetrySink.local(max_batches=0)
+            TelemetrySink(max_batches=0)

@@ -137,11 +137,26 @@ class TestManagerStoreTimeout:
         assert stats["monitor"]["recycles"] == 0
 
 
+def routed_solves(service):
+    """The total of the ``route_solves_total`` counter over its routes."""
+    counter = service.metrics.get("route_solves_total")
+    return sum(counter.collect().values())
+
+
 class TestTelemetryFlood:
     def test_flood_never_breaks_sample_accounting(self, scenario):
         """A telemetry flood beyond the sink bound drops oldest batches;
-        the front-end's consumed offset must clamp instead of slicing
-        past the end, and later batches must keep serving."""
+        later batches must keep serving, and the front-end must keep
+        counting every new solve once the full sink drops a batch per
+        record."""
+        seen = {(q.canonical_structure(), q.vocabulary()) for q in scenario.queries[:16]}
+        unseen = []
+        for query in scenario.queries[16:]:
+            key = (query.canonical_structure(), query.vocabulary())
+            if key not in seen:
+                seen.add(key)
+                unseen.append(query)
+        assert len(unseen) >= 8
         with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
             service.evaluate(scenario.queries[:8])
             recorded = faultinject.flood_telemetry(
@@ -149,9 +164,14 @@ class TestTelemetryFlood:
             )
             retained = len(service.stores.telemetry)
             assert retained < recorded, "the sink bound did not drop anything"
-            results = service.evaluate(scenario.queries[8:16])
+            results = service.evaluate(scenario.queries[8:16])  # consumes the flood
             stats = service.stats()
             json.dumps(stats)  # the endpoint stays serialisable mid-flood
+            half = len(unseen) // 2
+            for batch in (unseen[:half], unseen[half:]):
+                before = routed_solves(service)
+                service.evaluate(batch)
+                assert routed_solves(service) - before == len(batch)
         assert len(results) == 8
         assert stats["queries_served"] == 16
 

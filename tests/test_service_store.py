@@ -211,12 +211,8 @@ class TestLocalStore:
         held.acquire()
         store = SharedStore.local()
         store._lock = _TimedLock(held, timeout=0.01)
-        sink = TelemetrySink.local()
-        sink._lock = _TimedLock(held, timeout=0.01)
         assert store.get_or_compute("k", lambda: "v") == "v"
         assert store.get_or_compute("k", lambda: "other") == "v"
-        sink.record([("sample",)])
-        assert sink.drain() == []
 
 
 class TestPickling:
@@ -235,7 +231,7 @@ class TestPickling:
 
 class TestTelemetrySink:
     def test_record_and_drain(self):
-        sink = TelemetrySink.local()
+        sink = TelemetrySink()
         sink.record([1, 2])
         sink.record([])  # no-op
         sink.record([3])
@@ -243,20 +239,38 @@ class TestTelemetrySink:
         assert len(sink) == 3
 
     def test_bounded_retention_drops_oldest_batches(self):
-        sink = TelemetrySink.local(max_batches=2)
+        sink = TelemetrySink(max_batches=2)
         for batch in ([1], [2], [3], [4]):
             sink.record(batch)
         assert sink.drain() == [3, 4]
 
+    def test_since_reads_each_new_batch_once_even_when_full(self):
+        sink = TelemetrySink(max_batches=2)
+        seen, cursor = sink.since(0)
+        assert (seen, cursor) == ([], 0)
+        for sample in "abcdef":
+            sink.record([sample])
+            new, cursor = sink.since(cursor)
+            seen += new
+        assert seen == list("abcdef")
+        # Batches dropped before the consumer came back are lost, not
+        # replayed; the retained ones come back once.
+        for batch in (["g"], ["h", "i"], ["j"]):
+            sink.record(batch)
+        new, cursor = sink.since(cursor)
+        assert new == ["h", "i", "j"]
+        assert sink.since(cursor) == ([], cursor)
+        assert len(sink) == 3
+
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
-            TelemetrySink.local(max_batches=0)
+            TelemetrySink(max_batches=0)
 
     def test_record_holds_the_sink_lock_across_append_and_trim(self):
         # Regression: append + trim used to run without the sink lock, so
         # two recorders trimming on a stale len() could over-pop or race
         # pop(0) into an IndexError on the manager proxy.
-        sink = TelemetrySink.local(max_batches=2)
+        sink = TelemetrySink(max_batches=2)
         acquisitions = []
         real_lock = sink._lock
 
@@ -275,7 +289,7 @@ class TestTelemetrySink:
         assert acquisitions == [1]
 
     def test_concurrent_recorders_never_underflow_the_bound(self):
-        sink = TelemetrySink.local(max_batches=8)
+        sink = TelemetrySink(max_batches=8)
         barrier = threading.Barrier(4)
         errors = []
 
@@ -298,7 +312,7 @@ class TestTelemetrySink:
 
     def test_service_stores_info_shape(self):
         stores = ServiceStores(
-            profiles=SharedStore.local(), answers=None, telemetry=TelemetrySink.local()
+            profiles=SharedStore.local(), answers=None, telemetry=TelemetrySink()
         )
         info = stores.info()
         assert info["answers"] is None
@@ -340,24 +354,3 @@ class TestMultiProcess:
             info = store.info()
             assert info["size"] <= 4
             assert info["evictions"] >= 4
-
-    def test_telemetry_sink_collects_from_workers(self, method):
-        with StoreManager(shared=True) as manager:
-            sink = manager.stores.telemetry
-            _run_sink_pool(method, sink)
-            samples = sink.drain()
-            assert sorted(samples) == [0, 1, 2, 3]
-
-
-def _sink_probe(args):
-    sink, payload = args
-    sink.record(payload)
-    return True
-
-
-def _run_sink_pool(method, sink):
-    import multiprocessing
-
-    context = multiprocessing.get_context(method)
-    with context.Pool(processes=2) as pool:
-        pool.map(_sink_probe, [(sink, [0, 1]), (sink, [2, 3])])
