@@ -76,13 +76,26 @@ class StructureProfile:
         Profiles are shared across a batch (and, through the caches,
         across batches), so memoising the decomposition here removes a
         per-solve rebuild from the PATH route — decompositions depend
-        only on the core, exactly like the widths.
+        only on the core, exactly like the widths.  A certified exact
+        pathwidth seeds the witness search as its lower bound, so the
+        search does not deepen again from 0 to the value the classifier
+        has just certified.
         """
         cached = getattr(self, "_path_decomposition", None)
         if cached is None:
+            from repro.decomposition.path_decomposition import (
+                path_decomposition_from_ordering,
+            )
             from repro.decomposition.width import good_path_decomposition
+            from repro.decomposition.width_engine import engine_pathwidth_layout
+            from repro.structures.gaifman import gaifman_graph
 
-            cached = good_path_decomposition(self.core)
+            if self.core_pathwidth_exact:
+                graph = gaifman_graph(self.core)
+                _, layout = engine_pathwidth_layout(graph, self.core_pathwidth)
+                cached = path_decomposition_from_ordering(graph, layout)
+            else:
+                cached = good_path_decomposition(self.core)
             self._path_decomposition = cached
         return cached
 

@@ -9,7 +9,7 @@
   variants keep the seed's per-element restart loop.
 * :mod:`repro.homomorphism.core_engine` — fold elimination, rigidity
   certificates, and the single non-surjective-endomorphism search
-  behind ``core``.
+  behind ``core``, compiled once per call onto element bitmasks.
 * :mod:`repro.homomorphism.join_engine` — the semiring join engine:
   indexed, semiring-parameterized DP over tree/path decompositions (one
   code path for existence and counting).

@@ -1,170 +1,392 @@
 """The rigidity-certified core engine — the fast path behind ``core``.
 
 The seed algorithm of :mod:`repro.homomorphism.cores` looks for a proper
-retraction by restarting a fresh backtracking search ``hom(A, A − {a})``
-for every element ``a``, after every successful retraction.  Proving that
-a structure *is* a core (the common case for query patterns, and the
-termination condition of every core computation) therefore costs ``n``
-independent exhaustive searches — ROADMAP's scaling wall (directed path
-``P30`` ≈ 3 s, odd cycle ``C13`` ≈ 9 s in the seed).
+retraction by restarting a backtracking search ``hom(A, A − {a})`` for
+every element ``a``, after every retraction: proving that a structure
+*is* a core costs ``n`` exhaustive searches (directed path ``P30`` ≈ 3 s,
+odd cycle ``C13`` ≈ 9 s in the seed).  Three observations make it cheap:
 
-Three observations make the computation cheap:
+1. **Folds** (:func:`find_fold`): when ``a ↦ b`` (identity elsewhere) is
+   already an endomorphism, ``a`` retracts away with no search — one
+   table lookup per atom containing ``a``.  Iterated to a fixpoint this
+   collapses trees, paths and grids.
+2. **Rigidity certificates** (:func:`rigidity_certificate`): a loop-free
+   clique or a connected odd 2-regular graph is a core by a degree
+   argument, and when arc-consistency propagation over ``hom(A → A)``
+   collapses every domain to ``{a}`` the identity is the only
+   endomorphism (``P30`` in milliseconds).
+3. **One search instead of n** (:func:`find_non_surjective_endomorphism`):
+   a single backtracking search over the AC-pruned domains looks for any
+   endomorphism that misses an element, trying values already in the
+   image first.
 
-1. **Folds** (:func:`find_fold`).  If mapping a single element ``a`` to
-   some other element ``b`` — identity everywhere else — is already an
-   endomorphism, then ``a`` can be retracted away with *no search at
-   all*: every atom containing ``a`` must simply survive the
-   substitution ``a ↦ b``, one hash-index lookup per atom.  Iterated to
-   a fixpoint this collapses trees, paths and grids in near-linear time.
+**The compiled program.**  Each call compiles its input once
+(:class:`_Program`).  The universe is numbered in :func:`stable_sorted`
+order, so a set of elements is an int bitmask and its stable-smallest
+member is its lowest bit.  Each positive-arity atom becomes an int tuple
+plus the bitmask of its elements.  For each (relation, free positions)
+pair the program builds, lazily and once, a table from the values at
+the other (bound) positions to the bitmask of values the free positions
+can take together (repeated free positions must agree).  Folds, arc
+consistency and the search then run on an ``alive`` mask of surviving
+elements over those tables; only the final core is built, with
+``induced_substructure``.
 
-2. **Rigidity certificates** (:func:`rigidity_certificate`).  Most core
-   patterns can be *proven* cores without any search: a loop-free
-   complete graph or a connected 2-regular odd graph-like structure is a
-   core by a degree argument, and whenever arc-consistency propagation
-   over the endomorphism CSP ``hom(A → A)`` collapses every domain to
-   the singleton ``{a}`` the identity is the only endomorphism at all
-   (the identity always survives propagation, so all-singleton domains
-   mean rigid).  The AC certificate is what turns the directed path
-   ``P30`` from seconds into milliseconds.
+This is sound because a tuple of the substructure induced by ``alive``
+is exactly an input tuple whose elements are all alive.  An atom is
+therefore present iff its element mask lies inside ``alive``, and a
+lookup whose bound values are alive answers for the induced
+substructure once its result is masked by ``alive`` — or by a domain,
+which always lies inside ``alive``.  Every lookup result is masked so.
 
-3. **One search instead of n** (:func:`find_non_surjective_endomorphism`).
-   When certificates do not apply, a single backtracking search over the
-   AC-pruned endomorphism domains looks for *any* endomorphism that
-   misses at least one element — the "must miss one" constraint rejects
-   surjective completions, and values already in the image are tried
-   first so non-surjective witnesses are found early (once two variables
-   share a value, every completion misses an element).  This replaces
-   the seed's ``n`` independent ``hom(A, A − {a})`` restarts.
-
-:func:`compute_core` composes the three into a witnessed core
-computation; :mod:`repro.homomorphism.cores` routes the public ``core``
-API through it (the seed loop survives as ``legacy_*`` references, like
-the PR-1 join-engine rewiring did for the decomposition DP).
+:mod:`repro.homomorphism.cores` routes the public ``core`` API through
+:func:`compute_core` (the seed loop survives as ``legacy_*``).  The
+engine before compilation, which rebuilt a structure and its hash index
+on every pass, is the test-only reference ``tests/oracles/core_engine.py``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.homomorphism.join_engine import (
-    _bag_order,
-    _candidates,
-    _closed_atoms_by_level,
-)
-from repro.structures.indexes import StructureIndex, stable_key, stable_sorted
+from repro.structures.indexes import stable_sorted
 from repro.structures.structure import Structure
 
 Element = Hashable
 Endomorphism = Dict[Element, Element]
-Atom = Tuple[str, Tuple[Element, ...]]
+Row = Tuple[int, ...]
+#: Bound values → bitmask of the values the free positions can take.
+Table = Dict[Row, int]
 
 
-# ---------------------------------------------------------------------------
-# Source-side preparation
-# ---------------------------------------------------------------------------
+def _bits(mask: int) -> Iterator[int]:
+    """The element numbers in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-def _positive_atoms(structure: Structure) -> List[Atom]:
-    """Return the positive-arity atoms as ``(relation, tuple)`` pairs.
 
-    Nullary atoms never constrain an endomorphism (source and target are
-    the same structure), so the engine ignores them; they survive every
-    induced substructure and hence reach the core untouched.
+def _mask(numbers: Iterable[int]) -> int:
+    mask = 0
+    for x in numbers:
+        mask |= 1 << x
+    return mask
+
+
+def _split(row: Row, variable: int) -> Tuple[Row, Row]:
+    """The positions of ``variable`` in ``row``, and the elements at the others."""
+    free = tuple(p for p, x in enumerate(row) if x == variable)
+    return free, tuple(x for x in row if x != variable)
+
+
+class _Program:
+    """One input structure, numbered once and looked up through bitmask tables.
+
+    Every phase takes an ``alive`` mask and works on the substructure it
+    induces; the module docstring says why the input's tables serve them all.
     """
-    atoms: List[Atom] = []
-    for symbol in structure.vocabulary:
-        if symbol.arity == 0:
-            continue
-        for tup in structure.relation(symbol.name):
-            atoms.append((symbol.name, tup))
-    return atoms
+
+    def __init__(self, structure: Structure) -> None:
+        self.structure = structure
+        self.elements: List[Element] = stable_sorted(structure.universe)
+        self.number = {x: i for i, x in enumerate(self.elements)}
+        self.full = (1 << len(self.elements)) - 1
+        self.rows: Dict[str, List[Row]] = {}
+        #: ``(relation, row, element mask)`` per positive-arity atom.  Nullary
+        #: atoms never constrain an endomorphism (source and target are the
+        #: same structure); they survive every induced substructure.
+        self.atoms: List[Tuple[str, Row, int]] = []
+        self.incident: List[List[int]] = [[] for _ in self.elements]
+        number = self.number.__getitem__
+        for symbol in structure.vocabulary:
+            if symbol.arity == 0:
+                continue
+            rows = self.rows[symbol.name] = sorted(
+                tuple(map(number, tup)) for tup in structure.relation(symbol.name)
+            )
+            for row in rows:
+                mask = _mask(row)
+                for x in _bits(mask):
+                    self.incident[x].append(len(self.atoms))
+                self.atoms.append((symbol.name, row, mask))
+        self._tables: Dict[Tuple[str, Row], Table] = {}
+        self._fold_lookups: Dict[int, List[Tuple[int, int]]] = {}
+        self._arcs: Dict[int, List[Tuple[int, int, int, Table]]] = {}
+
+    def table(self, name: str, free: Row) -> Table:
+        """The (relation, free positions) table, built on first use."""
+        table = self._tables.get((name, free))
+        if table is None:
+            table = self._tables[name, free] = self._build_table(name, free)
+        return table
+
+    def _build_table(self, name: str, free: Row) -> Table:
+        table: Table = {}
+        for row in self.rows[name]:
+            value = row[free[0]]
+            if all(row[p] == value for p in free[1:]):
+                key = tuple(x for p, x in enumerate(row) if p not in free)
+                table[key] = table.get(key, 0) | 1 << value
+        return table
+
+    def live_atoms(self, alive: int) -> List[int]:
+        """The atoms of the substructure induced by ``alive``."""
+        return [k for k, (_, _, mask) in enumerate(self.atoms) if not mask & ~alive]
+
+    def encode(self, values: Iterable[Element]) -> int:
+        return _mask(self.number[x] for x in values if x in self.number)
+
+    def decode(self, mask: int) -> FrozenSet[Element]:
+        return frozenset(self.elements[x] for x in _bits(mask))
+
+    def mapping(self, images: List[int]) -> Endomorphism:
+        return {x: self.elements[y] for x, y in zip(self.elements, images)}
+
+    def induce(self, alive: int) -> Structure:
+        if alive == self.full:
+            return self.structure
+        return self.structure.induced_substructure(self.decode(alive))
+
+    # -- phase 1: folds -------------------------------------------------------
+    def fold_lookups(self, a: int) -> List[Tuple[int, int]]:
+        """``(atom mask, fold targets)`` for each atom containing ``a``: the
+        ``b`` for which the atom still holds with ``b`` at all of ``a``'s
+        positions (identity elsewhere, so one lookup per program)."""
+        lookups = self._fold_lookups.get(a)
+        if lookups is None:
+            lookups = self._fold_lookups[a] = []
+            for k in self.incident[a]:
+                name, row, mask = self.atoms[k]
+                free, bound = _split(row, a)
+                lookups.append((mask, self.table(name, free).get(bound, 0)))
+        return lookups
+
+    def fold_batch(self, alive: int) -> List[Tuple[int, int]]:
+        """:func:`find_fold_batch` on the substructure induced by ``alive``."""
+        if alive.bit_count() <= 1:
+            return []
+        present = {
+            a: [lookup for lookup in self.fold_lookups(a) if not lookup[0] & ~alive]
+            for a in _bits(alive)
+        }
+        batch: List[Tuple[int, int]] = []
+        folded = targets = 0
+        # Low-degree elements first (leaves fold earliest), then stable order.
+        for a in sorted(present, key=lambda x: (len(present[x]), x)):
+            if targets >> a & 1 or any(mask & folded for mask, _ in present[a]):
+                continue
+            candidates = alive & ~folded & ~(1 << a)  # an isolated a maps anywhere
+            for _, values in present[a]:
+                candidates &= values
+            if candidates:
+                b = (candidates & -candidates).bit_length() - 1
+                batch.append((a, b))
+                folded |= 1 << a
+                targets |= 1 << b
+        return batch
+
+    def fold_reduce(self, alive: int, images: List[int]) -> Tuple[int, int]:
+        """Fold ``alive`` to a fixpoint, one batch per pass; return ``(alive, folds)``.
+
+        ``images`` (the retraction so far, by number) composes every batch.
+        """
+        count = 0
+        while True:
+            batch = dict(self.fold_batch(alive))
+            if not batch:
+                return alive, count
+            count += len(batch)
+            images[:] = [batch.get(y, y) for y in images]
+            alive &= ~_mask(batch)
+
+    # -- phase 2: rigidity certificates ---------------------------------------
+    def degree_certificate(self, alive: int) -> Optional[str]:
+        """Degree proofs of core-ness for loop-free symmetric graph-like structures.
+
+        Every endomorphism of ``K_n`` is injective (merging needs a loop).
+        A connected odd 2-regular graph is an odd cycle: its proper retracts
+        are unions of paths, hence bipartite, and it maps into no bipartite
+        graph.
+        """
+        if not self.structure.is_graph_like():
+            return None
+        successors, predecessors = self.table("E", (1,)), self.table("E", (0,))
+        neighbours: Dict[int, int] = {}
+        for u in _bits(alive):
+            adjacent = successors.get((u,), 0) & alive
+            if adjacent >> u & 1:
+                return None  # a loop retracts everything onto its vertex
+            if adjacent != predecessors.get((u,), 0) & alive:
+                return None  # directed: leave to AC propagation / search
+            neighbours[u] = adjacent
+        n = alive.bit_count()
+        degrees = {adjacent.bit_count() for adjacent in neighbours.values()}
+        if degrees == {n - 1}:
+            return "clique"
+        if n % 2 == 1 and degrees == {2}:
+            reached, grown = 0, alive & -alive
+            while grown != reached:
+                reached = grown
+                for u in _bits(reached):
+                    grown |= neighbours[u]
+            if reached == alive:
+                return "odd-cycle"
+        return None
+
+    def domains(self, alive: int, seed: Optional[List[int]] = None) -> List[int]:
+        """Arc-consistent domains of ``hom(A → A)`` for ``A`` induced by ``alive``.
+
+        Generalised AC-3 over the present atoms, from full domains (or
+        ``seed`` cut to ``alive``).  Its fixpoint is the largest
+        arc-consistent sub-domain, whatever the revision order.
+        """
+        domains = [0] * len(self.elements)
+        for a in _bits(alive):
+            domains[a] = alive if seed is None else seed[a] & alive
+        live = self.live_atoms(alive)
+        present, queue, queued = set(live), deque(live), set(live)
+        while queue:
+            k = queue.popleft()
+            queued.discard(k)
+            for variable in self._revise(k, domains):
+                for other in self.incident[variable]:
+                    if other != k and other in present and other not in queued:
+                        queue.append(other)
+                        queued.add(other)
+        return domains
+
+    def _revise(self, k: int, domains: List[int]) -> List[int]:
+        """Cut each variable of atom ``k`` to its supported values; return those cut."""
+        arcs = self._arcs.get(k)
+        name, row, mask = self.atoms[k]
+        if arcs is None:
+            # Per variable: (variable, the other variable or -1, the other's
+            # repeats, table); none for three or more variables.
+            arcs = self._arcs[k] = [
+                (x, bound[0] if bound else -1, len(bound), self.table(name, free))
+                for x in _bits(mask) if mask.bit_count() <= 2
+                for free, bound in [_split(row, x)]
+            ]
+        supported = dict.fromkeys(_bits(mask), 0)
+        if arcs:  # OR the lookups over the other variable's domain
+            for x, y, width, table in arcs:
+                if y < 0:
+                    supported[x] = table.get((), 0)
+                    continue
+                values = domains[y]
+                while values:
+                    low = values & -values
+                    supported[x] |= table.get((low.bit_length() - 1,) * width, 0)
+                    values ^= low
+        else:  # scan the relation
+            for tup in self.rows[name]:
+                seen: Dict[int, int] = {}
+                for x, value in zip(row, tup):
+                    if not domains[x] >> value & 1 or seen.setdefault(x, value) != value:
+                        break
+                else:
+                    for x, value in seen.items():
+                        supported[x] |= 1 << value
+        shrunk = [x for x, support in supported.items() if domains[x] & ~support]
+        for x in shrunk:
+            domains[x] &= supported[x]
+        return shrunk
+
+    def certify(
+        self, alive: int, seed: Optional[List[int]] = None
+    ) -> Tuple[Optional[str], List[int]]:
+        """Return ``(certificate, [])`` or ``(None, AC domains)`` for the search."""
+        if alive.bit_count() == 1:
+            return "singleton", []
+        certificate = self.degree_certificate(alive)
+        if certificate is not None:
+            return certificate, []
+        domains = self.domains(alive, seed)
+        if all(domains[a].bit_count() == 1 for a in _bits(alive)):
+            return "ac-rigid", []
+        return None, domains
+
+    # -- phase 3: the single non-surjective-endomorphism search ---------------
+    def search_order(self, alive: int, domains: List[int]) -> List[int]:
+        """Connected order: next is a neighbour of the prefix (or any element
+        when none is left) with the smallest domain, then the lowest number."""
+        adjacency = [0] * len(self.elements)
+        for k in self.live_atoms(alive):
+            mask = self.atoms[k][2]
+            for x in _bits(mask):
+                adjacency[x] |= mask & ~(1 << x)
+        order: List[int] = []
+        remaining, frontier = alive, 0
+        while remaining:
+            pool = frontier & remaining or remaining
+            pick = min(_bits(pool), key=lambda v: (domains[v].bit_count(), v))
+            order.append(pick)
+            remaining &= ~(1 << pick)
+            frontier |= adjacency[pick]
+        return order
+
+    def search(self, alive: int, domains: List[int]) -> Optional[List[int]]:
+        """Images (by number) of an endomorphism of ``alive`` missing an element.
+
+        Each atom is one lookup at the level of its last variable in
+        :meth:`search_order`.  Values already in the image come first, then
+        the others, each ascending: a partial assignment can complete
+        surjectively only while injective, so reuse commits the subtree to
+        non-surjective witnesses.
+        """
+        order = self.search_order(alive, domains)
+        level_of = {v: i for i, v in enumerate(order)}
+        checks: List[List[Tuple[Table, Row]]] = [[] for _ in order]
+        for k in self.live_atoms(alive):
+            name, row, _ = self.atoms[k]
+            level = max(level_of[x] for x in row)
+            free, bound = _split(row, order[level])
+            checks[level].append((self.table(name, free), bound))
+        n = len(order)
+        images = list(range(len(self.elements)))
+        image_of = images.__getitem__
+        uses = [0] * len(self.elements)
+        used = 0
+
+        def extend(level: int) -> bool:
+            nonlocal used
+            if level == n:
+                return used.bit_count() < n
+            variable = order[level]
+            candidates = domains[variable]
+            for table, bound in checks[level]:
+                candidates &= table.get(tuple(map(image_of, bound)), 0)
+                if not candidates:
+                    return False
+            for part in (candidates & used, candidates & ~used):
+                for value in _bits(part):
+                    images[variable] = value
+                    uses[value] += 1
+                    used |= 1 << value
+                    if extend(level + 1):
+                        return True
+                    uses[value] -= 1
+                    if not uses[value]:
+                        used &= ~(1 << value)
+            return False
+
+        return images if extend(0) else None
 
 
-def _atoms_by_element(atoms: List[Atom]) -> Dict[Element, List[Atom]]:
-    by_element: Dict[Element, List[Atom]] = {}
-    for atom in atoms:
-        # Sorted so the mapping's key order never depends on the hash
-        # seed — keeps AC traces comparable across differential runs.
-        for element in stable_sorted(set(atom[1])):
-            by_element.setdefault(element, []).append(atom)
-    return by_element
-
-
-# ---------------------------------------------------------------------------
-# Phase 1: folds (dominated-element elimination)
-# ---------------------------------------------------------------------------
-
-def _fold_targets(
-    a: Element,
-    structure: Structure,
-    index: StructureIndex,
-    by_element: Dict[Element, List[Atom]],
-) -> Set[Element]:
-    """All ``b ≠ a`` such that ``a ↦ b`` (identity elsewhere) is an endomorphism.
-
-    The map is an endomorphism iff every atom containing ``a`` still
-    holds after substituting ``b`` for ``a`` (all occurrences at once) —
-    ``a``'s atom-neighbourhood is *dominated* by ``b``'s.  Candidates are
-    intersected over ``a``'s atoms via the target hash indexes, so the
-    scan costs one index lookup per incident atom.  The shared witness
-    check behind :func:`find_fold` and :func:`find_fold_batch`.
-    """
-    candidates: Optional[Set[Element]] = None
-    for name, tup in by_element.get(a, ()):
-        relation = index.relation(name)
-        a_positions = [p for p, x in enumerate(tup) if x == a]
-        bound = {p: x for p, x in enumerate(tup) if x != a}
-        values: Set[Element] = set()
-        for witness in relation.matching(bound):
-            value = witness[a_positions[0]]
-            if all(witness[p] == value for p in a_positions[1:]):
-                values.add(value)
-        candidates = values if candidates is None else candidates & values
-        if not candidates:
-            break
-    if candidates is None:
-        # No incident atoms: an isolated element maps anywhere.
-        candidates = set(structure.universe)
-    else:
-        candidates = set(candidates)
-    candidates.discard(a)
-    return candidates
-
-
-def find_fold(
-    structure: Structure, index: Optional[StructureIndex] = None
-) -> Optional[Tuple[Element, Element]]:
+def find_fold(structure: Structure) -> Optional[Tuple[Element, Element]]:
     """Return ``(a, b)`` such that ``a ↦ b`` (identity elsewhere) is an endomorphism.
 
-    Low-degree elements are scanned first (leaves fold earliest); the
-    per-element witness check is :func:`_fold_targets`.  Returns None
-    when no element folds.
+    The first fold of :func:`find_fold_batch`'s scan (low degree first,
+    then stable order; ``b`` stable-smallest), or None.
     """
-    if len(structure) <= 1:
-        return None
-    if index is None:
-        # Built directly, NOT through the structure_index LRU: the engine
-        # indexes a throw-away intermediate structure per retraction
-        # round, and flooding the small shared cache would evict the hot
-        # database indexes the join engine relies on between queries.
-        index = StructureIndex(structure)
-    atoms = _positive_atoms(structure)
-    by_element = _atoms_by_element(atoms)
-
-    def degree(element: Element) -> int:
-        return len(by_element.get(element, ()))
-
-    for a in sorted(structure.universe, key=lambda x: (degree(x), stable_key(x))):
-        candidates = _fold_targets(a, structure, index, by_element)
-        if candidates:
-            return a, min(candidates, key=stable_key)
-    return None
+    batch = find_fold_batch(structure)
+    return batch[0] if batch else None
 
 
-def find_fold_batch(
-    structure: Structure, index: Optional[StructureIndex] = None
-) -> List[Tuple[Element, Element]]:
+def find_fold_batch(structure: Structure) -> List[Tuple[Element, Element]]:
     """Return a non-interfering *set* of folds, applicable simultaneously.
 
     One scan in :func:`find_fold`'s order, greedily accepting every fold
@@ -174,292 +396,80 @@ def find_fold_batch(
     * ``b`` is not itself folded away by the batch, and ``a`` is not the
       target of an earlier accepted fold (targets must survive);
     * no atom incident to ``a`` mentions another batched folded element —
-      every atom then contains at most one substituted element, so each
-      atom's image under the *combined* map is exactly the atom the
-      single-fold check verified, and that image avoids every removed
-      element.
+      so each atom's image under the *combined* map is exactly the atom
+      the single-fold check verified, which avoids every removed element.
 
     The combined map (``a_i ↦ b_i``, identity elsewhere) is therefore an
-    endomorphism of ``structure`` onto the induced substructure with all
-    ``a_i`` removed.  The first accepted fold equals :func:`find_fold`'s
-    answer, so a non-empty batch exists exactly when a single fold does.
+    endomorphism onto the induced substructure without the ``a_i``.
     """
-    if len(structure) <= 1:
-        return []
-    if index is None:
-        index = StructureIndex(structure)
-    atoms = _positive_atoms(structure)
-    by_element = _atoms_by_element(atoms)
-
-    def degree(element: Element) -> int:
-        return len(by_element.get(element, ()))
-
-    batch: List[Tuple[Element, Element]] = []
-    folded: Set[Element] = set()
-    targets: Set[Element] = set()
-    for a in sorted(structure.universe, key=lambda x: (degree(x), stable_key(x))):
-        if a in targets:
-            continue
-        if any(
-            any(other in folded for other in tup)
-            for _, tup in by_element.get(a, ())
-        ):
-            continue
-        candidates = _fold_targets(a, structure, index, by_element)
-        candidates -= folded
-        if candidates:
-            b = min(candidates, key=stable_key)
-            batch.append((a, b))
-            folded.add(a)
-            targets.add(b)
-    return batch
-
-
-def _fold_reduce(
-    structure: Structure,
-) -> Tuple[Structure, Endomorphism, int, StructureIndex]:
-    """:func:`fold_reduce` plus the final structure's index (for reuse).
-
-    Folds are applied in independent *batches* (:func:`find_fold_batch`),
-    so the structure and its hash index are rebuilt once per pass instead
-    of once per fold — O(rounds) rebuilds where the per-fold loop paid
-    O(n) (ROADMAP "fold batching").
-    """
-    current = structure
-    retraction: Endomorphism = {a: a for a in structure.universe}
-    count = 0
-    index = StructureIndex(current)
-    while True:
-        batch = find_fold_batch(current, index)
-        if not batch:
-            return current, retraction, count, index
-        count += len(batch)
-        mapping = dict(batch)
-        current = current.induced_substructure(current.universe - set(mapping))
-        index = StructureIndex(current)
-        retraction = {x: mapping.get(y, y) for x, y in retraction.items()}
+    program = _Program(structure)
+    elements = program.elements
+    return [(elements[a], elements[b]) for a, b in program.fold_batch(program.full)]
 
 
 def fold_reduce(structure: Structure) -> Tuple[Structure, Endomorphism, int]:
     """Apply folds to a fixpoint; return ``(folded, retraction, fold_count)``.
 
-    ``retraction`` maps the input structure onto the folded one (a
-    composition of single-element folds, hence a homomorphism).
+    One :func:`find_fold_batch` scan per pass; ``retraction`` (a
+    composition of folds) maps the input onto the folded structure.
     """
-    current, retraction, count, _ = _fold_reduce(structure)
-    return current, retraction, count
-
-
-# ---------------------------------------------------------------------------
-# Phase 2: rigidity certificates
-# ---------------------------------------------------------------------------
-
-def _degree_certificate(structure: Structure) -> Optional[str]:
-    """Degree-based core proofs for loop-free symmetric graph-like structures.
-
-    * complete graph ``K_n``: any non-injective endomorphism would need a
-      loop, so every endomorphism is an automorphism → core;
-    * connected 2-regular with an odd universe: the structure is an odd
-      cycle, every proper retract is a disjoint union of paths (hence
-      bipartite), and an odd cycle has no homomorphism into a bipartite
-      graph → core.
-    """
-    if not structure.is_graph_like():
-        return None
-    edges = structure.relation("E")
-    if not edges:
-        return None
-    if any(u == v for u, v in edges):
-        return None  # a loop retracts everything onto its vertex
-    neighbours: Dict[Element, Set[Element]] = {x: set() for x in structure.universe}
-    for u, v in edges:
-        if (v, u) not in edges:
-            return None  # directed: leave to AC propagation / search
-        neighbours[u].add(v)
-    n = len(structure)
-    if all(len(adjacent) == n - 1 for adjacent in neighbours.values()):
-        return "clique"
-    if n % 2 == 1 and all(len(adjacent) == 2 for adjacent in neighbours.values()):
-        start = next(iter(neighbours))
-        if len(_component(neighbours, start)) == n:
-            return "odd-cycle"
-    return None
-
-
-def _component(neighbours: Mapping[Element, Set[Element]], start: Element) -> Set[Element]:
-    reached = {start}
-    frontier = deque([start])
-    while frontier:
-        vertex = frontier.popleft()
-        for other in neighbours[vertex]:
-            if other not in reached:
-                reached.add(other)
-                frontier.append(other)
-    return reached
+    program = _Program(structure)
+    images = list(range(len(program.elements)))
+    alive, count = program.fold_reduce(program.full, images)
+    return program.induce(alive), program.mapping(images), count
 
 
 def endomorphism_domains(
-    structure: Structure,
-    index: Optional[StructureIndex] = None,
-    seed: Optional[Mapping[Element, FrozenSet[Element]]] = None,
+    structure: Structure, seed: Optional[Mapping[Element, FrozenSet[Element]]] = None
 ) -> Dict[Element, FrozenSet[Element]]:
     """Arc-consistent domains of the endomorphism CSP ``hom(A → A)``.
 
-    Domains start from positional support (as in the join engine's
-    ``pruned_domains``) and are refined by generalized AC-3 over the
-    atoms: a value survives for a variable only while some target tuple
-    supports it together with *currently possible* values of the atom's
-    other variables.  The identity assignment is a solution, so ``a ∈
-    D(a)`` always; in particular domains never empty out, and an
-    all-singleton fixpoint proves the identity is the only endomorphism.
+    A value survives for a variable only while some tuple supports it
+    together with currently possible values of the atom's other
+    variables.  The identity is a solution, so ``a ∈ D(a)`` always, and
+    an all-singleton fixpoint proves it is the only endomorphism.
 
-    ``seed`` (incremental AC) pre-restricts each element's domain to a
-    caller-supplied superset of its possible images — sound whenever
-    the seeds over-approximate every endomorphism of ``structure``, as
-    the domains carried between :func:`compute_core` retraction rounds
-    do.  Propagation then starts from the smaller frontier instead of
-    rediscovering it from full domains each round.
+    ``seed`` pre-restricts each domain to a caller-supplied superset of
+    the element's possible images, as :func:`compute_core` carries them.
     """
-    atoms = _positive_atoms(structure)
-    if index is None:
-        index = StructureIndex(structure)
-    if seed is None:
-        domains: Dict[Element, Set[Element]] = {
-            a: set(structure.universe) for a in structure.universe
-        }
-    else:
-        universe = set(structure.universe)
-        domains = {a: set(seed[a]) & universe for a in structure.universe}
-    for name, tup in atoms:
-        relation = index.relation(name)
-        for position, element in enumerate(tup):
-            domains[element] &= relation.column(position)
-    by_element = _atoms_by_element(atoms)
-    queue: deque = deque(atoms)
-    queued: Set[Atom] = set(atoms)
-    while queue:
-        atom = queue.popleft()
-        queued.discard(atom)
-        name, tup = atom
-        variables = stable_sorted(set(tup))
-        supported: Dict[Element, Set[Element]] = {x: set() for x in variables}
-        for witness in index.relation(name).tuples:
-            seen: Dict[Element, Element] = {}
-            consistent = True
-            for position, variable in enumerate(tup):
-                value = witness[position]
-                if value not in domains[variable] or seen.setdefault(variable, value) != value:
-                    consistent = False
-                    break
-            if consistent:
-                for variable, value in seen.items():
-                    supported[variable].add(value)
-        for variable in variables:
-            if len(supported[variable]) < len(domains[variable]):
-                domains[variable] = supported[variable]
-                for other in by_element[variable]:
-                    if other != atom and other not in queued:
-                        queue.append(other)
-                        queued.add(other)
-    return {a: frozenset(values) for a, values in domains.items()}
-
-
-def _certify(
-    structure: Structure,
-    index: Optional[StructureIndex] = None,
-    seed: Optional[Mapping[Element, FrozenSet[Element]]] = None,
-) -> Tuple[Optional[str], Optional[Dict[Element, FrozenSet[Element]]]]:
-    """Return ``(certificate, None)`` or ``(None, AC domains)`` for the search."""
-    if len(structure) == 1:
-        return "singleton", None
-    certificate = _degree_certificate(structure)
-    if certificate is not None:
-        return certificate, None
-    domains = endomorphism_domains(structure, index, seed=seed)
-    if all(len(values) == 1 for values in domains.values()):
-        return "ac-rigid", None
-    return None, domains
+    program = _Program(structure)
+    seeds = None if seed is None else [program.encode(seed[x]) for x in program.elements]
+    domains = program.domains(program.full, seeds)
+    return {x: program.decode(domain) for x, domain in zip(program.elements, domains)}
 
 
 def rigidity_certificate(structure: Structure) -> Optional[str]:
     """Return a tag naming a cheap proof that the structure is a core, or None.
 
-    ``"singleton"``, ``"clique"`` and ``"odd-cycle"`` are
-    degree/invariant certificates; ``"ac-rigid"`` means arc-consistency
-    propagation collapsed every endomorphism domain to the identity.
-    None means no certificate applies — the structure may or may not be
-    a core, and only the search can tell.
+    ``"singleton"``, ``"clique"`` and ``"odd-cycle"`` are degree
+    certificates; ``"ac-rigid"`` means arc consistency collapsed every
+    endomorphism domain to the identity.  None means only the search can
+    tell.
     """
-    return _certify(structure)[0]
+    program = _Program(structure)
+    return program.certify(program.full)[0]
 
-
-# ---------------------------------------------------------------------------
-# Phase 3: the single non-surjective-endomorphism search
-# ---------------------------------------------------------------------------
 
 def find_non_surjective_endomorphism(
-    structure: Structure,
-    domains: Optional[Dict[Element, FrozenSet[Element]]] = None,
-    index: Optional[StructureIndex] = None,
+    structure: Structure, domains: Optional[Mapping[Element, FrozenSet[Element]]] = None
 ) -> Optional[Endomorphism]:
     """Return an endomorphism whose image misses ≥ 1 element, or None.
 
-    One backtracking search over the AC-pruned domains replaces the
-    seed's ``n`` independent ``hom(A, A − {a})`` searches.  Variables are
-    assigned in connected order with candidates drawn from the hash
-    indexes (the join engine's extension step, reused); the
-    must-miss-one-element constraint rejects surjective completions, and
-    candidate values already in the image are tried first — a partial
-    assignment can only complete surjectively while it stays injective,
-    so reusing a value early commits the whole subtree to non-surjective
-    witnesses.
+    One backtracking search over the AC-pruned domains (computed here
+    when ``domains`` is None) replaces the seed's ``n`` independent
+    ``hom(A, A − {a})`` searches.
     """
-    n = len(structure)
-    if n <= 1:
+    if len(structure) <= 1:
         return None
-    if index is None:
-        index = StructureIndex(structure)
+    program = _Program(structure)
     if domains is None:
-        domains = endomorphism_domains(structure, index)
-    if all(len(values) == 1 for values in domains.values()):
+        masks = program.domains(program.full)
+    else:
+        masks = [program.encode(domains[x]) for x in program.elements]
+    if all(mask.bit_count() == 1 for mask in masks):
         return None  # rigid: the identity is the only endomorphism
-    atoms = _positive_atoms(structure)
-    order = _bag_order(frozenset(structure.universe), atoms, domains)
-    closed = _closed_atoms_by_level(order, atoms)
-    domain_lists = {a: stable_sorted(values) for a, values in domains.items()}
-
-    assignment: Endomorphism = {}
-    used: Dict[Element, int] = {}
-
-    def candidates(level: int) -> List[Element]:
-        pool = _candidates(
-            level, order, closed, assignment, index, domains, domain_lists
-        )
-        # Image values first: reusing a value keeps the image small, which
-        # is what lets the completed assignment miss an element.  The
-        # inner stable sort keeps the search order deterministic (the
-        # join engine returns constrained candidate sets unsorted).
-        return sorted(stable_sorted(pool), key=lambda value: value not in used)
-
-    def search(level: int) -> bool:
-        if level == n:
-            return len(used) < n
-        variable = order[level]
-        for value in candidates(level):
-            assignment[variable] = value
-            used[value] = used.get(value, 0) + 1
-            if search(level + 1):
-                return True
-            if used[value] == 1:
-                del used[value]
-            else:
-                used[value] -= 1
-            del assignment[variable]
-        return False
-
-    if search(0):
-        return dict(assignment)
-    return None
+    images = program.search(program.full, masks)
+    return None if images is None else program.mapping(images)
 
 
 def proper_retraction(structure: Structure) -> Optional[Endomorphism]:
@@ -470,28 +480,28 @@ def proper_retraction(structure: Structure) -> Optional[Endomorphism]:
     """
     if len(structure) <= 1:
         return None
-    index = StructureIndex(structure)
-    fold = find_fold(structure, index)
-    if fold is not None:
-        a, b = fold
-        return {x: (b if x == a else x) for x in structure.universe}
-    certificate, domains = _certify(structure, index)
-    if certificate is not None:
-        return None
-    return find_non_surjective_endomorphism(structure, domains, index)
+    program = _Program(structure)
+    images: Optional[List[int]] = list(range(len(program.elements)))
+    batch = program.fold_batch(program.full)
+    if batch:
+        a, b = batch[0]
+        images[a] = b
+    else:
+        certificate, domains = program.certify(program.full)
+        if certificate is not None:
+            return None
+        images = program.search(program.full, domains)
+    return None if images is None else program.mapping(images)
 
 
-def _idempotent_retraction(endomorphism: Endomorphism) -> Endomorphism:
+def _idempotent_retraction(endomorphism: Dict[int, int]) -> Dict[int, int]:
     """Iterate an endomorphism to an idempotent power (a true retraction).
 
-    In the finite monoid generated by ``e`` some power is idempotent:
-    the image chain ``img(e) ⊇ img(e²) ⊇ …`` stabilises within ``n``
-    steps at a set ``I`` that ``eᵏ`` merely permutes, and composing with
-    that permutation's inverse (itself a power of ``e`` restricted to
-    ``I``) yields ``r = eᵏᵈ`` with ``r∘r = r``.  ``r`` is identity on
-    its image — the property the incremental-AC domain carrying in
-    :func:`compute_core` needs for soundness, which a raw search witness
-    does not provide.
+    The image chain ``img(e) ⊇ img(e²) ⊇ …`` stabilises at a set ``I``
+    that ``eᵏ`` merely permutes; composing with that permutation's
+    inverse (a power of ``e`` on ``I``) yields ``r`` with ``r∘r = r``,
+    identity on its image — which the domain carrying of
+    :func:`compute_core` needs and a raw search witness does not give.
     """
     power = dict(endomorphism)
     image = frozenset(power.values())
@@ -504,10 +514,6 @@ def _idempotent_retraction(endomorphism: Endomorphism) -> Endomorphism:
     inverse = {power[a]: a for a in image}
     return {x: inverse[power[x]] for x in power}
 
-
-# ---------------------------------------------------------------------------
-# The witnessed core computation
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoreComputation:
@@ -535,51 +541,43 @@ class CoreComputation:
         return self.searches > 0
 
 
-def compute_core(structure: Structure, incremental: bool = True) -> CoreComputation:
+def compute_core(structure: Structure) -> CoreComputation:
     """Compute the core with folds, certificates and the single search.
 
-    Each round folds to a fixpoint, then tries to certify the remainder
-    rigid (free termination), then runs one non-surjective-endomorphism
-    search; a found retraction shrinks the structure and the loop
-    repeats.  The result's ``core`` is an induced substructure of the
-    input, unique up to isomorphism, and ``retraction`` witnesses
-    ``structure → core``.
+    The input is compiled once.  Each round folds to a fixpoint, then
+    tries to certify the remainder rigid, then runs one search; a found
+    retraction shrinks the ``alive`` mask and the loop repeats.  ``core``
+    is an induced substructure of the input, unique up to isomorphism,
+    and ``retraction`` witnesses ``structure → core``.
 
-    With ``incremental=True`` (the default) the AC domains computed in
-    round ``k`` seed round ``k+1``: the search witness is first iterated
-    to an idempotent retraction ``r`` (identity on its image ``I``), so
-    any endomorphism ``f`` of the shrunken structure lifts to ``f∘r`` on
-    the previous one — hence ``f(a) ∈ D(a) ∩ I`` and the carried domains
-    ``{a: D(a) ∩ I}`` soundly over-approximate every next-round
-    endomorphism.  Folds between rounds are identity on survivors, so
-    the carried domains stay valid verbatim (values outside the new
-    universe are dropped when seeding).  ``incremental=False`` keeps the
-    original from-scratch behaviour bit-for-bit and exists as the
-    reference arm of the differential fuzz test.
+    The AC domains of round ``k`` seed round ``k+1``: the search witness
+    is first iterated to an idempotent retraction ``r`` (identity on its
+    image ``I``), so any endomorphism ``f`` of the shrunken structure
+    lifts to ``f∘r`` on the previous one — hence ``f(a) ∈ D(a) ∩ I`` and
+    the carried domains ``{a: D(a) ∩ I}`` soundly over-approximate every
+    next-round endomorphism.  Folds between rounds are identity on
+    survivors, so the carried domains stay valid verbatim (values of
+    folded elements are cut when seeding).
     """
-    current = structure
-    retraction: Endomorphism = {a: a for a in structure.universe}
-    folds = 0
-    searches = 0
-    carried: Optional[Dict[Element, FrozenSet[Element]]] = None
+    program = _Program(structure)
+    alive = program.full
+    images = list(range(len(program.elements)))
+    folds = searches = 0
+    carried: Optional[List[int]] = None
     while True:
-        current, fold_map, new_folds, index = _fold_reduce(current)
-        if new_folds:
-            folds += new_folds
-            retraction = {x: fold_map[y] for x, y in retraction.items()}
-        certificate, domains = _certify(current, index, seed=carried)
+        alive, count = program.fold_reduce(alive, images)
+        folds += count
+        certificate, domains = program.certify(alive, carried)
         if certificate is not None:
-            return CoreComputation(structure, current, retraction, certificate, folds, searches)
+            break
         searches += 1
-        endomorphism = find_non_surjective_endomorphism(current, domains, index)
-        if endomorphism is None:
-            return CoreComputation(structure, current, retraction, None, folds, searches)
-        if incremental:
-            idempotent = _idempotent_retraction(endomorphism)
-            image = frozenset(idempotent.values())
-            carried = {a: domains[a] & image for a in image}
-            current = current.induced_substructure(image)
-            retraction = {x: idempotent[y] for x, y in retraction.items()}
-        else:
-            current = current.induced_substructure(frozenset(endomorphism.values()))
-            retraction = {x: endomorphism[y] for x, y in retraction.items()}
+        found = program.search(alive, domains)
+        if found is None:
+            break
+        idempotent = _idempotent_retraction({x: found[x] for x in _bits(alive)})
+        alive = _mask(idempotent.values())
+        carried = [mask & alive for mask in domains]
+        images = [idempotent[y] for y in images]
+    return CoreComputation(
+        structure, program.induce(alive), program.mapping(images), certificate, folds, searches
+    )

@@ -6,6 +6,7 @@ foldable families without searching, and (d) produce retraction
 witnesses that really are homomorphisms onto the core.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -241,7 +242,7 @@ class TestEngineBackedPublicApi:
 
 class TestFoldBatching:
     """fold_reduce applies independent fold *sets* per pass, cutting the
-    structure/index rebuilds from one per fold to one per pass."""
+    fold scans from one per fold to one per pass."""
 
     def test_batch_folds_compose_to_an_endomorphism(self):
         from repro.homomorphism import find_fold_batch
@@ -279,24 +280,34 @@ class TestFoldBatching:
             assert is_homomorphism(retraction, structure, structure)
             assert find_fold(folded) is None  # really a fold fixpoint
 
-    def test_rebuilds_are_per_pass_not_per_fold(self, monkeypatch):
+    def test_fold_work_is_per_pass_not_per_fold(self, monkeypatch):
         import repro.homomorphism.core_engine as engine
 
-        built = []
-        original = engine.StructureIndex
+        compiled, scans, tables = [], [], []
 
-        class CountingIndex(original):
-            def __init__(self, structure, *args, **kwargs):
-                built.append(len(structure))
-                super().__init__(structure, *args, **kwargs)
+        class CountingProgram(engine._Program):
+            def __init__(self, structure):
+                compiled.append(len(structure))
+                super().__init__(structure)
 
-        monkeypatch.setattr(engine, "StructureIndex", CountingIndex)
-        structure = path(13)  # 13 elements fold to 2: 11 folds
-        folded, _, count = engine.fold_reduce(structure)
-        assert count == 11 and len(folded) == 2
-        # The per-fold loop rebuilt once per fold (≥ 12 indexes); batching
-        # needs one per pass plus the initial build — far fewer.
-        assert len(built) <= 7, built
+            def fold_batch(self, alive):
+                scans.append(alive.bit_count())
+                return super().fold_batch(alive)
+
+            def _build_table(self, name, free):
+                tables.append((name, free))
+                return super()._build_table(name, free)
+
+        monkeypatch.setattr(engine, "_Program", CountingProgram)
+        computation = engine.compute_core(path(13))  # 13 elements fold to 2
+        assert computation.folds == 11 and len(computation.core) == 2
+        # The input is compiled once, not once per fold or per pass.
+        assert compiled == [13]
+        # A per-fold loop scans once per fold (12 scans); batching scans
+        # once per pass, plus the scan that finds no fold.
+        assert scans == [13, 11, 9, 7, 5, 3, 2]
+        # Every pass reads the same lazily built tables.
+        assert tables and len(tables) == len(set(tables)), tables
 
 
 class TestHashSeedDeterminism:
@@ -330,10 +341,35 @@ class TestHashSeedDeterminism:
             for elem, dom in domains.items()
         }
         result = compute_core(structure)
+
+        from test_core_engine_oracle import hash_seed_sample
+
+        def described(structure):
+            return {
+                "universe": sorted(repr(x) for x in structure.universe),
+                "relations": {
+                    symbol.name: sorted(repr(t) for t in structure.relation(symbol.name))
+                    for symbol in structure.vocabulary
+                },
+            }
+
+        computations = [
+            {
+                "core": described(computation.core),
+                "retraction": sorted(
+                    (repr(x), repr(y)) for x, y in computation.retraction.items()
+                ),
+                "certificate": computation.certificate,
+                "folds": computation.folds,
+                "searches": computation.searches,
+            }
+            for computation in map(compute_core, hash_seed_sample())
+        ]
         payload = {
             "domains": sorted(projection.items()),
             "core_size": len(result.core),
             "core_universe": sorted(repr(x) for x in result.core.universe),
+            "computations": computations,
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True))
         """
@@ -346,7 +382,8 @@ class TestHashSeedDeterminism:
         for seed in ("0", "4242"):
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = seed
-            env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+            tests = Path(__file__).resolve().parent
+            env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
             proc = subprocess.run(
                 [sys.executable, str(script)],
                 env=env, capture_output=True, text=True, timeout=120,
@@ -354,3 +391,4 @@ class TestHashSeedDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["computations"]) >= 20

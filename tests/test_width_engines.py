@@ -83,6 +83,7 @@ from repro.structures.builders import (
     star_graph,
 )
 from repro.structures.gaifman import gaifman_graph
+from repro.structures.operations import star_expansion
 from repro.structures.random_gen import random_graph_structure, random_tree_graph
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
@@ -347,6 +348,43 @@ class TestFacadeWiring:
         tw, pw, td = width_profile(graph_structure(grid_graph(3, 5)))
         assert (tw, pw) == (3, 3)
         assert td > 3
+
+    def test_path_route_decomposition_starts_from_the_certified_pathwidth(
+        self, monkeypatch
+    ):
+        import repro.decomposition.width_engine as width_engine
+
+        hints = []
+
+        def recording(graph, lower_hint=0):
+            hints.append(lower_hint)
+            return engine_pathwidth_layout(graph, lower_hint)
+
+        monkeypatch.setattr(width_engine, "engine_pathwidth_layout", recording)
+        rng = random.Random(FUZZ_SEED + 11)
+        patterns = [cycle(13), star_expansion(graph_structure(grid_graph(3, 4)))]
+        for _ in range(16):
+            # Oriented random trees plus chords: large rigid cores that the
+            # engine solves by search rather than by a recognised shape.
+            n = rng.randint(12, 16)
+            arcs = {(rng.randrange(v), v) for v in range(1, n)}
+            arcs |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 3)}
+            arcs = {(a, b) if rng.random() < 0.5 else (b, a) for a, b in arcs}
+            patterns.append(Structure(Vocabulary({"E": 2}), range(n), {"E": arcs}))
+        routed = 0
+        for pattern in patterns:
+            profile = classify_structure(pattern)
+            if choose_degree(profile) is not ComplexityDegree.PATH_COMPLETE:
+                continue
+            routed += 1
+            assert profile.core_pathwidth_exact
+            hints.clear()
+            decomposition = profile.core_path_decomposition()
+            assert hints == [profile.core_pathwidth]
+            assert_valid_path_decomposition(
+                gaifman_graph(profile.core), decomposition, profile.core_pathwidth
+            )
+        assert routed >= 8
 
 
 class TestExactnessFlags:
