@@ -20,17 +20,41 @@ views of it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.classification.degrees import ComplexityDegree, degree_from_width_bounds
+from repro.decomposition.path_decomposition import PathDecomposition
+from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.decomposition.treedepth import EliminationForest
-from repro.decomposition.width import width_profile_report_with_forest
+from repro.decomposition.treedepth_engine import TreedepthEngine, compute_treedepth
+from repro.decomposition.width import (
+    PATHWIDTH_EXACT_SIZE_LIMIT,
+    TREEDEPTH_EXACT_SIZE_LIMIT,
+    TREEWIDTH_EXACT_SIZE_LIMIT,
+    good_path_decomposition,
+    good_tree_decomposition,
+    width_profile_report_with_forest,
+)
+from repro.decomposition.width_engine import (
+    PathwidthEngine,
+    TreewidthEngine,
+    engine_pathwidth,
+    engine_treewidth,
+)
 from repro.exceptions import ClassificationError
 from repro.homomorphism.core_engine import compute_core
+from repro.structures.gaifman import gaifman_graph
 from repro.structures.structure import Structure
 
 
-@dataclass
+#: The Gaifman-graph size up to which all three exact engines run: a core
+#: this small gets its widths on demand, a bigger one eagerly, through the
+#: facade's recognised shapes and heuristics.
+LAZY_WIDTH_LIMIT = min(
+    TREEWIDTH_EXACT_SIZE_LIMIT, PATHWIDTH_EXACT_SIZE_LIMIT, TREEDEPTH_EXACT_SIZE_LIMIT
+)
+
+
 class StructureProfile:
     """Exact width measurements for one structure and its core.
 
@@ -52,63 +76,228 @@ class StructureProfile:
     closed-form shape, False when it is a heuristic upper bound.  The
     planner reads them to know whether a route decision rests on a
     certified width or on a guess.
+
+    Widths left out of the constructor (as :func:`classify_structure`
+    does for cores of at most :data:`LAZY_WIDTH_LIMIT` elements) are
+    computed by the exact engines on first read.  :meth:`threshold_degree`
+    answers its threshold questions with capped searches instead, and
+    keeps the witness of the route it picks.  A lazy fill computes into
+    locals and stores only finished values, so a concurrent reader may
+    recompute but never sees half a result; no engine, memo or Gaifman
+    graph outlives the call that needed it.
     """
 
-    structure: Structure
-    core: Structure
-    core_treewidth: int
-    core_pathwidth: int
-    core_treedepth: int
-    core_certificate: Optional[str] = None
-    core_elimination_forest: Optional[EliminationForest] = None
-    core_treewidth_exact: bool = True
-    core_pathwidth_exact: bool = True
-    core_treedepth_exact: bool = True
+    __slots__ = (
+        "structure",
+        "core",
+        "core_certificate",
+        "core_treewidth_exact",
+        "core_pathwidth_exact",
+        "core_treedepth_exact",
+        "_treewidth",
+        "_pathwidth",
+        "_treedepth",
+        "_path_decomposition",
+        "_tree_decomposition",
+    )
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+
+    def __init__(
+        self,
+        structure: Structure,
+        core: Structure,
+        core_treewidth: Optional[int] = None,
+        core_pathwidth: Optional[int] = None,
+        core_treedepth: Optional[int] = None,
+        core_certificate: Optional[str] = None,
+        core_elimination_forest: Optional[EliminationForest] = None,
+        core_treewidth_exact: bool = True,
+        core_pathwidth_exact: bool = True,
+        core_treedepth_exact: bool = True,
+    ) -> None:
+        self.structure = structure
+        self.core = core
+        self.core_certificate = core_certificate
+        self.core_treewidth_exact = core_treewidth_exact
+        self.core_pathwidth_exact = core_pathwidth_exact
+        self.core_treedepth_exact = core_treedepth_exact
+        # None marks a measure not computed yet.  Tree depth and its forest
+        # are stored as one pair, so they are never seen apart.
+        self._treewidth = core_treewidth
+        self._pathwidth = core_pathwidth
+        self._treedepth: Optional[Tuple[int, Optional[EliminationForest]]] = (
+            None if core_treedepth is None else (core_treedepth, core_elimination_forest)
+        )
+        self._path_decomposition: Optional[PathDecomposition] = None
+        self._tree_decomposition: Optional[TreeDecomposition] = None
+
+    # -- the widths, filled on first read ------------------------------------
+    @property
+    def core_treewidth(self) -> int:
+        value = self._treewidth
+        if value is None:
+            value = engine_treewidth(gaifman_graph(self.core))
+            self._treewidth = value
+        return value
+
+    @property
+    def core_pathwidth(self) -> int:
+        value = self._pathwidth
+        if value is None:
+            # pw ≥ tw: the exact treewidth seeds the search, as in the facade.
+            hint = self.core_treewidth
+            value = engine_pathwidth(gaifman_graph(self.core), lower_hint=hint)
+            self._pathwidth = value
+        return value
+
+    def _depth(self) -> Tuple[int, Optional[EliminationForest]]:
+        known = self._treedepth
+        if known is None:
+            result = compute_treedepth(gaifman_graph(self.core))
+            known = (result.value, result.forest)
+            self._treedepth = known
+        return known
+
+    @property
+    def core_treedepth(self) -> int:
+        return self._depth()[0]
+
+    @property
+    def core_elimination_forest(self) -> Optional[EliminationForest]:
+        return self._depth()[1]
 
     @property
     def core_size(self) -> int:
         """Number of elements of the core."""
         return len(self.core)
 
-    def core_path_decomposition(self):
+    # -- the route decision ---------------------------------------------------
+    def threshold_degree(
+        self, treedepth_max: int, pathwidth_max: int, treewidth_max: int
+    ) -> ComplexityDegree:
+        """The Theorem 3.1 degree of the core under width thresholds (see
+        :func:`~repro.classification.solver_dispatch.choose_degree`).
+
+        Known widths — all of them on a profile given its widths — are
+        compared in the order tw → pw → td.  Otherwise each question is a
+        capped search, and tree depth goes first: tw ≤ pw ≤ td − 1, so
+        ``td ≤ treedepth_max`` with ``td − 1`` within both other thresholds
+        settles para-L, and the same engine yields the forest.  Then tw,
+        then pw seeded with the exact tw.  The engine that certifies the
+        PATH or TREE route's width builds its decomposition from its own
+        memo, so that route never searches again.
+        """
+        treedepth = self._treedepth
+        if None not in (self._treewidth, self._pathwidth, treedepth):
+            if self._treewidth > treewidth_max:
+                return ComplexityDegree.W1_HARD
+            if self._pathwidth > pathwidth_max:
+                return ComplexityDegree.TREE_COMPLETE
+            if treedepth[0] > treedepth_max:
+                return ComplexityDegree.PATH_COMPLETE
+            return ComplexityDegree.PARA_L
+        graph = gaifman_graph(self.core)
+        if treedepth is None:
+            engine = TreedepthEngine(graph)
+            value = engine.value(treedepth_max)
+            if value <= treedepth_max:
+                treedepth = self._treedepth = (value, engine.forest())
+        shallow = treedepth is not None and treedepth[0] <= treedepth_max
+        if shallow and treedepth[0] - 1 <= min(pathwidth_max, treewidth_max):
+            return ComplexityDegree.PARA_L
+        # A capped value past its cap is only a lower bound: never stored.
+        tree_engine = path_engine = None
+        treewidth = self._treewidth
+        if treewidth is None:
+            tree_engine = TreewidthEngine(graph)
+            treewidth = tree_engine.value(treewidth_max)
+            if treewidth <= treewidth_max:
+                self._treewidth = treewidth
+        if treewidth > treewidth_max:
+            return ComplexityDegree.W1_HARD
+        pathwidth = self._pathwidth
+        if pathwidth is None:
+            path_engine = PathwidthEngine(graph, lower_hint=treewidth)
+            pathwidth = path_engine.value(pathwidth_max)
+            if pathwidth <= pathwidth_max:
+                self._pathwidth = pathwidth
+        if pathwidth > pathwidth_max:
+            if tree_engine is not None and self._tree_decomposition is None:
+                self._tree_decomposition = tree_engine.witness()[1]
+            return ComplexityDegree.TREE_COMPLETE
+        if shallow:
+            return ComplexityDegree.PARA_L
+        if path_engine is not None and self._path_decomposition is None:
+            self._path_decomposition = path_engine.witness()[1]
+        return ComplexityDegree.PATH_COMPLETE
+
+    # -- decompositions, built once per profile --------------------------------
+    def core_path_decomposition(self) -> PathDecomposition:
         """A good path decomposition of the core, built once per profile.
 
         Profiles are shared across a batch (and, through the caches,
         across batches), so memoising the decomposition here removes a
         per-solve rebuild from the PATH route — decompositions depend
-        only on the core, exactly like the widths.  A certified exact
-        pathwidth seeds the witness search as its lower bound, so the
-        search does not deepen again from 0 to the value the classifier
-        has just certified.
+        only on the core, exactly like the widths.  When
+        :meth:`threshold_degree` routed the core to PATH, the layout of
+        the search that certified the pathwidth is already here.
         """
-        cached = getattr(self, "_path_decomposition", None)
+        cached = self._path_decomposition
         if cached is None:
-            from repro.decomposition.path_decomposition import (
-                path_decomposition_from_ordering,
-            )
-            from repro.decomposition.width import good_path_decomposition
-            from repro.decomposition.width_engine import engine_pathwidth_layout
-            from repro.structures.gaifman import gaifman_graph
-
-            if self.core_pathwidth_exact:
-                graph = gaifman_graph(self.core)
-                _, layout = engine_pathwidth_layout(graph, self.core_pathwidth)
-                cached = path_decomposition_from_ordering(graph, layout)
-            else:
-                cached = good_path_decomposition(self.core)
+            cached = good_path_decomposition(self.core)
             self._path_decomposition = cached
         return cached
 
-    def core_tree_decomposition(self):
+    def core_tree_decomposition(self) -> TreeDecomposition:
         """A good tree decomposition of the core, built once per profile
         (the TREE-route sibling of :meth:`core_path_decomposition`)."""
-        cached = getattr(self, "_tree_decomposition", None)
+        cached = self._tree_decomposition
         if cached is None:
-            from repro.decomposition.width import good_tree_decomposition
-
             cached = good_tree_decomposition(self.core)
             self._tree_decomposition = cached
         return cached
+
+    # -- value semantics --------------------------------------------------------
+    def _arguments(self) -> Tuple:
+        """The constructor arguments that rebuild this profile with every
+        width filled in (the missing ones are computed)."""
+        depth, forest = self._depth()
+        return (
+            self.structure,
+            self.core,
+            self.core_treewidth,
+            self.core_pathwidth,
+            depth,
+            self.core_certificate,
+            forest,
+            self.core_treewidth_exact,
+            self.core_pathwidth_exact,
+            self.core_treedepth_exact,
+        )
+
+    def __reduce__(self) -> Tuple:
+        # A profile crossing a process boundary carries every width, so a
+        # receiver never classifies again, and pickles the same way
+        # whichever widths were read; decompositions are rebuilt on demand.
+        return (StructureProfile, self._arguments())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._arguments() == other._arguments()  # type: ignore[union-attr]
+
+    def __repr__(self) -> str:
+        def shown(value: object) -> str:
+            return "?" if value is None else repr(value)
+
+        depth = None if self._treedepth is None else self._treedepth[0]
+        return (
+            f"StructureProfile(core_size={self.core_size}, "
+            f"core_treewidth={shown(self._treewidth)}, "
+            f"core_pathwidth={shown(self._pathwidth)}, "
+            f"core_treedepth={shown(depth)}, "
+            f"core_certificate={self.core_certificate!r})"
+        )
 
 
 @dataclass
@@ -150,9 +339,15 @@ def classify_structure(structure: Structure) -> StructureProfile:
     (:func:`repro.homomorphism.core_engine.compute_core`): patterns whose
     cores fold away or certify rigid never pay for an endomorphism
     search, which is what keeps classification viable for the larger
-    query patterns the workload scenarios generate.
+    query patterns the workload scenarios generate.  A core inside the
+    exact engines' window (:data:`LAZY_WIDTH_LIMIT`) gets its widths on
+    demand; a bigger one gets all three here.
     """
     computation = compute_core(structure)
+    if 0 < len(computation.core) <= LAZY_WIDTH_LIMIT:
+        return StructureProfile(
+            structure, computation.core, core_certificate=computation.certificate
+        )
     report, forest = width_profile_report_with_forest(computation.core)
     return StructureProfile(
         structure,

@@ -174,16 +174,16 @@ def choose_degree(
     A single structure always has bounded widths; the (configurable)
     thresholds stand in for the family-level bounds (e.g. "the core tree
     depth stays below ``config.treedepth_threshold`` across the family").
+    tw > threshold is W[1]-hard, else pw > threshold TREE, else
+    td > threshold PATH, else para-L.  Widths the profile has not computed
+    yet are decided by capped searches
+    (:meth:`~repro.classification.classifier.StructureProfile.threshold_degree`).
     """
     if config is None:
         config = DEFAULT_PLANNER_CONFIG
-    if profile.core_treewidth > config.treewidth_threshold:
-        return ComplexityDegree.W1_HARD
-    if profile.core_pathwidth > config.pathwidth_threshold:
-        return ComplexityDegree.TREE_COMPLETE
-    if profile.core_treedepth > config.treedepth_threshold:
-        return ComplexityDegree.PATH_COMPLETE
-    return ComplexityDegree.PARA_L
+    return profile.threshold_degree(
+        config.treedepth_threshold, config.pathwidth_threshold, config.treewidth_threshold
+    )
 
 
 def solve_with_degree(

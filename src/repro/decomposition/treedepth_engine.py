@@ -127,32 +127,50 @@ class TreedepthEngine:
         self.branched = 0
 
     # -- public API ---------------------------------------------------------
-    def value(self) -> int:
-        """Return the exact treedepth of the graph."""
-        return max(self._solve_exact(comp) for comp in self._components(self._full))
+    def value(self, cap: Optional[int] = None) -> int:
+        """Return the exact treedepth of the graph.
 
-    def _solve_exact(self, mask: int) -> int:
+        With a ``cap`` the search answers "td ≤ cap?": it stops as soon as
+        a certified lower bound passes the cap and returns that bound.  A
+        returned value ≤ ``cap`` is exact, and the memo then holds exactly
+        what the uncapped search would, so :meth:`forest` is unchanged.
+        """
+        best = 0
+        for comp in self._components(self._full):
+            best = max(best, self._solve_exact(comp, cap))
+            if cap is not None and best > cap:
+                break
+        return best
+
+    def _solve_exact(self, mask: int, cap: Optional[int] = None) -> int:
         """Iterative deepening: raise the budget from the lower bound until
-        the branch-and-bound certifies it, so failing searches stay shallow."""
+        the branch-and-bound certifies it, so failing searches stay shallow.
+        A lower bound past ``cap`` ends the deepening early."""
         budget = 1
         while True:
             value = self._solve(mask, budget)
-            if value <= budget:
+            if value <= budget or (cap is not None and value > cap):
                 return value
             budget = value  # a certified lower bound > budget
 
-    def run(self) -> TreedepthResult:
-        """Compute the exact treedepth plus an optimal witness forest."""
-        value = self.value()
+    def forest(self) -> EliminationForest:
+        """An optimal elimination forest, replayed from the memo (the
+        searches still open are finished first) and verified."""
         parent: Dict[Vertex, Vertex] = {}
         roots: List[Vertex] = []
         for comp in self._components(self._full):
             self._attach(comp, None, parent, roots)
         forest = EliminationForest(parent, roots)
-        if forest.height() != value or not forest.witnesses(self._graph):
+        if forest.height() != self.value() or not forest.witnesses(self._graph):
             raise DecompositionError(
                 "internal error: engine forest does not witness its treedepth value"
             )
+        return forest
+
+    def run(self) -> TreedepthResult:
+        """Compute the exact treedepth plus an optimal witness forest."""
+        value = self.value()
+        forest = self.forest()
         return TreedepthResult(
             value=value,
             forest=forest,

@@ -47,11 +47,6 @@ from repro.graphlib.graph import Graph
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.structure import Structure
 
-#: The historical exact window of the seed subset DPs (kept for reference
-#: and for callers that want the legacy differential baseline); the facade
-#: itself now uses the per-measure engine windows below.
-EXACT_SIZE_LIMIT = 12
-
 #: Treewidth and pathwidth exactness windows of the branch-and-bound
 #: engines in :mod:`repro.decomposition.width_engine`.  Like the treedepth
 #: engine before them they cover the 13–25-element Gaifman graphs of the
@@ -74,9 +69,10 @@ TREEDEPTH_EXACT_SIZE_LIMIT = 25
 def treewidth(structure: Structure, exact: bool | None = None) -> int:
     """Return (an upper bound on) the treewidth of the structure.
 
-    ``exact=None`` picks the exact algorithm when the Gaifman graph has at
-    most :data:`EXACT_SIZE_LIMIT` vertices and the min-fill heuristic
-    otherwise.
+    ``exact=None`` picks the exact engine when the Gaifman graph has at
+    most :data:`TREEWIDTH_EXACT_SIZE_LIMIT` vertices or every component is
+    a recognised closed-form shape, and the min-fill heuristic otherwise
+    (see :func:`graph_treewidth`).
     """
     graph = gaifman_graph(structure)
     return graph_treewidth(graph, exact)

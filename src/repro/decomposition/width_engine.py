@@ -142,6 +142,37 @@ class _MaskEngine:
         #: How many subproblems went through the branching loop (for stats).
         self.branched = 0
 
+    def value(self, cap: Optional[int] = None) -> int:
+        """Return the exact width of the graph: the maximum over its
+        components, each a recognised shape or searched.
+
+        With a ``cap`` the search answers "width ≤ cap?": it stops as soon
+        as a certified lower bound passes the cap and returns that bound.
+        A returned value ≤ ``cap`` is exact, and the memo then holds what
+        the uncapped search would, so the witness is unchanged.
+        """
+        best = 0
+        for comp in self._components(self._full):
+            recognised = self._recognise(comp)
+            if recognised is not None:
+                best = max(best, recognised[0])
+            else:
+                best = max(best, self._solve_exact(comp, cap))
+            if cap is not None and best > cap:
+                break
+        return best
+
+    def _solve_exact(self, mask: int, cap: Optional[int] = None) -> int:
+        """Iterative deepening: raise the budget from the lower bound until
+        the branch-and-bound certifies it.  A lower bound past ``cap`` ends
+        the deepening early."""
+        budget = 0
+        while True:
+            value = self._solve(mask, budget)
+            if value <= budget or (cap is not None and value > cap):
+                return value
+            budget = value  # a certified lower bound > budget
+
     def _bits(self, mask: int) -> List[int]:
         indices = []
         while mask:
@@ -396,20 +427,10 @@ class TreewidthEngine(_MaskEngine):
             self._recognised[component] = self._shape_order(component, "treewidth")
         return self._recognised[component]
 
-    def value(self) -> int:
-        """Return the exact treewidth of the graph."""
-        best = 0
-        for comp in self._components(self._full):
-            recognised = self._recognise(comp)
-            if recognised is not None:
-                best = max(best, recognised[0])
-            else:
-                best = max(best, self._solve_exact(comp))
-        return best
-
-    def run(self) -> TreewidthResult:
-        """Compute the exact treewidth plus an optimal elimination ordering."""
-        value = self.value()
+    def witness(self) -> Tuple[List[Vertex], TreeDecomposition]:
+        """An optimal elimination ordering, replayed from the memo (the
+        searches still open are finished first), and its validated
+        decomposition."""
         ordering: List[Vertex] = []
         for comp in self._components(self._full):
             recognised = self._recognise(comp)
@@ -420,10 +441,16 @@ class TreewidthEngine(_MaskEngine):
         decomposition = TreeDecomposition.from_elimination_ordering(
             self._graph, ordering
         )
-        if decomposition.width() != value:
+        if decomposition.width() != self.value():
             raise DecompositionError(
                 "internal error: engine ordering does not witness its treewidth value"
             )
+        return ordering, decomposition
+
+    def run(self) -> TreewidthResult:
+        """Compute the exact treewidth plus an optimal elimination ordering."""
+        value = self.value()
+        ordering, decomposition = self.witness()
         return TreewidthResult(
             value=value,
             ordering=ordering,
@@ -431,16 +458,6 @@ class TreewidthEngine(_MaskEngine):
             subproblems=len(self._memo),
             branched=self.branched,
         )
-
-    def _solve_exact(self, mask: int) -> int:
-        """Iterative deepening: raise the budget from the lower bound until
-        the branch-and-bound certifies it."""
-        budget = 0
-        while True:
-            value = self._solve(mask, budget)
-            if value <= budget:
-                return value
-            budget = value  # a certified lower bound > budget
 
     # -- fill-graph helpers -------------------------------------------------
     def _fill_neighbourhood(self, eliminated: int, vertex: int) -> int:
@@ -725,20 +742,9 @@ class PathwidthEngine(_MaskEngine):
             self._recognised[component] = self._shape_order(component, "pathwidth")
         return self._recognised[component]
 
-    def value(self) -> int:
-        """Return the exact pathwidth of the graph."""
-        best = 0
-        for comp in self._components(self._full):
-            recognised = self._recognise(comp)
-            if recognised is not None:
-                best = max(best, recognised[0])
-            else:
-                best = max(best, self._solve_exact(comp))
-        return best
-
-    def run(self) -> PathwidthResult:
-        """Compute the exact pathwidth plus an optimal linear layout."""
-        value = self.value()
+    def witness(self) -> Tuple[List[Vertex], PathDecomposition]:
+        """An optimal linear layout, replayed from the memo (the searches
+        still open are finished first), and its validated decomposition."""
         layout: List[Vertex] = []
         for comp in self._components(self._full):
             recognised = self._recognise(comp)
@@ -747,10 +753,16 @@ class PathwidthEngine(_MaskEngine):
             else:
                 self._extend(comp, layout)
         decomposition = path_decomposition_from_ordering(self._graph, layout)
-        if decomposition.width() != value:
+        if decomposition.width() != self.value():
             raise DecompositionError(
                 "internal error: engine layout does not witness its pathwidth value"
             )
+        return layout, decomposition
+
+    def run(self) -> PathwidthResult:
+        """Compute the exact pathwidth plus an optimal linear layout."""
+        value = self.value()
+        layout, decomposition = self.witness()
         return PathwidthResult(
             value=value,
             layout=layout,
@@ -758,15 +770,6 @@ class PathwidthEngine(_MaskEngine):
             subproblems=len(self._memo),
             branched=self.branched,
         )
-
-    def _solve_exact(self, mask: int) -> int:
-        """Iterative deepening over the vertex-separation branch and bound."""
-        budget = 0
-        while True:
-            value = self._solve(mask, budget)
-            if value <= budget:
-                return value
-            budget = value  # a certified lower bound > budget
 
     # -- helpers ------------------------------------------------------------
     def _boundary(self, remaining: int) -> int:

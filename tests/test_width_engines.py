@@ -349,18 +349,27 @@ class TestFacadeWiring:
         assert (tw, pw) == (3, 3)
         assert td > 3
 
-    def test_path_route_decomposition_starts_from_the_certified_pathwidth(
+    def test_path_route_decomposition_comes_from_the_certifying_search(
         self, monkeypatch
     ):
-        import repro.decomposition.width_engine as width_engine
+        # Classifying and routing a PATH core runs one pathwidth search: the
+        # capped one that certifies pw ≤ threshold also lays out the PATH
+        # route's decomposition, and nothing searches for a layout again.
+        constructed = []
+        witnessed = []
+        original_init = PathwidthEngine.__init__
+        original_witness = PathwidthEngine.witness
 
-        hints = []
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original_init(self, *args, **kwargs)
 
-        def recording(graph, lower_hint=0):
-            hints.append(lower_hint)
-            return engine_pathwidth_layout(graph, lower_hint)
+        def counting_witness(self):
+            witnessed.append(self)
+            return original_witness(self)
 
-        monkeypatch.setattr(width_engine, "engine_pathwidth_layout", recording)
+        monkeypatch.setattr(PathwidthEngine, "__init__", counting_init)
+        monkeypatch.setattr(PathwidthEngine, "witness", counting_witness)
         rng = random.Random(FUZZ_SEED + 11)
         patterns = [cycle(13), star_expansion(graph_structure(grid_graph(3, 4)))]
         for _ in range(16):
@@ -373,17 +382,19 @@ class TestFacadeWiring:
             patterns.append(Structure(Vocabulary({"E": 2}), range(n), {"E": arcs}))
         routed = 0
         for pattern in patterns:
+            constructed.clear()
+            witnessed.clear()
             profile = classify_structure(pattern)
             if choose_degree(profile) is not ComplexityDegree.PATH_COMPLETE:
                 continue
             routed += 1
-            assert profile.core_pathwidth_exact
-            hints.clear()
             decomposition = profile.core_path_decomposition()
-            assert hints == [profile.core_pathwidth]
+            assert profile.core_pathwidth_exact
             assert_valid_path_decomposition(
                 gaifman_graph(profile.core), decomposition, profile.core_pathwidth
             )
+            assert len(constructed) == 1
+            assert witnessed == constructed
         assert routed >= 8
 
 
