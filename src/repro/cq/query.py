@@ -93,6 +93,17 @@ class ConjunctiveQuery:
         return Vocabulary(arities)
 
     # -- Chandra–Merlin translations ----------------------------------------------
+    def content_key(self) -> Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]]:
+        """A hashable key that determines the canonical structure.
+
+        :meth:`canonical_structure` is a function of exactly the atoms and
+        the variables (``extra_variables`` become isolated elements), so
+        equal keys mean equal canonical structures.  The converse fails:
+        reordered or repeated atoms give different keys for one structure.
+        The key is rebuilt on every call; nothing is cached on the query.
+        """
+        return self._atoms, self._variables
+
     def canonical_structure(self) -> Structure:
         """Return the query's canonical structure (variables as elements)."""
         relations: Dict[str, set] = {}

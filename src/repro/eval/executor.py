@@ -57,7 +57,7 @@ from repro.classification.solver_dispatch import (
     solve_with_degree,
 )
 from repro.cq.database import Database
-from repro.cq.query import ConjunctiveQuery
+from repro.cq.query import ConjunctiveQuery, QueryAtom
 from repro.eval.planner import (
     QueryPlan,
     conservative_cost_estimate,
@@ -75,10 +75,10 @@ DatabaseLike = Union[Database, Structure]
 
 AnySolveResult = Union[SolveResult, SlimSolveResult]
 
-#: Bound of the per-context memoised-result cache (see
-#: :class:`_EvaluationContext`).  4096 distinct (pattern, vocabulary)
-#: pairs comfortably covers a hot working set while keeping the worst
-#: case at a few thousand small result objects per worker.
+#: Bound of each per-context memoised-result cache (see
+#: :class:`_EvaluationContext`).  4096 distinct queries or (pattern,
+#: vocabulary) pairs comfortably covers a hot working set while keeping
+#: the worst case at a few thousand small result objects per worker.
 _SOLVED_CACHE_LIMIT = 4096
 
 
@@ -165,6 +165,15 @@ class _EvaluationContext:
     rigidity-certified core engine (via :func:`classify_structure`), so
     a cache miss on a fold-collapsible or certificate-rigid pattern
     costs index lookups and propagation, not ``n`` retraction searches.
+
+    Results are memoised at two levels.  :attr:`by_content` is keyed by
+    the query's atoms and variables and is probed first, so a repeated
+    query — the same objects or an equal one parsed afresh — is answered
+    without building its canonical structure.  On a miss the query is
+    canonicalised and :attr:`solved`, keyed by (pattern, vocabulary),
+    catches queries that differ only in atom order or repeated atoms.
+    Renamed variables give a different canonical structure and are
+    solved separately.
     """
 
     def __init__(
@@ -206,6 +215,13 @@ class _EvaluationContext:
         self.solved: "BoundedLRU[Tuple[Structure, Vocabulary], AnySolveResult]" = (
             BoundedLRU(_SOLVED_CACHE_LIMIT)
         )
+        #: The same result objects keyed by
+        #: :meth:`~repro.cq.query.ConjunctiveQuery.content_key`, probed
+        #: before canonicalising.  Every answered query leaves an entry,
+        #: whichever level answered it.
+        self.by_content: (
+            "BoundedLRU[Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]], AnySolveResult]"
+        ) = BoundedLRU(_SOLVED_CACHE_LIMIT)
         #: Version of the last planner adopted from the shared control
         #: slot (0 = whatever the context was constructed with).  See
         #: :meth:`maybe_sync_planner`.
@@ -291,9 +307,10 @@ class _EvaluationContext:
         return profile
 
     def plan(self, query: ConjunctiveQuery) -> QueryPlan:
-        profile = self.profile_for(query.canonical_structure())
+        pattern = query.canonical_structure()
+        profile = self.profile_for(pattern)
         stats = (
-            self.stats_for(query.vocabulary())
+            self.stats_for(pattern.vocabulary)
             if self.config.mode == "cost"
             else None
         )
@@ -320,7 +337,7 @@ class _EvaluationContext:
         anyway whenever the verdict is "parallel".
         """
         pattern = query.canonical_structure()
-        stats = self.stats_for(query.vocabulary())
+        stats = self.stats_for(pattern.vocabulary)
         profile = self.profile_if_cached(pattern)
         if profile is not None:
             return plan_query_cached(profile, stats, self.config).cost
@@ -331,8 +348,19 @@ class _EvaluationContext:
         query: ConjunctiveQuery,
         deadline: "Optional[DeadlineBudget]" = None,
     ) -> AnySolveResult:
-        pattern = query.canonical_structure()
-        vocabulary = query.vocabulary()
+        content = query.content_key()
+        result = self.by_content.get(content)
+        if result is None:
+            result = self._solve_pattern(query.canonical_structure(), deadline)
+            self.by_content.put(content, result)
+        return result
+
+    def _solve_pattern(
+        self,
+        pattern: Structure,
+        deadline: "Optional[DeadlineBudget]" = None,
+    ) -> AnySolveResult:
+        vocabulary = pattern.vocabulary
         key = (pattern, vocabulary)
         memoised = self.solved.get(key)
         if memoised is not None:

@@ -58,6 +58,11 @@ from repro.structures.structure import Structure
 
 DatabaseLike = Union[Database, Structure]
 
+#: How many of the most recent batches :meth:`QueryService.stats` reports
+#: in ``mode_history``.  A long-lived service serves batches without end,
+#: and ``stats()`` copies the history on every call.
+MODE_HISTORY_LIMIT = 256
+
 
 def _json_safe(value: Any) -> Any:
     """Project arbitrary service state onto JSON-serialisable types.
@@ -330,7 +335,7 @@ class QueryService:
         self._batch_size = batch_size
         self._batch_deadline_seconds = batch_deadline_seconds
         self._pending: List[ConjunctiveQuery] = []
-        self._mode_history: List[Dict[str, Any]] = []
+        self._mode_history: Deque[Dict[str, Any]] = deque(maxlen=MODE_HISTORY_LIMIT)
         self._queries_served = 0
         self._batches_served = 0
         self._telemetry_cursor = 0
@@ -613,6 +618,9 @@ class QueryService:
         compute counter — on a repeated-pattern workload it is bounded
         by the number of *distinct* patterns the service ever saw,
         which is the dedup guarantee the benchmark gates.
+
+        ``mode_history`` holds the last :data:`MODE_HISTORY_LIMIT`
+        batches only; ``batches_served`` counts every batch.
 
         Every value is passed through a JSON-safety projection
         (:func:`_json_safe`), so ``json.dumps(service.stats())`` is

@@ -6,6 +6,8 @@ import pytest
 
 from repro.classification import PlannerConfig
 from repro.cq import (
+    ConjunctiveQuery,
+    QueryAtom,
     evaluate_query_set,
     evaluate_query_set_sequential,
     evaluate_query_set_stream,
@@ -209,27 +211,143 @@ class TestAdaptiveCutover:
         )
 
 
+def rebuilt(query):
+    """An equal query made of new atom objects and new strings."""
+
+    def copy(name):
+        return "".join(list(name))
+
+    return ConjunctiveQuery(
+        [
+            QueryAtom(copy(atom.relation), tuple(copy(v) for v in atom.variables))
+            for atom in query.atoms
+        ],
+        extra_variables=[copy(v) for v in query.variables],
+    )
+
+
+def parsed(query):
+    """An equal query parsed afresh from the query's text."""
+    return parse_query(str(query))
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts the executor's ``solve_with_degree`` calls."""
+    import repro.eval.executor as executor_module
+
+    calls = []
+    original = executor_module.solve_with_degree
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "solve_with_degree", counting)
+    return calls
+
+
+def two_atom_query(scenario):
+    return next(q for q in scenario.queries if len(set(q.atoms)) >= 2)
+
+
 class TestMemoisedResults:
-    def test_duplicate_queries_share_one_solve(self, scenario):
-        calls = []
-        import repro.eval.executor as executor_module
-
-        original = executor_module.solve_with_degree
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
+    def test_duplicate_queries_share_one_solve(self, scenario, solve_calls):
         with EvalService(scenario.database) as service:
-            import unittest.mock as mock
-
-            with mock.patch.object(executor_module, "solve_with_degree", counting):
-                duplicated = [scenario.queries[0]] * 5 + [scenario.queries[1]] * 5
-                results = service.evaluate(duplicated)
-        assert len(calls) <= 2
+            duplicated = [scenario.queries[0]] * 5 + [scenario.queries[1]] * 5
+            results = service.evaluate(duplicated)
+        assert len(solve_calls) <= 2
         assert len(results) == 10
         assert triples(results) == triples(
             evaluate_query_set_sequential(duplicated, scenario.database)
+        )
+
+
+class TestContentMemo:
+    """The context answers repeated queries by content before canonicalising."""
+
+    @pytest.mark.parametrize("fresh", [rebuilt, parsed])
+    def test_fresh_equal_query_is_served_without_canonicalising(
+        self, scenario, fresh, monkeypatch
+    ):
+        queries = scenario.queries[:12]
+        reference = evaluate_query_set_sequential(queries, scenario.database)
+        copies = [fresh(query) for query in queries]
+        assert [(c.atoms, c.variables) for c in copies] == [
+            (q.atoms, q.variables) for q in queries
+        ]
+        assert all(c.atoms[0] is not q.atoms[0] for c, q in zip(copies, queries))
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(queries)
+            calls = []
+            original = ConjunctiveQuery.canonical_structure
+
+            def counting(query):
+                calls.append(1)
+                return original(query)
+
+            monkeypatch.setattr(ConjunctiveQuery, "canonical_structure", counting)
+            results = service.evaluate(copies)
+        assert calls == []
+        assert triples(results) == triples(reference)
+
+    def test_reordered_and_repeated_atoms_share_the_canonical_solve(
+        self, scenario, solve_calls
+    ):
+        query = two_atom_query(scenario)
+        reordered = ConjunctiveQuery(
+            tuple(reversed(query.atoms)), extra_variables=query.variables
+        )
+        repeated = ConjunctiveQuery(
+            query.atoms + query.atoms[:1], extra_variables=query.variables
+        )
+        for variant in (reordered, repeated):
+            assert variant.content_key() != query.content_key()
+            assert variant.canonical_structure() == query.canonical_structure()
+        batch = [query, reordered, repeated]
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            (_, first), = service.evaluate([query])
+            results = service.evaluate([reordered, repeated])
+        assert len(solve_calls) == 1
+        assert all(result is first for _, result in results)
+        assert triples([(query, first)] + results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_renamed_variables_get_their_own_result(self, scenario, solve_calls):
+        query = two_atom_query(scenario)
+        renamed = ConjunctiveQuery(
+            [
+                QueryAtom(atom.relation, tuple(f"{v}_r" for v in atom.variables))
+                for atom in query.atoms
+            ],
+            extra_variables=[f"{v}_r" for v in query.variables],
+        )
+        assert renamed.canonical_structure() != query.canonical_structure()
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            results = service.evaluate([query, renamed])
+        assert len(solve_calls) == 2
+        (_, original), (_, result) = results
+        assert result is not original
+        assert result.profile.structure == renamed.canonical_structure()
+        assert triples(results) == triples(
+            evaluate_query_set_sequential([query, renamed], scenario.database)
+        )
+
+    def test_an_extra_isolated_variable_gets_its_own_result(self, scenario, solve_calls):
+        query = two_atom_query(scenario)
+        padded = ConjunctiveQuery(
+            query.atoms, extra_variables=query.variables + ("isolated",)
+        )
+        assert padded.atoms == query.atoms
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            results = service.evaluate([query, padded])
+        assert len(solve_calls) == 2
+        (_, result) = results[1]
+        assert result.profile.structure == padded.canonical_structure()
+        assert len(result.profile.structure) == len(query.variables) + 1
+        assert triples(results) == triples(
+            evaluate_query_set_sequential([query, padded], scenario.database)
         )
 
 

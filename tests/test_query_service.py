@@ -5,9 +5,10 @@ import pickle
 
 import pytest
 
-from repro.cq import evaluate_query_set_sequential
+from repro.cq import evaluate_query_set_sequential, parse_query
 from repro.eval import ExecutorConfig
 from repro.service import AdaptiveController, QueryService
+from repro.service.frontend import MODE_HISTORY_LIMIT
 from repro.workloads import scenario_by_name
 
 
@@ -56,6 +57,19 @@ class TestServing:
         # 30 queries at batch_size 7 → 5 batches, each recorded.
         assert stats["batches_served"] == 5
         assert [h["queries"] for h in stats["mode_history"]] == [7, 7, 7, 7, 2]
+
+    def test_mode_history_keeps_the_most_recent_batches(self, scenario):
+        batches = MODE_HISTORY_LIMIT + 5
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), batch_size=1
+        ) as service:
+            for _ in range(batches):
+                service.submit(scenario.queries[0])
+            service.flush()
+            stats = service.stats()
+        assert stats["batches_served"] == batches
+        assert len(stats["mode_history"]) == MODE_HISTORY_LIMIT
+        assert stats["mode_history"][-1]["batch"] == stats["batches_served"]
 
     def test_invalid_batch_size_rejected(self, scenario):
         with pytest.raises(ValueError):
@@ -129,6 +143,23 @@ class TestTelemetryFromWorkers:
         with QueryService(scenario.database, executor=config, shared=False) as service:
             service.evaluate(distinct, mode="parallel")
             assert len(service.stores.telemetry) == len(distinct)
+
+
+class TestContentMemoInWorkers:
+    def test_parallel_wave_of_fresh_copies_solves_nothing(self, scenario, reference):
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config) as service:
+            for query in scenario.queries:
+                service.submit(query)
+            service.flush(mode="parallel")
+            solved = len(service.telemetry_samples())
+            for query in scenario.queries:
+                service.submit(parse_query(str(query)))
+            results = service.flush(mode="parallel")
+            assert len(service.telemetry_samples()) == solved
+        assert [(r.answer, r.solver) for _, r in results] == [
+            (r.answer, r.solver) for _, r in reference
+        ]
 
 
 class TestUseCacheContract:
