@@ -127,7 +127,6 @@ def run_auto_arm(scenario, first, second) -> Dict:
             "adopted": info["adopted"],
             "rejected": info["rejected"],
             "triggers": [event["trigger"] for event in info["events"]],
-            "spawn_overhead": info["spawn_overhead"],
             "first_half_seconds": round(first_seconds, 4),
             "second_half_seconds": round(second_seconds, 4),
         }

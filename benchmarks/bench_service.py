@@ -18,8 +18,8 @@ Three questions, answered with numbers written to ``BENCH_service.json``:
    is gated at 100%.
 3. **Sustained throughput** — repeated batches through one service
    (``--scale`` grows the databases into the thousands-of-rows regime);
-   the report records queries/second, store hit rates and the
-   controller's mode history.
+   the report records queries/second, store hit rates, the executor's
+   mode history and its measured cutover inputs.
 
 Run as a script for the full run, or with ``--quick`` for the CI smoke
 run (same gates, smaller scales)::
@@ -243,7 +243,7 @@ def run_throughput(batches: int, count: int, workers: int, scale: int) -> Dict:
         "seconds": round(elapsed, 4),
         "queries_per_second": round(total / max(elapsed, 1e-9), 1),
         "modes": [entry["mode"] for entry in stats["mode_history"]],
-        "drift_events": len(stats["controller"]["drift_events"]),
+        "cutover": stats["cutover"],
         "classification_calls": stats["classification_calls"],
         "profile_l1_hits": (profiles.get("l1") or {}).get("hits", 0),
         "answer_store_size": answers.get("size", 0),

@@ -58,16 +58,6 @@ def _cached_profile(pattern: Structure) -> StructureProfile:
     return _PROFILE_CACHE.get_or_put(pattern, lambda: classify_structure(pattern))
 
 
-def peek_cached_profile(pattern: Structure) -> Optional[StructureProfile]:
-    """Return the cached profile without classifying on a miss.
-
-    For callers — like the adaptive executor's cutover check — that can
-    use a profile when one happens to exist but must not pay for
-    classification speculatively.
-    """
-    return _PROFILE_CACHE.peek(pattern)
-
-
 def clear_profile_cache() -> None:
     """Drop all cached classification profiles (mainly for tests)."""
     _PROFILE_CACHE.clear()

@@ -20,7 +20,6 @@ from repro.eval.planner import (
     COST_CAP,
     QueryPlan,
     clear_plan_cache,
-    conservative_cost_estimate,
     estimate_route_costs,
     plan_cache_info,
     plan_query,
@@ -43,7 +42,6 @@ __all__ = [
     "estimate_route_costs",
     "route_raw_units",
     "route_weights",
-    "conservative_cost_estimate",
     "COST_CAP",
     "EvalService",
     "ExecutorConfig",

@@ -14,7 +14,9 @@ service able to chew through very large query batches:
   picklable query tuples; each worker process receives the database once
   (at pool initialisation) and keeps its own per-vocabulary target
   structures, database statistics and classification-profile cache, so a
-  chunk never re-ships or re-derives the database side.
+  chunk never re-ships or re-derives the database side.  A batch starts
+  in-process and moves to the pool only once the seconds it has measured
+  say the pool finishes the rest sooner.
 * **determinism** — chunks are indexed at submission and results are
   yielded strictly in submission order, so the output of the parallel
   path is the same *list* the sequential path produces, regardless of
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
+from collections.abc import Sized
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -58,11 +62,7 @@ from repro.classification.solver_dispatch import (
 )
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery, QueryAtom
-from repro.eval.planner import (
-    QueryPlan,
-    conservative_cost_estimate,
-    plan_query_cached,
-)
+from repro.eval.planner import QueryPlan, plan_query_cached
 from repro.eval.stats import DatabaseStatistics
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
@@ -81,6 +81,21 @@ AnySolveResult = Union[SolveResult, SlimSolveResult]
 #: the worst case at a few thousand small result objects per worker.
 _SOLVED_CACHE_LIMIT = 4096
 
+#: Least price, in seconds, of starting a new pool and getting its first
+#: chunk back.  A new 2-worker pool measures 5–8 ms on a 2-vCPU VM.  The
+#: price stays above that even once measured: a batch hands over only
+#: after it has spent this long in-process, and per-query times are
+#: heavy-tailed, so a low price sends a batch to the pool on the mean of
+#: a few early queries.  A measured start-up above it (a slow host, the
+#: ``spawn`` start method) raises the price.
+POOL_STARTUP_PRIOR_SECONDS = 0.020
+
+#: Seconds of pool overhead per chunk (pickling, queueing, scheduling,
+#: result shipping) assumed until a parallel batch on a running pool has
+#: measured it.  On a 2-vCPU VM a running 2-worker pool measures about
+#: 1 ms per 16-query chunk of full results over cold 600-query batches.
+CHUNK_OVERHEAD_PRIOR_SECONDS = 0.001
+
 
 @dataclass(frozen=True)
 class ExecutorConfig:
@@ -93,14 +108,10 @@ class ExecutorConfig:
     bounds the submission window to ``workers · inflight_factor`` chunks,
     which is what keeps streaming over huge batches memory-bounded.
 
-    ``adaptive=True`` (the default) lets the service cut over to the
-    in-process path even when workers are configured: on a single-CPU
-    machine process fan-out can only lose, and when the planner's
-    estimated cost for a chunk of queries stays below
-    ``spawn_cost_threshold`` (cost-model units — elementary extension
-    steps) the work is cheaper than shipping it.  The decision samples
-    the first ``adaptive_sample`` queries of the batch; the service
-    records the outcome in :attr:`EvalService.last_mode`.
+    Whether a batch that could go either way runs in-process or on the
+    pool is not configured: :class:`EvalService` decides it from seconds
+    it measures (see :meth:`EvalService.evaluate_stream`) and records the
+    outcome in :attr:`EvalService.last_mode`.
 
     ``slim_results=True`` makes evaluation return
     :class:`~repro.classification.solver_dispatch.SlimSolveResult`
@@ -123,9 +134,6 @@ class ExecutorConfig:
     chunk_size: int = 16
     min_parallel_batch: int = 32
     inflight_factor: int = 4
-    adaptive: bool = True
-    spawn_cost_threshold: float = 250_000.0
-    adaptive_sample: int = 8
     slim_results: bool = False
     chunk_deadline_seconds: Optional[float] = None
     max_recycles: int = 3
@@ -137,10 +145,6 @@ class ExecutorConfig:
             raise ValueError("chunk_size must be at least 1")
         if self.inflight_factor < 1:
             raise ValueError("inflight_factor must be at least 1")
-        if self.adaptive_sample < 1:
-            raise ValueError("adaptive_sample must be at least 1")
-        if self.spawn_cost_threshold < 0:
-            raise ValueError("spawn_cost_threshold must be non-negative")
         if self.chunk_deadline_seconds is not None and self.chunk_deadline_seconds <= 0:
             raise ValueError("chunk_deadline_seconds must be positive")
         if self.max_recycles < 0:
@@ -316,33 +320,6 @@ class _EvaluationContext:
         )
         return plan_query_cached(profile, stats, self.config)
 
-    def profile_if_cached(self, pattern: Structure) -> Optional[StructureProfile]:
-        """An already-computed profile for ``pattern``, or None — never classifies."""
-        if self.use_cache and self.stores is not None and self.stores.profiles is not None:
-            return self.stores.profiles.peek(pattern)
-        if self.use_cache:
-            from repro.cq.evaluation import peek_cached_profile
-
-            return peek_cached_profile(pattern)
-        return self.local_profiles.get(pattern)
-
-    def estimated_cost(self, query: ConjunctiveQuery) -> float:
-        """A work estimate for one query, without speculative classification.
-
-        When the pattern's profile is already cached the planner's route
-        estimate is used (statistics are consulted even in threshold
-        mode).  Otherwise the profile-free conservative overestimate
-        stands in: classifying head patterns in the parent just to make
-        the cutover decision would duplicate work the pool workers redo
-        anyway whenever the verdict is "parallel".
-        """
-        pattern = query.canonical_structure()
-        stats = self.stats_for(pattern.vocabulary)
-        profile = self.profile_if_cached(pattern)
-        if profile is not None:
-            return plan_query_cached(profile, stats, self.config).cost
-        return conservative_cost_estimate(len(pattern), stats, self.config)
-
     def solve(
         self,
         query: ConjunctiveQuery,
@@ -439,14 +416,16 @@ def _initialize_worker(
 def _evaluate_chunk(
     queries: Tuple[ConjunctiveQuery, ...],
     deadline: "Optional[DeadlineBudget]" = None,
-) -> Tuple[List[AnySolveResult], List[object]]:
+) -> Tuple[List[AnySolveResult], List[object], float]:
     """The picklable work unit: evaluate one chunk in the worker's context.
 
-    Returns the chunk's results and the telemetry samples of the solves
-    it ran; the parent records the samples when it yields the chunk.
-    With ``slim_results`` configured the worker projects each result
-    before it crosses the process boundary, so the parent never pays for
-    unpickling profiles it does not want.
+    Returns the chunk's results, the telemetry samples of the solves it
+    ran, and the seconds the worker spent solving the chunk; the parent
+    records the samples when it yields the chunk and measures the pool's
+    overheads against the busy seconds.  With ``slim_results``
+    configured the worker projects each result before it crosses the
+    process boundary, so the parent never pays for unpickling profiles
+    it does not want.
 
     ``deadline`` is the batch's shared budget (``time.monotonic`` is
     system-wide on Linux, so the pickled expiry means the same instant
@@ -458,14 +437,16 @@ def _evaluate_chunk(
         raise RuntimeError("worker used before initialisation")
     _WORKER_CONTEXT.maybe_sync_planner()
     _WORKER_CONTEXT.beat("chunk-start")
+    start = time.perf_counter()
     results = []
     for query in queries:
         if deadline is not None:
             deadline.check("worker chunk query")
         results.append(_WORKER_CONTEXT.solve(query, deadline))
+    busy = time.perf_counter() - start
     samples = _WORKER_CONTEXT.take_samples()
     _WORKER_CONTEXT.beat("chunk-done")
-    return results, samples
+    return results, samples, busy
 
 
 def _chunks(
@@ -525,9 +506,20 @@ class EvalService:
         self._sequential_contexts: Dict[bool, _EvaluationContext] = {}
         #: How the most recent evaluate()/evaluate_stream() call actually
         #: ran — "sequential" or "parallel" — and why.  Benchmarks record
-        #: this next to their timings so a cutover is visible in the report.
+        #: this next to their timings so a handover is visible in the report.
         self.last_mode: Optional[str] = None
         self.last_mode_reason: Optional[str] = None
+        #: The two measured inputs of the serial/parallel decision, None
+        #: until measured (the decision then uses the module priors).
+        #: Pool start-up: a new pool's first chunk round trip minus that
+        #: chunk's worker busy seconds; the decision prices it at no less
+        #: than the prior.  Chunk overhead: after a parallel batch on an
+        #: already running pool, (batch wall − the least wall its chunks'
+        #: busy seconds allow) / chunks, where the batch wall leaves out
+        #: the consumer's time between results and the least wall is the
+        #: larger of the busy seconds per worker and the slowest chunk.
+        self.pool_startup_seconds: Optional[float] = None
+        self.chunk_overhead_seconds: Optional[float] = None
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -681,18 +673,15 @@ class EvalService:
         ``workers · inflight_factor`` chunks are in flight at any moment,
         so memory stays proportional to the window, not the batch.
 
-        With ``adaptive`` enabled (the default) the service may decide,
-        from the CPU count and the planner's cost estimates over a small
-        head sample, that process fan-out would cost more than the work
-        itself and run the whole batch in-process instead; the decision
-        is recorded in :attr:`last_mode` / :attr:`last_mode_reason`.
+        With more than one worker and more than one visible CPU the batch
+        starts in-process and hands the rest to the pool once that pays
+        (:meth:`_evaluate_measured`); the outcome is recorded in
+        :attr:`last_mode` / :attr:`last_mode_reason`.
 
-        ``mode`` overrides every heuristic: ``"sequential"`` or
-        ``"parallel"`` forces that path for this call.  A caller that
-        owns a service-lifetime decision — the query-service front-end's
-        drift-detecting controller — uses this instead of the per-call
-        head sampling.  (``"parallel"`` still degrades to sequential
-        when the executor resolves to a single worker.)
+        ``mode`` overrides the decision: ``"sequential"`` or
+        ``"parallel"`` forces that path for this call.  (``"parallel"``
+        still degrades to sequential when the executor resolves to a
+        single worker.)
         """
         if mode not in (None, "sequential", "parallel"):
             raise ValueError(f"unknown forced mode {mode!r}")
@@ -708,80 +697,111 @@ class EvalService:
             self._record_mode("parallel", "forced by caller")
             yield from self._evaluate_parallel(queries, use_cache, deadline)
             return
-        if not self._executor.adaptive:
-            self._record_mode("parallel", "adaptive cutover disabled")
-            yield from self._evaluate_parallel(queries, use_cache, deadline)
+        if (os.cpu_count() or 1) <= 1:
+            # Fan-out can only add IPC on top of the same core.
+            self._record_mode("sequential", "single CPU")
+            yield from self._evaluate_sequential(queries, use_cache, deadline)
             return
-        query_iterator = iter(queries)
-        head = list(islice(query_iterator, self._executor.adaptive_sample))
-        if not head:
-            self._record_mode("sequential", "empty batch")
-            return
-        rest = chain(head, query_iterator)
-        cutover_reason = self._adaptive_cutover_reason(head, use_cache)
-        if cutover_reason is not None:
-            self._record_mode("sequential", cutover_reason)
-            yield from self._evaluate_sequential(rest, use_cache, deadline)
-            return
-        self._record_mode("parallel", "chunk cost above spawn threshold")
-        yield from self._evaluate_parallel(rest, use_cache, deadline)
+        yield from self._evaluate_measured(queries, use_cache, deadline)
 
     def _record_mode(self, mode: str, reason: str) -> None:
         self.last_mode = mode
         self.last_mode_reason = reason
 
-    def _adaptive_cutover_reason(
-        self, head: Sequence[ConjunctiveQuery], use_cache: bool
-    ) -> Optional[str]:
-        """Why this batch should stay in-process, or None to go parallel.
+    # -- the paths ------------------------------------------------------------
+    def _evaluate_measured(
+        self,
+        queries: Iterable[ConjunctiveQuery],
+        use_cache: bool,
+        deadline: "Optional[DeadlineBudget]" = None,
+    ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
+        """Run the batch in-process, timing each query, until the pool pays.
 
-        Two cutovers: a single visible CPU (fan-out can only add IPC on
-        top of the same core), and an estimated per-chunk cost below the
-        spawn-overhead threshold (the planner's estimates over the head
-        sample, scaled to a chunk — cheap queries lose more to pickling
-        and scheduling than their evaluation costs).
+        Before each query after the first, the rest of the batch goes to
+        the pool when all three hold:
+
+        1. the batch has spent at least the pool start-up cost in-process
+           (zero while a pool is running, else the larger of the prior
+           and the measured start-up);
+        2. at least one full chunk per worker remains;
+        3. the rest, extrapolated from this batch's mean seconds per
+           query, finishes sooner on the pool once the per-chunk overhead
+           is paid.
+
+        Both costs are this service's measurements, or the module priors
+        until it has them.  The in-process head is not wasted: its
+        results are yielded in order and its telemetry reaches the sink
+        before the pool takes over.  The input is looked ahead at most
+        ``workers · chunk_size`` queries, which is what condition 2
+        needs, so a stream is never materialised.
         """
-        if (os.cpu_count() or 1) <= 1:
-            return "single CPU"
-        context = self._introspection_context(use_cache)
-        total = 0.0
-        for query in head:
-            total += context.estimated_cost(query)
-        mean_cost = total / len(head)
-        chunk_cost = mean_cost * self._executor.chunk_size
-        if chunk_cost < self._executor.spawn_cost_threshold:
-            return (
-                f"estimated chunk cost {chunk_cost:.0f} below spawn "
-                f"threshold {self._executor.spawn_cost_threshold:.0f}"
+        workers = self._executor.effective_workers()
+        chunk_size = self._executor.chunk_size
+        full = workers * chunk_size
+        total = len(queries) if isinstance(queries, Sized) else None
+        source = iter(queries)
+        ahead = deque(islice(source, full))
+        if not ahead:
+            self._record_mode("sequential", "empty batch")
+            return
+        key = (use_cache, self._executor.slim_results)
+        if self._pool is not None and self._pool_key == key:
+            startup = 0.0
+        else:
+            startup = max(POOL_STARTUP_PRIOR_SECONDS, self.pool_startup_seconds or 0.0)
+        overhead = (
+            CHUNK_OVERHEAD_PRIOR_SECONDS
+            if self.chunk_overhead_seconds is None
+            else self.chunk_overhead_seconds
+        )
+        context = self._batch_context(use_cache)
+        spent = 0.0
+        done = 0
+        handover: Optional[str] = None
+        self._record_mode("sequential", "in-process head")
+        try:
+            while ahead:
+                if done and spent >= startup and len(ahead) == full:
+                    rest = len(ahead) if total is None else total - done
+                    serial = spent / done * rest
+                    pooled = serial / workers + -(-rest // chunk_size) * overhead
+                    if pooled < serial:
+                        handover = (
+                            f"{done} queries took {spent * 1e3:.1f} ms in-process "
+                            f"(pool start-up {startup * 1e3:.1f} ms); the other "
+                            f"{rest} need ~{serial * 1e3:.1f} ms here, "
+                            f"~{pooled * 1e3:.1f} ms on the pool at "
+                            f"{overhead * 1e3:.2f} ms per chunk"
+                        )
+                        break
+                query = ahead.popleft()
+                if deadline is not None:
+                    deadline.check("sequential batch query")
+                began = time.perf_counter()
+                result = context.solve(query, deadline)
+                spent += time.perf_counter() - began
+                done += 1
+                yield query, result
+                ahead.extend(islice(source, 1))
+        finally:
+            context.flush_telemetry()
+        if handover is None:
+            self._record_mode(
+                "sequential",
+                f"{done} queries took {spent * 1e3:.1f} ms in-process; pool "
+                f"start-up {startup * 1e3:.1f} ms, {overhead * 1e3:.2f} ms per chunk",
             )
-        return None
+            return
+        self._record_mode("parallel", handover)
+        yield from self._evaluate_parallel(chain(ahead, source), use_cache, deadline)
 
-    # -- the two paths ------------------------------------------------------
     def _evaluate_sequential(
         self,
         queries: Iterable[ConjunctiveQuery],
         use_cache: bool,
         deadline: "Optional[DeadlineBudget]" = None,
     ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
-        # With the cross-call cache enabled the service context persists
-        # across batches, exactly like a worker process does: targets,
-        # their hash indexes and database statistics are built once per
-        # vocabulary for the service's lifetime (this is what lets the
-        # adaptive in-process path beat the batch-scoped reference
-        # evaluator on repeated calls).  ``use_cache=False`` keeps the
-        # batch-scoped context so profile sharing stays per batch, as that
-        # flag promises.  Slim projection applies here too, so a cutover
-        # returns the same result shape the pool would have.
-        if use_cache:
-            context = self._sequential_context(True)
-        else:
-            context = _EvaluationContext(
-                self._database,
-                self._planner,
-                False,
-                self._executor.slim_results,
-                self._stores,
-            )
+        context = self._batch_context(use_cache)
         try:
             for query in queries:
                 if deadline is not None:
@@ -789,6 +809,26 @@ class EvalService:
                 yield query, context.solve(query, deadline)
         finally:
             context.flush_telemetry()
+
+    def _batch_context(self, use_cache: bool) -> _EvaluationContext:
+        # With the cross-call cache enabled the service context persists
+        # across batches, exactly like a worker process does: targets,
+        # their hash indexes and database statistics are built once per
+        # vocabulary for the service's lifetime (this is what lets the
+        # in-process path beat the batch-scoped reference evaluator on
+        # repeated calls).  ``use_cache=False`` keeps the batch-scoped
+        # context so profile sharing stays per batch, as that flag
+        # promises.  Slim projection applies here too, so an in-process
+        # batch returns the same result shape the pool would have.
+        if use_cache:
+            return self._sequential_context(True)
+        return _EvaluationContext(
+            self._database,
+            self._planner,
+            False,
+            self._executor.slim_results,
+            self._stores,
+        )
 
     def _sequential_context(self, use_cache: bool) -> _EvaluationContext:
         context = self._sequential_contexts.get(use_cache)
@@ -809,9 +849,16 @@ class EvalService:
         use_cache: bool,
         budget: "Optional[DeadlineBudget]" = None,
     ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
+        running = self._pool
         pool = self._ensure_pool(use_cache)
+        fresh = pool is not running
+        started = time.perf_counter()
+        busy_total = 0.0
+        busy_max = 0.0
+        paused = 0.0
         sink = self._stores.telemetry if self._stores is not None else None
-        window = self._executor.effective_workers() * self._executor.inflight_factor
+        workers = self._executor.effective_workers()
+        window = workers * self._executor.inflight_factor
         deadline = self._executor.chunk_deadline_seconds
         chunk_iterator = _chunks(queries, self._executor.chunk_size)
         pending: Dict[int, Future] = {}
@@ -844,9 +891,9 @@ class EvalService:
                 if budget is not None:
                     remaining = budget.clamp(remaining)
                 if remaining is None:
-                    results, samples = future.result()
+                    results, samples, busy = future.result()
                 else:
-                    results, samples = future.result(timeout=max(remaining, 0.0))
+                    results, samples, busy = future.result(timeout=max(remaining, 0.0))
             except DeadlineExceededError:
                 # A worker's budget check fired mid-chunk.  Every other
                 # in-flight chunk shares the same expired budget, so
@@ -894,13 +941,27 @@ class EvalService:
                 continue
             pending.pop(next_yield)
             chunk = submitted.pop(next_yield)
-            submit_times.pop(next_yield, None)
+            submitted_at = submit_times.pop(next_yield)
+            if next_yield == 0 and fresh:
+                self.pool_startup_seconds = max(
+                    0.0, time.monotonic() - submitted_at - busy
+                )
+            busy_total += busy
+            busy_max = max(busy_max, busy)
             next_yield += 1
             # Recorded here, where each chunk index passes exactly once,
             # so a recycle's re-dispatch never records a chunk twice.
             if samples and sink is not None:
                 sink.record(samples)
+            handed = time.perf_counter()
             yield from zip(chunk, results)
+            paused += time.perf_counter() - handed
+        if next_yield and not fresh and not recycles:
+            # Neither the consumer's time between results nor a worker
+            # idling behind one slow chunk is overhead of the pool.
+            wall = time.perf_counter() - started - paused
+            least = max(busy_total / workers, busy_max)
+            self.chunk_overhead_seconds = max(0.0, (wall - least) / next_yield)
 
     def _recycle_pool(
         self,

@@ -172,28 +172,6 @@ def estimate_route_costs(
     }
 
 
-def conservative_cost_estimate(
-    pattern_size: int,
-    stats: DatabaseStatistics,
-    config: PlannerConfig = DEFAULT_PLANNER_CONFIG,
-) -> float:
-    """A profile-free overestimate of a query's evaluation cost.
-
-    The backtracking model with the whole pattern as the core
-    (``n · b^(k−1)``) dominates every route's estimate for the same
-    ``k``, so this is safe to use where no classification profile is
-    available yet — the adaptive executor's cutover check, which must
-    not classify patterns in the parent just to decide where the workers
-    (who would redo that work) should run.  Erring high only ever pushes
-    work towards the pool.
-    """
-    n = max(1, stats.universe_size)
-    branching = stats.branching_factor()
-    return _powcost(
-        config.backtracking_cost_weight, n, branching, max(0, pattern_size - 1)
-    )
-
-
 def route_certified(profile: StructureProfile, degree: ComplexityDegree) -> bool:
     """Whether the width measure driving ``degree`` is exact on ``profile``.
 

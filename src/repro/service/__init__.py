@@ -4,8 +4,10 @@ Where :mod:`repro.eval` turns one batch of queries into answers as fast
 as the hardware allows, this package turns the evaluator into a
 *service*: state that outlives batches (and is shared across pool
 workers), a planner that learns its own cost weights from realised
-timings, and a front-end that batches requests and decides serial vs
-parallel once per lifetime instead of once per call.
+timings, and a front-end that batches requests.  Whether a batch runs
+in-process or on the pool is the executor's decision
+(:class:`~repro.eval.executor.EvalService`), made from seconds it
+measures itself.
 
 * :mod:`repro.service.store` — :class:`SharedStore` (manager-backed
   cross-process KV with a process-local L1 and an exactly-once compute
@@ -13,15 +15,12 @@ parallel once per lifetime instead of once per call.
   bundle the executor threads to its workers.
 * :mod:`repro.service.telemetry` — :class:`SolveSample` records,
   least-squares weight fitting, the no-regression guard
-  (:func:`select_planner`), spawn-overhead measurement and
-  :class:`CalibrationState` persistence.
-* :mod:`repro.service.frontend` — :class:`QueryService` and its
-  :class:`AdaptiveController`.
+  (:func:`select_planner`) and :class:`CalibrationState` persistence.
+* :mod:`repro.service.frontend` — :class:`QueryService`.
 * :mod:`repro.service.autotune` — the background recalibration loop:
   :class:`AutoTuner` re-fits planner weights on a cadence or on
   telemetry-residual drift and hot-swaps the config (guarded, no pool
-  restart); :class:`SpawnOverheadTracker` keeps the serial/parallel
-  threshold honest from realised parallel batches.
+  restart).
 * :mod:`repro.service.metrics` — a Prometheus-style
   :class:`MetricsRegistry` (counters/gauges/histograms with a text
   exposition) every service registers its observables into.
@@ -49,9 +48,8 @@ from repro.service.autotune import (
     AutoTuneConfig,
     AutoTuner,
     ResidualTracker,
-    SpawnOverheadTracker,
 )
-from repro.service.frontend import AdaptiveController, QueryService
+from repro.service.frontend import QueryService
 from repro.service.metrics import (
     Counter,
     Gauge,
@@ -73,7 +71,6 @@ from repro.service.store import (
     TelemetrySink,
 )
 from repro.service.telemetry import (
-    DEFAULT_SPAWN_OVERHEAD_SECONDS,
     CalibrationResult,
     CalibrationState,
     RouteTimingCase,
@@ -81,14 +78,12 @@ from repro.service.telemetry import (
     calibrate_planner,
     fit_route_weights,
     make_sample,
-    measure_spawn_overhead,
     routed_seconds,
     select_planner,
 )
 
 __all__ = [
     "QueryService",
-    "AdaptiveController",
     "SharedStore",
     "TelemetrySink",
     "ServiceStores",
@@ -102,12 +97,9 @@ __all__ = [
     "RouteTimingCase",
     "routed_seconds",
     "select_planner",
-    "measure_spawn_overhead",
-    "DEFAULT_SPAWN_OVERHEAD_SECONDS",
     "AutoTuner",
     "AutoTuneConfig",
     "ResidualTracker",
-    "SpawnOverheadTracker",
     "MetricsRegistry",
     "Counter",
     "Gauge",

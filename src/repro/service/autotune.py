@@ -21,12 +21,9 @@ the loop:
   others.  Before each recalibration the tuner times **all four routes**
   on the hottest recently-served patterns (bounded work in the parent),
   uses those timings both as guard cases and as extra fit samples.
-* :class:`SpawnOverheadTracker` turns the measure-once spawn overhead
-  into a running estimate: every realised parallel batch yields an
-  implied per-chunk overhead (wall time minus the telemetry-measured
-  solve time amortised over the pool), folded in by EWMA and written
-  back to the controller — the serial/parallel threshold stays honest
-  on loaded machines.
+
+The tuner fits the planner only: the serial/parallel decision is the
+executor's, from seconds it measures itself.
 
 Every attempt — adopted, rejected by the guard, or skipped for lack of
 samples — is recorded as an event and mirrored into the metrics
@@ -56,7 +53,6 @@ from repro.service.telemetry import (
 __all__ = [
     "AutoTuneConfig",
     "ResidualTracker",
-    "SpawnOverheadTracker",
     "AutoTuner",
 ]
 
@@ -168,50 +164,6 @@ class ResidualTracker:
         self._by_route.clear()
 
 
-class SpawnOverheadTracker:
-    """EWMA estimate of per-chunk pool overhead from realised batches.
-
-    A parallel batch of wall time ``W`` whose solves took ``S`` seconds
-    of measured solver time (telemetry) on ``k`` workers across ``c``
-    chunks implies a per-chunk overhead of ``(W − S/k) / c`` — what was
-    spent on pickling, queueing and scheduling rather than solving.
-    Folding those in by EWMA keeps the serial/parallel threshold
-    tracking the machine's *current* load instead of a boot-time
-    measurement.
-    """
-
-    def __init__(self, initial: Optional[float] = None, alpha: float = 0.3) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-        self._alpha = alpha
-        self.estimate = initial
-        self.observations = 0
-
-    def observe_parallel_batch(
-        self,
-        wall_seconds: float,
-        solve_seconds: float,
-        chunk_count: int,
-        workers: int,
-    ) -> Optional[float]:
-        if chunk_count < 1 or wall_seconds < 0.0:
-            return self.estimate
-        per_chunk = max(
-            0.0, (wall_seconds - solve_seconds / max(1, workers)) / chunk_count
-        )
-        if self.estimate is None:
-            self.estimate = per_chunk
-        else:
-            self.estimate = (
-                self._alpha * per_chunk + (1.0 - self._alpha) * self.estimate
-            )
-        self.observations += 1
-        return self.estimate
-
-    def info(self) -> Dict[str, Any]:
-        return {"estimate": self.estimate, "observations": self.observations}
-
-
 @dataclass
 class _TrackedPattern:
     query: Any
@@ -240,9 +192,6 @@ class AutoTuner:
         self._service = service
         self.config = config if config is not None else AutoTuneConfig()
         self.residuals = ResidualTracker(window=self.config.residual_window)
-        self.spawn_tracker = SpawnOverheadTracker(
-            initial=service.controller.spawn_overhead_seconds
-        )
         self.events: List[Dict[str, Any]] = []
         self._solves_since_recalibration = 0
         self._cooldown_remaining = 0
@@ -250,7 +199,6 @@ class AutoTuner:
         self._tracked: Dict[Tuple[Any, Any], _TrackedPattern] = {}
         self._recal_counter = None
         self._residual_gauge = None
-        self._spawn_gauge = None
         if metrics is not None:
             self._recal_counter = metrics.counter(
                 "recalibrations_total",
@@ -262,25 +210,10 @@ class AutoTuner:
                 "Median multiplicative error of wall-time predictions per route",
                 labelnames=("route",),
             )
-            self._spawn_gauge = metrics.gauge(
-                "spawn_overhead_seconds_estimate",
-                "Running EWMA estimate of per-chunk pool overhead",
-            )
-            self._spawn_gauge.set_function(
-                lambda tracker=self.spawn_tracker: float(
-                    tracker.estimate
-                    if tracker.estimate is not None
-                    else float("nan")
-                )
-            )
 
     # -- per-batch bookkeeping ----------------------------------------------
     def observe_batch(
-        self,
-        queries: Sequence[Any],
-        mode: str,
-        wall_seconds: float,
-        new_samples: Sequence[SolveSample],
+        self, queries: Sequence[Any], new_samples: Sequence[SolveSample]
     ) -> Optional[Dict[str, Any]]:
         """Feed one served batch; may trigger a recalibration.
 
@@ -291,19 +224,6 @@ class AutoTuner:
         if self._residual_gauge is not None:
             for route, factor in self.residuals.median_factors().items():
                 self._residual_gauge.set(factor, route=route)
-        if mode == "parallel":
-            controller = self._service.controller
-            chunk_count = max(
-                1, -(-len(queries) // max(1, controller.chunk_size))
-            )
-            solve_seconds = sum(s.seconds for s in new_samples)
-            estimate = self.spawn_tracker.observe_parallel_batch(
-                wall_seconds, solve_seconds, chunk_count, controller.workers
-            )
-            if estimate is not None:
-                # The running estimate replaces the boot-time value in
-                # the live serial/parallel decision.
-                controller.spawn_overhead_seconds = estimate
         self._solves_since_recalibration += len(queries)
         self._total_solves += len(queries)
         self._cooldown_remaining = max(
@@ -362,15 +282,9 @@ class AutoTuner:
         self._cooldown_remaining = self.config.cooldown_solves
         probe_cases, probe_samples = self._probe_cases()
         samples = list(service.telemetry_samples()) + probe_samples
-        spawn_estimate = (
-            self.spawn_tracker.estimate
-            if self.spawn_tracker.observations > 0
-            else service.controller.spawn_overhead_seconds
-        )
         result = calibrate_planner(
             samples,
             base=service.base_planner,
-            spawn_overhead_seconds=spawn_estimate,
             min_samples=self.config.min_samples,
         )
         if result.source != "fitted":
@@ -396,7 +310,6 @@ class AutoTuner:
                 samples=len(samples),
                 guard=guard_report,
                 version=version,
-                spawn_overhead_seconds=result.spawn_cost_threshold,
             )
         return self._finish(
             reason, "rejected", samples=len(samples), guard=guard_report
@@ -472,6 +385,5 @@ class AutoTuner:
             "rejected": rejected,
             "tracked_patterns": len(self._tracked),
             "median_residual_factors": self.residuals.median_factors(),
-            "spawn_overhead": self.spawn_tracker.info(),
             "events": [dict(event) for event in self.events],
         }

@@ -11,31 +11,28 @@ looks like above the executor: one object bound to one database that
   answers live in the cross-process stores of
   :mod:`repro.service.store`, so a repeated pattern is classified (and
   solved) **once per service lifetime**, not once per worker per chunk;
-* **decides serial vs parallel once per lifetime, not per call** — the
-  :class:`AdaptiveController` keeps a running mean of realised
-  per-query times with drift detection, replacing the executor's
-  per-call head-sampling cutover (ROADMAP "adaptive decision is
-  per-call");
+* **leaves serial vs parallel to the executor** — each batch goes to
+  :class:`~repro.eval.executor.EvalService` with no mode, and the
+  executor decides from seconds it measured itself (pool start-up and
+  per-chunk overhead) and from the batch's own per-query times;
 * **calibrates itself** — every solve feeds the telemetry sink, and
-  :meth:`calibrate` fits the planner's cost weights (and the spawn
-  threshold) from the drained samples
-  (:mod:`repro.service.telemetry`), optionally persisting the result so
-  the next service starts calibrated;
+  :meth:`calibrate` fits the planner's cost weights from the drained
+  samples (:mod:`repro.service.telemetry`), optionally persisting the
+  result so the next service starts calibrated;
 * **answers for itself** — :meth:`stats` exposes store hit/miss/compute
   counters (the "classification calls" the dedup benchmark gates on),
-  the mode history with reasons, drift events, and the calibration
-  state.
+  the mode history with reasons, the executor's measured cutover
+  inputs, and the calibration state.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import os
+import math
 import time
 from collections import deque
 from collections.abc import Mapping as AbstractMapping
-from dataclasses import replace
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, PlannerConfig
@@ -48,12 +45,7 @@ from repro.service.metrics import MetricsRegistry, register_store_metrics
 from repro.service.monitor import ServiceMonitor
 from repro.service.resilience import DeadlineBudget
 from repro.service.store import ServiceStores, StoreManager
-from repro.service.telemetry import (
-    DEFAULT_SPAWN_OVERHEAD_SECONDS,
-    CalibrationResult,
-    CalibrationState,
-    calibrate_planner,
-)
+from repro.service.telemetry import CalibrationResult, CalibrationState, calibrate_planner
 from repro.structures.structure import Structure
 
 DatabaseLike = Union[Database, Structure]
@@ -71,9 +63,12 @@ def _json_safe(value: Any) -> Any:
     dataclasses from half a dozen subsystems; any one of them leaking
     through breaks ``json.dumps`` for a caller.  Mappings become string
     -keyed dicts, sequences become lists, enums their values,
-    dataclasses their field dicts, and anything else falls back to
-    ``repr`` — nothing raises.
+    dataclasses their field dicts, NaN and infinities None (JSON has no
+    such numbers; a gauge with nothing measured yet reads NaN), and
+    anything else falls back to ``repr`` — nothing raises.
     """
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, enum.Enum):
@@ -93,133 +88,6 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
-class AdaptiveController:
-    """The service-lifetime serial/parallel decision with drift detection.
-
-    The executor's adaptive cutover samples the head of *every* batch
-    and asks the planner for estimates; this controller instead keeps a
-    running mean of **realised** per-query seconds across the service's
-    whole lifetime and compares the implied per-chunk solving time with
-    the measured pool spawn overhead — no per-call estimation work at
-    all once warmed up.
-
-    Drift detection: per-batch means are kept in a bounded window, and
-    when the window mean diverges from the lifetime mean by more than
-    ``drift_factor`` in either direction the lifetime statistics are
-    reset to the window — the workload has shifted (e.g. from folded
-    trees to dense clique queries) and decisions should track the new
-    regime, not the stale average.  Every reset is recorded.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: int,
-        spawn_overhead_seconds: float = DEFAULT_SPAWN_OVERHEAD_SECONDS,
-        min_parallel_batch: int = 32,
-        warmup_queries: int = 8,
-        drift_window: int = 16,
-        drift_factor: float = 4.0,
-    ) -> None:
-        if drift_window < 2:
-            raise ValueError("drift_window must be at least 2")
-        if drift_factor <= 1.0:
-            raise ValueError("drift_factor must exceed 1.0")
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.spawn_overhead_seconds = spawn_overhead_seconds
-        self.min_parallel_batch = min_parallel_batch
-        self.warmup_queries = warmup_queries
-        self.drift_factor = drift_factor
-        self._lifetime_seconds = 0.0
-        self._lifetime_queries = 0
-        self._window: Deque[float] = deque(maxlen=drift_window)
-        self.drift_events: List[Dict[str, float]] = []
-
-    @property
-    def mean_seconds(self) -> Optional[float]:
-        """Lifetime mean realised seconds per query (serial-equivalent)."""
-        if self._lifetime_queries == 0:
-            return None
-        return self._lifetime_seconds / self._lifetime_queries
-
-    def observe(self, seconds: float, queries: int, mode: str) -> None:
-        """Record one batch's realised wall time.
-
-        Parallel wall time is converted to a serial-equivalent estimate
-        (``wall · workers``, i.e. assuming the pool was busy) so both
-        modes feed the same per-query statistic the serial/parallel
-        comparison needs.
-        """
-        if queries <= 0:
-            return
-        factor = self.workers if mode == "parallel" else 1
-        per_query = seconds * factor / queries
-        self._lifetime_seconds += per_query * queries
-        self._lifetime_queries += queries
-        self._window.append(per_query)
-        self._check_drift()
-
-    def _check_drift(self) -> None:
-        if len(self._window) < self._window.maxlen:
-            return
-        lifetime_mean = self.mean_seconds
-        if not lifetime_mean:
-            return
-        window_mean = sum(self._window) / len(self._window)
-        if (
-            window_mean > lifetime_mean * self.drift_factor
-            or window_mean * self.drift_factor < lifetime_mean
-        ):
-            self.drift_events.append(
-                {
-                    "lifetime_mean_seconds": lifetime_mean,
-                    "window_mean_seconds": window_mean,
-                    "queries_observed": float(self._lifetime_queries),
-                }
-            )
-            # Restart the lifetime statistics from the recent window:
-            # the old regime's numbers would keep outvoting reality.
-            self._lifetime_seconds = window_mean * len(self._window)
-            self._lifetime_queries = len(self._window)
-            self._window.clear()
-
-    def decide(self, batch_size: int) -> Tuple[str, str]:
-        """Return ``(mode, reason)`` for a batch of the given size."""
-        if self.workers <= 1:
-            return "sequential", "workers <= 1"
-        if (os.cpu_count() or 1) <= 1:
-            return "sequential", "single CPU"
-        if batch_size < self.min_parallel_batch:
-            return "sequential", "batch below min_parallel_batch"
-        if self._lifetime_queries < self.warmup_queries:
-            return (
-                "sequential",
-                f"warm-up: {self._lifetime_queries}/{self.warmup_queries} "
-                f"queries observed",
-            )
-        chunk_seconds = (self.mean_seconds or 0.0) * self.chunk_size
-        if chunk_seconds < self.spawn_overhead_seconds:
-            return (
-                "sequential",
-                f"mean chunk time {chunk_seconds:.2e}s below spawn "
-                f"overhead {self.spawn_overhead_seconds:.2e}s",
-            )
-        return (
-            "parallel",
-            f"mean chunk time {chunk_seconds:.2e}s above spawn "
-            f"overhead {self.spawn_overhead_seconds:.2e}s",
-        )
-
-    def info(self) -> Dict[str, Any]:
-        return {
-            "queries_observed": self._lifetime_queries,
-            "mean_seconds": self.mean_seconds,
-            "spawn_overhead_seconds": self.spawn_overhead_seconds,
-            "drift_events": list(self.drift_events),
-        }
-
-
 class QueryService:
     """A long-lived, self-calibrating EVAL(Φ) query service.
 
@@ -228,9 +96,8 @@ class QueryService:
     database:
         The database (or target structure) the service is bound to.
     planner, executor:
-        As for :class:`~repro.eval.executor.EvalService`.  The
-        executor's own per-call adaptive cutover is disabled — the
-        service-lifetime :class:`AdaptiveController` owns the decision.
+        As for :class:`~repro.eval.executor.EvalService`, which decides
+        serial vs parallel for every batch not forced by the caller.
     shared:
         Back the stores with a ``multiprocessing.Manager`` (required
         for cross-worker sharing).  Default: exactly when the executor
@@ -277,10 +144,6 @@ class QueryService:
         shared: Optional[bool] = None,
         telemetry: bool = True,
         batch_size: int = 256,
-        spawn_overhead_seconds: float = DEFAULT_SPAWN_OVERHEAD_SECONDS,
-        warmup_queries: int = 8,
-        drift_window: int = 16,
-        drift_factor: float = 4.0,
         calibration: Optional[Union[CalibrationState, str]] = None,
         autotune: Union[None, bool, AutoTuneConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -291,9 +154,6 @@ class QueryService:
         if batch_deadline_seconds is not None and batch_deadline_seconds <= 0:
             raise ValueError("batch_deadline_seconds must be positive")
         executor = executor if executor is not None else ExecutorConfig()
-        # The front-end owns the serial/parallel decision; the executor
-        # must not second-guess it per call.
-        executor = replace(executor, adaptive=False)
         self._database = database
         self._base_planner = planner if planner is not None else DEFAULT_PLANNER_CONFIG
         self._calibration: Optional[CalibrationState] = None
@@ -302,13 +162,9 @@ class QueryService:
         if calibration is not None:
             self._calibration = calibration
             planner = calibration.planner
-            if calibration.spawn_cost_threshold is not None:
-                spawn_overhead_seconds = calibration.spawn_cost_threshold
-        workers = executor.effective_workers()
         if shared is None:
-            shared = workers > 1
+            shared = executor.effective_workers() > 1
         self._store_manager = StoreManager(shared=shared, telemetry=telemetry)
-        self._executor_config = executor
         self._planner = planner if planner is not None else self._base_planner
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.monitor = ServiceMonitor(
@@ -323,15 +179,6 @@ class QueryService:
             stores=self._store_manager.stores,
             monitor=self.monitor,
         )
-        self.controller = AdaptiveController(
-            workers=workers,
-            chunk_size=executor.chunk_size,
-            spawn_overhead_seconds=spawn_overhead_seconds,
-            min_parallel_batch=executor.min_parallel_batch,
-            warmup_queries=warmup_queries,
-            drift_window=drift_window,
-            drift_factor=drift_factor,
-        )
         self._batch_size = batch_size
         self._batch_deadline_seconds = batch_deadline_seconds
         self._pending: List[ConjunctiveQuery] = []
@@ -339,7 +186,6 @@ class QueryService:
         self._queries_served = 0
         self._batches_served = 0
         self._telemetry_cursor = 0
-        self._drift_events_seen = 0
         self._planner_version = 0
         self._register_metrics()
         self.autotuner: Optional[AutoTuner] = None
@@ -364,9 +210,6 @@ class QueryService:
         self._batch_histogram = self.metrics.histogram(
             "batch_seconds", "Wall-clock seconds per served batch"
         )
-        self._drift_counter = self.metrics.counter(
-            "drift_events_total", "Controller drift-detection resets"
-        )
         self._swap_counter = self.metrics.counter(
             "planner_hot_swaps_total", "Planner configs hot-swapped into the service"
         )
@@ -377,8 +220,15 @@ class QueryService:
             "queue_depth", "Queries submitted but not yet flushed"
         ).set_function(lambda: float(len(self._pending)))
         self.metrics.gauge(
-            "spawn_overhead_seconds", "Per-chunk overhead the controller decides with"
-        ).set_function(lambda: float(self.controller.spawn_overhead_seconds))
+            "spawn_overhead_seconds",
+            "Measured per-chunk pool overhead (NaN until measured)",
+        ).set_function(
+            lambda: (
+                float("nan")
+                if self._eval.chunk_overhead_seconds is None
+                else self._eval.chunk_overhead_seconds
+            )
+        )
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -431,8 +281,8 @@ class QueryService:
         """Evaluate everything queued, in submission order.
 
         Pending queries are cut into batches of at most ``batch_size``;
-        each batch gets its own controller decision (or the forced
-        ``mode``), is timed, and feeds the controller's running mean.
+        each batch gets its own executor decision (or the forced
+        ``mode``) and is timed.
         """
         out: List[Tuple[ConjunctiveQuery, AnySolveResult]] = []
         while self._pending:
@@ -468,13 +318,9 @@ class QueryService:
         return True
 
     def _run_batch(
-        self, batch: List[ConjunctiveQuery], forced_mode: Optional[str]
+        self, batch: List[ConjunctiveQuery], mode: Optional[str]
     ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
         self.check_store_health()
-        if forced_mode is None:
-            mode, reason = self.controller.decide(len(batch))
-        else:
-            mode, reason = forced_mode, "forced by caller"
         budget = (
             None
             if self._batch_deadline_seconds is None
@@ -487,10 +333,7 @@ class QueryService:
             self._deadline_counter.inc()
             raise
         elapsed = time.perf_counter() - start
-        # The executor may have degraded a forced/decided "parallel" to
-        # sequential (single worker); trust what actually ran.
-        ran_mode = self._eval.last_mode or mode
-        self.controller.observe(elapsed, len(batch), ran_mode)
+        ran_mode = self._eval.last_mode
         self._batches_served += 1
         self._queries_served += len(batch)
         self._mode_history.append(
@@ -498,7 +341,7 @@ class QueryService:
                 "batch": self._batches_served,
                 "queries": len(batch),
                 "mode": ran_mode,
-                "reason": reason,
+                "reason": self._eval.last_mode_reason,
                 "seconds": elapsed,
             }
         )
@@ -514,12 +357,8 @@ class QueryService:
         new_samples = self._consume_new_samples()
         for sample in new_samples:
             self._route_counter.inc(route=sample.route)
-        drift_now = len(self.controller.drift_events)
-        if drift_now > self._drift_events_seen:
-            self._drift_counter.inc(drift_now - self._drift_events_seen)
-            self._drift_events_seen = drift_now
         if self.autotuner is not None:
-            self.autotuner.observe_batch(batch, ran_mode, elapsed, new_samples)
+            self.autotuner.observe_batch(batch, new_samples)
 
     def _consume_new_samples(self) -> list:
         """Telemetry samples recorded since the last batch, each once.
@@ -541,31 +380,17 @@ class QueryService:
         sink = self.stores.telemetry
         return [] if sink is None else sink.drain()
 
-    def calibrate(
-        self,
-        min_samples: int = 8,
-        spawn_overhead_seconds: Optional[float] = None,
-        apply: bool = True,
-    ) -> CalibrationResult:
+    def calibrate(self, min_samples: int = 8, apply: bool = True) -> CalibrationResult:
         """Fit planner weights from this service's telemetry.
 
         With ``apply=True`` (and enough samples) the fitted cost-mode
-        configuration replaces the current planner: the worker pool is
-        restarted under the new config and the controller's spawn
-        overhead switches to the fitted threshold.  The hand-set config
-        the service started from stays the fitting baseline, so
-        repeated calibrations do not compound.
+        configuration is hot-swapped in (:meth:`apply_calibration`).
+        The hand-set config the service started from stays the fitting
+        baseline, so repeated calibrations do not compound.
         """
         samples = self.telemetry_samples()
         result = calibrate_planner(
-            samples,
-            base=self._base_planner,
-            spawn_overhead_seconds=(
-                spawn_overhead_seconds
-                if spawn_overhead_seconds is not None
-                else self.controller.spawn_overhead_seconds
-            ),
-            min_samples=min_samples,
+            samples, base=self._base_planner, min_samples=min_samples
         )
         if apply and result.source == "fitted":
             self.apply_calibration(result)
@@ -577,13 +402,11 @@ class QueryService:
         The public entry the autotuner uses after its guard passes.
         Returns the new planner version.
         """
-        version = self._apply_planner(result.planner, result.spawn_cost_threshold)
+        version = self._apply_planner(result.planner)
         self._calibration = result.state()
         return version
 
-    def _apply_planner(
-        self, planner: PlannerConfig, spawn_cost_threshold: Optional[float]
-    ) -> int:
+    def _apply_planner(self, planner: PlannerConfig) -> int:
         """Hot-swap the planner into the live service.
 
         No pool restart: the parent-side contexts switch in place and
@@ -597,11 +420,6 @@ class QueryService:
         self._planner = planner
         self._planner_version = self._eval.update_planner(planner)
         self._swap_counter.inc()
-        if spawn_cost_threshold is not None:
-            self._executor_config = replace(
-                self._executor_config, spawn_cost_threshold=spawn_cost_threshold
-            )
-            self.controller.spawn_overhead_seconds = spawn_cost_threshold
         return self._planner_version
 
     def save_calibration(self, path: str) -> None:
@@ -637,7 +455,10 @@ class QueryService:
                 "shared_stores": self._store_manager.shared,
                 "classification_calls": profiles.get("computes", 0),
                 "stores": stores,
-                "controller": self.controller.info(),
+                "cutover": {
+                    "pool_startup_seconds": self._eval.pool_startup_seconds,
+                    "chunk_overhead_seconds": self._eval.chunk_overhead_seconds,
+                },
                 "mode_history": list(self._mode_history),
                 "calibration": (
                     None if self._calibration is None else self._calibration.to_dict()

@@ -1,8 +1,8 @@
 """A Prometheus-style metrics registry for the query service.
 
 The service layer already *has* most of its numbers — store counters,
-controller mode history, drift events, telemetry samples — but each
-lives in its own ad-hoc dict and none is consumable by standard tooling.
+mode history, telemetry samples — but each lives in its own ad-hoc dict
+and none is consumable by standard tooling.
 This module gives them one production-style home:
 
 * :class:`Counter` / :class:`Gauge` / :class:`Histogram` — the three

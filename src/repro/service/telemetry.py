@@ -13,15 +13,12 @@ time ``t`` it realised.  This module closes the loop:
 * :func:`fit_route_weights` — per-route least squares through the
   origin, ``w_r = Σ x·t / Σ x²`` over the route's samples.  The fitted
   weights are in **seconds per unit**, so the planner's cost estimates
-  become wall-time predictions and the executor's
-  ``spawn_cost_threshold`` can be stated in the same currency: the
-  measured per-chunk pool overhead (:func:`measure_spawn_overhead`).
-  Routes the workload never exercised keep their hand-set weight,
-  rescaled by the median fitted/hand-set ratio so cross-route
-  comparisons stay coherent.
+  become wall-time predictions.  Routes the workload never exercised
+  keep their hand-set weight, rescaled by the median fitted/hand-set
+  ratio so cross-route comparisons stay coherent.
 * :func:`calibrate_planner` — samples in, :class:`CalibrationResult`
   out: a cost-mode :class:`~repro.classification.solver_dispatch.PlannerConfig`
-  with fitted weights plus the fitted spawn threshold.
+  with fitted weights.
 * :func:`select_planner` — the **no-regression guard**: given measured
   per-route timings for representative workloads, the fitted config is
   adopted only if its route choices win or tie the incumbent's on
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import json
 import statistics
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,9 +46,6 @@ from repro.eval.stats import DatabaseStatistics
 #: Fitted weights are floored here — a degenerate fit (all-zero timings)
 #: must never produce a weight that erases a route's cost entirely.
 _WEIGHT_FLOOR = 1e-12
-
-#: Fallback per-chunk pool overhead (seconds) when none was measured.
-DEFAULT_SPAWN_OVERHEAD_SECONDS = 0.005
 
 
 @dataclass(frozen=True)
@@ -158,15 +151,9 @@ def fit_route_weights(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """The outcome of one calibration pass over a telemetry drain.
-
-    ``spawn_cost_threshold`` is None when no calibration happened (the
-    hand-set unit-scale weights stay in force, and a seconds-scale
-    threshold would be the wrong currency for them).
-    """
+    """The outcome of one calibration pass over a telemetry drain."""
 
     planner: PlannerConfig
-    spawn_cost_threshold: Optional[float]
     sample_count: int
     source: str  # "fitted" | "insufficient-samples"
     per_route: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -175,7 +162,6 @@ class CalibrationResult:
         """The persistable projection of this result."""
         return CalibrationState(
             planner=self.planner,
-            spawn_cost_threshold=self.spawn_cost_threshold,
             sample_count=self.sample_count,
             source=self.source,
             per_route=dict(self.per_route),
@@ -185,7 +171,6 @@ class CalibrationResult:
 def calibrate_planner(
     samples: Sequence[SolveSample],
     base: PlannerConfig = DEFAULT_PLANNER_CONFIG,
-    spawn_overhead_seconds: float = DEFAULT_SPAWN_OVERHEAD_SECONDS,
     min_samples: int = 8,
 ) -> CalibrationResult:
     """Fit a cost-mode planner configuration from telemetry samples.
@@ -196,18 +181,11 @@ def calibrate_planner(
     overwrite trustworthy defaults with noise.
 
     Because the fitted weights are seconds per unit, cost estimates
-    under the returned config *are* wall-time predictions, and the
-    matching executor spawn threshold is simply the measured (or
-    assumed) per-chunk pool overhead, returned as
-    ``spawn_cost_threshold``.
+    under the returned config *are* wall-time predictions.
     """
     if len(samples) < min_samples:
-        # The hand-set weights stay in force, and they are unit-scale,
-        # not seconds-scale — so no seconds-denominated spawn threshold
-        # accompanies them (callers keep their executor config as is).
         return CalibrationResult(
             planner=base,
-            spawn_cost_threshold=None,
             sample_count=len(samples),
             source="insufficient-samples",
         )
@@ -225,7 +203,6 @@ def calibrate_planner(
     )
     return CalibrationResult(
         planner=planner,
-        spawn_cost_threshold=spawn_overhead_seconds,
         sample_count=len(samples),
         source="fitted",
         per_route=report,
@@ -292,38 +269,6 @@ def select_planner(
 
 
 # ---------------------------------------------------------------------------
-# spawn-overhead measurement
-# ---------------------------------------------------------------------------
-
-def _noop_chunk(payload: Tuple[int, ...]) -> int:  # pragma: no cover — trivial
-    return len(payload)
-
-
-def measure_spawn_overhead(workers: int = 2, rounds: int = 6) -> float:
-    """Median seconds to round-trip a trivial chunk through a process pool.
-
-    This is the per-chunk overhead the adaptive decision weighs solving
-    time against: pickling, queueing, scheduling and result shipping for
-    a chunk whose work is free.  Pool start-up is paid outside the timed
-    region (a service reuses its pool).  Falls back to
-    :data:`DEFAULT_SPAWN_OVERHEAD_SECONDS` if no pool can be created.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=max(1, workers)) as pool:
-            pool.submit(_noop_chunk, (0,)).result()  # warm the pool
-            timings = []
-            for _ in range(max(1, rounds)):
-                start = time.perf_counter()
-                pool.submit(_noop_chunk, tuple(range(16))).result()
-                timings.append(time.perf_counter() - start)
-        return statistics.median(timings)
-    except OSError:  # pragma: no cover — sandboxed environments
-        return DEFAULT_SPAWN_OVERHEAD_SECONDS
-
-
-# ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
@@ -332,7 +277,6 @@ class CalibrationState:
     """The persistable calibration outcome a service restarts from."""
 
     planner: PlannerConfig
-    spawn_cost_threshold: Optional[float]
     sample_count: int
     source: str
     per_route: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -346,6 +290,9 @@ class CalibrationState:
     def from_dict(cls, data: dict) -> "CalibrationState":
         payload = dict(data)
         payload["planner"] = PlannerConfig.from_dict(payload["planner"])
+        # Files saved before the executor measured its own pool overhead
+        # carry the per-chunk threshold calibration used to echo.
+        payload.pop("spawn_cost_threshold", None)
         return cls(**payload)
 
     def save(self, path: str) -> None:

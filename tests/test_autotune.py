@@ -21,7 +21,6 @@ from repro.service import (
     AutoTuner,
     QueryService,
     ResidualTracker,
-    SpawnOverheadTracker,
 )
 from repro.service.telemetry import (
     CalibrationResult,
@@ -132,43 +131,6 @@ class TestResidualTracker:
         assert tracker.median_factors() == {}
 
 
-class TestSpawnOverheadTracker:
-    def test_first_observation_seeds_the_estimate(self):
-        tracker = SpawnOverheadTracker()
-        estimate = tracker.observe_parallel_batch(
-            wall_seconds=1.0, solve_seconds=0.0, chunk_count=2, workers=2
-        )
-        assert estimate == pytest.approx(0.5)
-
-    def test_ewma_blends_later_observations(self):
-        tracker = SpawnOverheadTracker(alpha=0.3)
-        tracker.observe_parallel_batch(1.0, 0.0, 2, 2)
-        estimate = tracker.observe_parallel_batch(0.0, 0.0, 2, 2)
-        assert estimate == pytest.approx(0.7 * 0.5)
-        assert tracker.observations == 2
-
-    def test_solve_time_is_amortised_over_workers(self):
-        tracker = SpawnOverheadTracker()
-        # 4 workers did 4s of solver work in 1.2s of wall time over 2
-        # chunks: overhead = (1.2 - 4/4) / 2 = 0.1s per chunk.
-        estimate = tracker.observe_parallel_batch(1.2, 4.0, 2, 4)
-        assert estimate == pytest.approx(0.1)
-
-    def test_overhead_never_goes_negative(self):
-        tracker = SpawnOverheadTracker()
-        assert tracker.observe_parallel_batch(0.1, 10.0, 1, 2) == 0.0
-
-    def test_degenerate_inputs_leave_estimate_alone(self):
-        tracker = SpawnOverheadTracker(initial=0.01)
-        assert tracker.observe_parallel_batch(1.0, 0.0, 0, 2) == 0.01
-        assert tracker.observe_parallel_batch(-1.0, 0.0, 1, 2) == 0.01
-        assert tracker.observations == 0
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            SpawnOverheadTracker(alpha=0.0)
-
-
 class TestGuardedRecalibration:
     """The recalibrate pass end to end, with deterministic probe timings."""
 
@@ -238,7 +200,6 @@ class TestGuardedRecalibration:
             cases, fitted = self.probe_setup(service, regressing)
             result = CalibrationResult(
                 planner=fitted,
-                spawn_cost_threshold=0.004,
                 sample_count=10,
                 source="fitted",
             )
@@ -365,28 +326,12 @@ class TestHotSwap:
             (str(q), r.answer) for q, r in results
         ] == [(str(q), r.answer) for q, r in reference]
 
-    def test_spawn_overhead_feedback_reaches_controller(self, scenario):
-        config = AutoTuneConfig(every_n_solves=10_000)
-        with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1), autotune=config
-        ) as service:
-            tuner = service.autotuner
-            before = service.controller.spawn_overhead_seconds
-            tuner.observe_batch(
-                list(scenario.queries[:8]), "parallel", wall_seconds=2.0, new_samples=[]
-            )
-            after = service.controller.spawn_overhead_seconds
-            assert after != before
-            assert after == tuner.spawn_tracker.estimate
-            assert service.stats()["autotune"]["spawn_overhead"]["observations"] == 1
-
 
 class TestCalibrationPersistence:
     def make_state(self):
         planner = replace(DEFAULT_PLANNER_CONFIG, mode="cost", path_cost_weight=0.123)
         return CalibrationState(
             planner=planner,
-            spawn_cost_threshold=0.004,
             sample_count=12,
             source="fitted",
             per_route={"para-L": {"samples": 3.0}},

@@ -136,7 +136,7 @@ class TestDifferentialEvaluation:
     def test_parallel_sequential_and_backtracking_agree(self):
         rng = random.Random(FUZZ_SEED)
         pairs = 0
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1, adaptive=False)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         for database, tables in fuzz_databases(FUZZ_SEED):
             queries = []
             while len(queries) < 20:
@@ -144,7 +144,8 @@ class TestDifferentialEvaluation:
                 queries.append(parse_query(text))
             sequential = evaluate_query_set_sequential(queries, database)
             with EvalService(database, executor=config) as service:
-                parallel = service.evaluate(queries)
+                parallel = service.evaluate(queries, mode="parallel")
+                assert service.last_mode == "parallel"
             for (q_seq, r_seq), (q_par, r_par) in zip(sequential, parallel):
                 assert q_seq is q_par
                 context = f"seed={FUZZ_SEED} query={q_seq} database={database}"

@@ -1,10 +1,18 @@
 """Tests for the EVAL(Φ) execution service (:mod:`repro.eval.executor`)."""
 
 import itertools
+import multiprocessing
+import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.classification import PlannerConfig
+from repro.classification.solver_dispatch import (
+    DEFAULT_PLANNER_CONFIG,
+    SlimSolveResult,
+)
 from repro.cq import (
     ConjunctiveQuery,
     QueryAtom,
@@ -14,7 +22,9 @@ from repro.cq import (
     parse_query,
 )
 from repro.eval import EvalService, ExecutorConfig
-from repro.eval.executor import _chunks
+from repro.eval.executor import POOL_STARTUP_PRIOR_SECONDS, _chunks
+from repro.exceptions import DeadlineExceededError
+from repro.service import DeadlineBudget, ServiceStores, TelemetrySink
 from repro.workloads import scenario_by_name
 
 
@@ -51,11 +61,13 @@ class TestExecutorConfig:
 class TestParallelEquivalence:
     def test_parallel_results_byte_identical_to_sequential(self, scenario):
         sequential = evaluate_query_set_sequential(scenario.queries, scenario.database)
-        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1, adaptive=False)
+        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            parallel = service.evaluate(scenario.queries)
+            parallel = service.evaluate(scenario.queries, mode="parallel")
+            assert service.last_mode == "parallel"
             # Pool reuse: a second batch over the same service still matches.
-            again = service.evaluate(scenario.queries[:10])
+            again = service.evaluate(scenario.queries[:10], mode="parallel")
+            assert service.last_mode == "parallel"
         assert triples(parallel) == triples(sequential)
         assert triples(again) == triples(sequential[:10])
 
@@ -86,12 +98,12 @@ class TestParallelEquivalence:
 
 class TestStreaming:
     def test_stream_preserves_input_order(self, scenario):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1, adaptive=False)
-        streamed = list(
-            evaluate_query_set_stream(
-                iter(scenario.queries), scenario.database, executor=config
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            streamed = list(
+                service.evaluate_stream(iter(scenario.queries), mode="parallel")
             )
-        )
+            assert service.last_mode == "parallel"
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
@@ -114,10 +126,13 @@ class TestStreaming:
     def test_stream_window_bounds_inflight_chunks(self, scenario):
         # With a tiny window the stream still terminates and stays ordered.
         config = ExecutorConfig(
-            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1, adaptive=False
+            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1
         )
         with EvalService(scenario.database, executor=config) as service:
-            streamed = list(service.evaluate_stream(scenario.queries[:12]))
+            streamed = list(
+                service.evaluate_stream(scenario.queries[:12], mode="parallel")
+            )
+            assert service.last_mode == "parallel"
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries[:12], scenario.database)
         )
@@ -147,7 +162,9 @@ class TestCostModePlanning:
         assert stats.relation_sizes["E"] == 120
 
 
-class TestAdaptiveCutover:
+class TestMeasuredCutover:
+    """Unforced batches start in-process and hand over once the pool pays."""
+
     def test_single_cpu_cuts_over_to_sequential(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
@@ -161,36 +178,87 @@ class TestAdaptiveCutover:
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
 
-    def test_cheap_chunks_cut_over_on_cost(self, scenario, monkeypatch):
+    def test_cheap_batch_never_starts_a_pool(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(
-            workers=2, min_parallel_batch=1, spawn_cost_threshold=float("inf")
-        )
+        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        # Three distinct queries, each asked twenty times: a few
+        # milliseconds of work, below what a new pool costs to start.
+        batch = list(scenario.queries[:3]) * 20
         with EvalService(scenario.database, executor=config) as service:
-            service.evaluate(scenario.queries[:6])
+            results = service.evaluate(batch)
+            assert service._pool is None
             assert service.last_mode == "sequential"
-            assert "below spawn threshold" in service.last_mode_reason
+            assert "in-process" in service.last_mode_reason
+            assert service.pool_startup_seconds is None
+            assert service.chunk_overhead_seconds is None
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
 
-    def test_expensive_chunks_stay_parallel(self, scenario, monkeypatch):
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the slowed solver reaches pool workers only by fork",
+    )
+    def test_slow_batch_hands_the_rest_to_the_pool(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1, spawn_cost_threshold=0.0)
+        parent = os.getpid()
+        parent_solves = []
+        original = executor_module.solve_with_degree
+
+        def slow(*args, **kwargs):
+            if os.getpid() == parent:
+                parent_solves.append(1)
+            time.sleep(0.025)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "solve_with_degree", slow)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        batch = list(scenario.queries[: 2 * 4 + 4])
+        later = list(scenario.queries[12:24])
         with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:8])
+            results = service.evaluate(batch)
             assert service.last_mode == "parallel"
+            assert "in-process" in service.last_mode_reason
+            assert 1 <= len(parent_solves) < len(batch)
+            assert service.pool_startup_seconds >= 0.0
+            # A second batch on the running pool measures the chunk overhead.
+            more = service.evaluate(later)
+            assert service.last_mode == "parallel"
+            assert service.chunk_overhead_seconds >= 0.0
         assert triples(results) == triples(
-            evaluate_query_set_sequential(scenario.queries[:8], scenario.database)
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+        assert triples(more) == triples(
+            evaluate_query_set_sequential(later, scenario.database)
         )
 
-    def test_adaptive_disabled_never_cuts_over(self, scenario):
-        config = ExecutorConfig(workers=2, min_parallel_batch=1, adaptive=False)
+    def test_stream_is_pulled_at_most_a_chunk_per_worker_ahead(
+        self, scenario, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        queries = list(scenario.queries[:3]) * 20
+        pulled = []
+
+        def tracking():
+            for query in queries:
+                pulled.append(query)
+                yield query
+
         with EvalService(scenario.database, executor=config) as service:
-            service.evaluate(scenario.queries[:4])
-            assert service.last_mode == "parallel"
-            assert service.last_mode_reason == "adaptive cutover disabled"
+            yielded = 0
+            for _ in service.evaluate_stream(tracking()):
+                yielded += 1
+                assert len(pulled) - yielded <= 2 * 4
+            assert service.last_mode == "sequential"
+            assert service._pool is None
+        assert yielded == len(queries)
 
     def test_small_batches_record_sequential_mode(self, scenario):
         config = ExecutorConfig(workers=2, min_parallel_batch=1000)
@@ -199,7 +267,7 @@ class TestAdaptiveCutover:
             assert service.last_mode == "sequential"
             assert "min_parallel_batch" in service.last_mode_reason
 
-    def test_adaptive_sequential_results_match_reference(self, scenario, monkeypatch):
+    def test_single_cpu_stream_matches_reference(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
@@ -208,6 +276,385 @@ class TestAdaptiveCutover:
             streamed = list(service.evaluate_stream(iter(scenario.queries)))
         assert triples(streamed) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+
+class HandoverProbe:
+    """Drives the serial/parallel decision on a clock the test controls.
+
+    Every in-process solve takes :attr:`seconds_per_query` on the clock
+    the executor reads.  A service passed to :meth:`attach` records its
+    hand-over instead of starting a pool: :attr:`handovers` gets the
+    number of solves made before it and the remainder it was given, and
+    the remainder is then solved in-process, so answers stay comparable.
+    """
+
+    def __init__(self, seconds_per_query):
+        self.seconds_per_query = seconds_per_query
+        #: Prices of the next solves, in order, before the default applies.
+        self.costs = []
+        self.now = 0.0
+        self.solves = 0
+        self.handovers = []
+        #: Called at the hand-over, before the remainder is pulled.
+        self.on_handover = None
+
+    def perf_counter(self):
+        return self.now
+
+    def next_cost(self):
+        return self.costs.pop(0) if self.costs else self.seconds_per_query
+
+    def attach(self, service):
+        def parallel(queries, use_cache, deadline=None):
+            if self.on_handover is not None:
+                self.on_handover()
+            rest = list(queries)
+            self.handovers.append((self.solves, rest))
+            return service._evaluate_sequential(rest, use_cache, deadline)
+
+        service._evaluate_parallel = parallel
+        return service
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    """Eight visible CPUs, and in-process solves priced on a fake clock.
+
+    The default price puts the pool start-up prior between the third
+    and the fourth query of a batch.
+    """
+    import repro.eval.executor as executor_module
+
+    probe = HandoverProbe(POOL_STARTUP_PRIOR_SECONDS / 3.5)
+    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(
+        executor_module,
+        "time",
+        SimpleNamespace(perf_counter=probe.perf_counter, monotonic=time.monotonic),
+    )
+    original = executor_module._EvaluationContext.solve
+
+    def solve(context, query, deadline=None):
+        probe.now += probe.next_cost()
+        probe.solves += 1
+        return original(context, query, deadline)
+
+    monkeypatch.setattr(executor_module._EvaluationContext, "solve", solve)
+    return probe
+
+
+#: Two workers of four-query chunks: a hand-over needs eight queries left.
+HANDOVER_CONFIG = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+
+
+class TestHandoverDecision:
+    """The three conditions of the hand-over, on a fake clock and a stub pool."""
+
+    def test_head_runs_until_it_has_paid_the_pool_startup_price(
+        self, scenario, probe
+    ):
+        batch = list(scenario.queries)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            results = probe.attach(service).evaluate(batch)
+            assert service.last_mode == "parallel"
+            assert service._pool is None
+        # 3 queries cost 3/3.5 of the start-up prior, 4 cost more than it.
+        assert [head for head, _ in probe.handovers] == [4]
+        assert probe.handovers[0][1] == batch[4:]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    @pytest.mark.parametrize("measured, head", [(8.5, 9), (0.5, 4)])
+    def test_a_measured_startup_raises_the_price_but_never_lowers_it(
+        self, scenario, probe, measured, head
+    ):
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.pool_startup_seconds = measured * probe.seconds_per_query
+            probe.attach(service).evaluate(scenario.queries)
+        assert [h for h, _ in probe.handovers] == [head]
+
+    def test_a_restarted_pool_hands_over_no_earlier_than_a_fresh_service(
+        self, scenario, probe
+    ):
+        # Three cheap queries, a slow one, then cheap ones again: right
+        # after the slow query the batch mean overprices the rest, and a
+        # start-up priced at what the last pool measured would hand over
+        # there.  Priced at the prior, the head runs on to 14 queries.
+        prior = POOL_STARTUP_PRIOR_SECONDS
+        costs = [0.04 * prior] * 3 + [0.5 * prior] + [0.04 * prior] * 36
+        batch = list(scenario.queries)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as fresh:
+            probe.costs = list(costs)
+            probe.attach(fresh).evaluate(batch)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            service.restart_pool()
+            assert service._pool is None
+            service.pool_startup_seconds = 0.25 * prior
+            probe.solves = 0
+            probe.costs = list(costs)
+            results = probe.attach(service).evaluate(batch)
+            assert service.last_mode == "parallel"
+        assert [head for head, _ in probe.handovers] == [14, 14]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_running_pool_makes_the_startup_free(self, scenario, probe):
+        batch = list(scenario.queries)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            assert service._pool is not None
+            service.pool_startup_seconds = 3.5 * probe.seconds_per_query
+            probe.solves = 0
+            results = probe.attach(service).evaluate(batch)
+            assert service.last_mode == "parallel"
+        assert [head for head, _ in probe.handovers] == [1]
+        assert probe.handovers[0][1] == batch[1:]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_pool_started_for_other_options_is_not_free(self, scenario, probe):
+        batch = list(scenario.queries)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            service.pool_startup_seconds = 3.5 * probe.seconds_per_query
+            probe.solves = 0
+            # The running pool caches across calls; a use_cache=False
+            # batch would replace it, so it pays the start-up again.
+            results = probe.attach(service).evaluate(batch, use_cache=False)
+        assert [head for head, _ in probe.handovers] == [4]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    @pytest.mark.parametrize("size, head", [(11, None), (12, 4)])
+    def test_a_full_chunk_per_worker_must_remain(self, scenario, probe, size, head):
+        # After the four-query head, 12 queries leave 8 (a chunk for each
+        # of the two workers) and 11 leave 7, which stay in-process.
+        batch = list(scenario.queries[:size])
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            results = probe.attach(service).evaluate(batch)
+            assert service.last_mode == ("sequential" if head is None else "parallel")
+        assert [h for h, _ in probe.handovers] == ([] if head is None else [head])
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    @pytest.mark.parametrize("overhead_queries, head", [(1.5, 4), (2.5, None)])
+    def test_the_pool_must_finish_the_rest_sooner(
+        self, scenario, probe, overhead_queries, head
+    ):
+        # Two workers halve the rest; four-query chunks add the overhead
+        # once per four queries.  That saves time only while one chunk's
+        # overhead costs less than two queries.
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.chunk_overhead_seconds = overhead_queries * probe.seconds_per_query
+            probe.attach(service).evaluate(scenario.queries)
+            assert service.last_mode == ("sequential" if head is None else "parallel")
+        assert [h for h, _ in probe.handovers] == ([] if head is None else [head])
+
+    def test_handover_reason_names_the_measured_seconds(self, scenario, probe):
+        probe.seconds_per_query = 0.006
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.pool_startup_seconds = 0.020
+            service.chunk_overhead_seconds = 0.001
+            probe.attach(service).evaluate(scenario.queries)
+            assert service.last_mode_reason == (
+                "4 queries took 24.0 ms in-process (pool start-up 20.0 ms); "
+                "the other 36 need ~216.0 ms here, ~117.0 ms on the pool at "
+                "1.00 ms per chunk"
+            )
+
+    def test_in_process_reason_names_the_measured_seconds(self, scenario, probe):
+        probe.seconds_per_query = 0.006
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.pool_startup_seconds = 0.020
+            service.chunk_overhead_seconds = 0.001
+            probe.attach(service).evaluate(scenario.queries[:11])
+            assert service.last_mode == "sequential"
+            assert service.last_mode_reason == (
+                "11 queries took 66.0 ms in-process; pool start-up 20.0 ms, "
+                "1.00 ms per chunk"
+            )
+
+    def test_an_unsized_stream_is_pulled_a_chunk_per_worker_ahead(
+        self, scenario, probe
+    ):
+        batch = list(scenario.queries)
+        pulled = []
+
+        def tracking():
+            for query in batch:
+                pulled.append(query)
+                yield query
+
+        pulled_at_handover = []
+        probe.on_handover = lambda: pulled_at_handover.append(len(pulled))
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            streamed = list(probe.attach(service).evaluate_stream(tracking()))
+        # The same head as the list; the remainder holds the 8 queries
+        # looked ahead plus the untouched rest of the stream.
+        assert pulled_at_handover == [4 + 8]
+        assert [head for head, _ in probe.handovers] == [4]
+        assert probe.handovers[0][1] == batch[4:]
+        assert triples(streamed) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_head_results_are_yielded_before_the_handover(self, scenario, probe):
+        received = []
+        received_at_handover = []
+        probe.on_handover = lambda: received_at_handover.append(list(received))
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            for query, _ in probe.attach(service).evaluate_stream(scenario.queries):
+                received.append(query)
+        assert received_at_handover == [list(scenario.queries[:4])]
+        assert received == list(scenario.queries)
+
+    def test_head_telemetry_reaches_the_sink_before_the_handover(
+        self, scenario, probe, solve_calls
+    ):
+        stores = ServiceStores(telemetry=TelemetrySink())
+        at_handover = []
+        probe.on_handover = lambda: at_handover.append(
+            (len(stores.telemetry), len(solve_calls))
+        )
+        with EvalService(
+            scenario.database, executor=HANDOVER_CONFIG, stores=stores
+        ) as service:
+            probe.attach(service).evaluate(scenario.queries)
+        # One sample per solve the head ran, recorded before the pool starts.
+        [(samples, solves)] = at_handover
+        assert samples == solves >= 1
+
+    def test_empty_stream_starts_no_pool(self, scenario, probe):
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            assert list(probe.attach(service).evaluate_stream(iter([]))) == []
+            assert service.last_mode == "sequential"
+            assert service.last_mode_reason == "empty batch"
+            assert service._pool is None
+        assert probe.handovers == []
+
+    def test_expired_deadline_stops_the_head(self, scenario, probe):
+        expired = DeadlineBudget(expires_at=time.monotonic() - 1.0)
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            with pytest.raises(DeadlineExceededError):
+                probe.attach(service).evaluate(scenario.queries, deadline=expired)
+        assert probe.solves == 0
+        assert probe.handovers == []
+
+    def test_head_returns_the_result_shape_the_pool_would(self, scenario, probe):
+        config = ExecutorConfig(
+            workers=2, chunk_size=4, min_parallel_batch=1, slim_results=True
+        )
+        with EvalService(scenario.database, executor=config) as service:
+            results = probe.attach(service).evaluate(scenario.queries)
+        assert [head for head, _ in probe.handovers] == [4]
+        assert all(isinstance(result, SlimSolveResult) for _, result in results)
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+
+class TestPoolMeasurements:
+    """The two measured inputs, taken from real pool batches."""
+
+    def test_a_fresh_pool_measures_startup_and_a_running_one_overhead(
+        self, scenario
+    ):
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(scenario.queries[:16], mode="parallel")
+            assert service.pool_startup_seconds >= 0.0
+            assert service.chunk_overhead_seconds is None
+            service.evaluate(scenario.queries[16:], mode="parallel")
+            overhead = service.chunk_overhead_seconds
+            assert overhead >= 0.0
+            # A new pool measures its start-up again and leaves the
+            # per-chunk overhead as the running pool measured it.
+            service.restart_pool()
+            service.pool_startup_seconds = None
+            service.evaluate(scenario.queries[:16], mode="parallel")
+            assert service.pool_startup_seconds >= 0.0
+            assert service.chunk_overhead_seconds == overhead
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the slowed solver reaches pool workers only by fork",
+    )
+    def test_one_slow_chunk_does_not_keep_the_next_batch_off_the_pool(
+        self, scenario, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        batch = list(scenario.queries)
+        slow = str(batch[16])
+        original = executor_module._EvaluationContext.solve
+
+        def solve(context, query, deadline=None):
+            time.sleep(0.165 if str(query) == slow else 0.004)
+            return original(context, query, deadline)
+
+        monkeypatch.setattr(executor_module._EvaluationContext, "solve", solve)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        later = [query for query in batch[:16] + batch[32:] if str(query) != slow]
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            # Four chunks on the running pool; the first holds a 165 ms
+            # query, so one worker idles while it finishes.  Charged as
+            # overhead, that idling would read ~16 ms per chunk; the next
+            # batch hands over only below ~9 ms per chunk.
+            service.evaluate(batch[16:32], mode="parallel")
+            assert service.chunk_overhead_seconds < 0.008
+            results = service.evaluate(later)
+            assert service.last_mode == "parallel"
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(later, scenario.database)
+        )
+
+    def test_the_consumers_time_between_results_is_not_pool_overhead(
+        self, scenario
+    ):
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(scenario.queries[:8], mode="parallel")
+            stream = service.evaluate_stream(scenario.queries[8:24], mode="parallel")
+            for _ in stream:
+                time.sleep(0.025)
+            # The consumer held each of the four chunks for 100 ms.
+            assert 0.0 <= service.chunk_overhead_seconds < 0.025
+
+    def test_chunk_returns_the_seconds_its_worker_spent_solving(
+        self, scenario, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+
+        original = executor_module.solve_with_degree
+        solves = []
+
+        def slow(*args, **kwargs):
+            solves.append(1)
+            time.sleep(0.005)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "solve_with_degree", slow)
+        monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
+        executor_module._initialize_worker(
+            scenario.database, DEFAULT_PLANNER_CONFIG, True, False
+        )
+        chunk = tuple(scenario.queries[:4])
+        results, samples, busy = executor_module._evaluate_chunk(chunk)
+        # Untimed workers return no samples, but always their busy seconds.
+        assert samples == []
+        assert len(solves) >= 1
+        assert busy >= 0.005 * len(solves)
+        assert triples(zip(chunk, results)) == triples(
+            evaluate_query_set_sequential(list(chunk), scenario.database)
         )
 
 
@@ -381,9 +828,8 @@ class TestSlimResults:
     def test_slim_results_ship_from_pool_workers(self, scenario):
         from repro.eval import SlimSolveResult
 
-        config = ExecutorConfig(
-            workers=2, min_parallel_batch=1, adaptive=False, slim_results=True
-        )
+        config = ExecutorConfig(workers=2, min_parallel_batch=1, slim_results=True)
         with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:12])
+            results = service.evaluate(scenario.queries[:12], mode="parallel")
+            assert service.last_mode == "parallel"
         assert all(isinstance(r, SlimSolveResult) for _, r in results)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cq import evaluate_query_set_sequential, parse_query
 from repro.eval import ExecutorConfig
-from repro.service import AdaptiveController, QueryService
+from repro.service import QueryService
 from repro.service.frontend import MODE_HISTORY_LIMIT
 from repro.workloads import scenario_by_name
 
@@ -190,7 +190,7 @@ class TestStatsEndpoint:
             "batches_served",
             "classification_calls",
             "stores",
-            "controller",
+            "cutover",
             "mode_history",
             "calibration",
             "planner_mode",
@@ -198,8 +198,76 @@ class TestStatsEndpoint:
             assert key in stats
         assert stats["calibration"] is None
         assert stats["planner_mode"] == "threshold"
-        assert stats["controller"]["queries_observed"] == 5
+        # One worker never starts a pool, so neither input is measured.
+        assert stats["cutover"] == {
+            "pool_startup_seconds": None,
+            "chunk_overhead_seconds": None,
+        }
         assert stats["mode_history"][0]["mode"] == "sequential"
+        assert stats["mode_history"][0]["reason"] == "workers <= 1"
+
+
+def modes(service):
+    return [(h["mode"], h["reason"]) for h in service.stats()["mode_history"]]
+
+
+class TestServingModes:
+    """The front-end forces no mode of its own: the executor decides per batch."""
+
+    def test_single_cpu_batches_run_in_process(self, scenario, reference, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
+        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config, shared=False) as service:
+            results = service.evaluate(scenario.queries)
+            assert modes(service) == [("sequential", "single CPU")]
+        assert triples(results) == triples(reference)
+
+    def test_small_batches_run_in_process(self, scenario, reference, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        config = ExecutorConfig(workers=2, min_parallel_batch=1000)
+        with QueryService(scenario.database, executor=config, shared=False) as service:
+            results = service.evaluate(scenario.queries)
+            assert modes(service) == [
+                ("sequential", "batch below min_parallel_batch")
+            ]
+        assert triples(results) == triples(reference)
+
+    def test_cheap_batches_run_in_process_without_a_pool(self, scenario, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        # Three distinct queries asked ten times each: far less work
+        # than a new pool costs to start.
+        batch = list(scenario.queries[:3]) * 10
+        with QueryService(scenario.database, executor=config, shared=False) as service:
+            results = service.evaluate(batch)
+            [(mode, reason)] = modes(service)
+            assert mode == "sequential"
+            assert reason.startswith("30 queries took")
+            assert service._eval._pool is None
+            assert service.stats()["cutover"] == {
+                "pool_startup_seconds": None,
+                "chunk_overhead_seconds": None,
+            }
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_forced_mode_reaches_the_executor(self, scenario, reference, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config, shared=False) as service:
+            results = service.evaluate(scenario.queries, mode="sequential")
+            assert modes(service) == [("sequential", "forced by caller")]
+            assert service._eval._pool is None
+        assert triples(results) == triples(reference)
 
 
 class TestCalibrationLifecycle:
@@ -240,92 +308,3 @@ class TestCalibrationLifecycle:
             result = service.calibrate()
             assert result.source == "insufficient-samples"
             assert service.planner.mode == "threshold"
-
-
-class TestAdaptiveController:
-    def make(self, **kwargs):
-        defaults = dict(
-            workers=4,
-            chunk_size=10,
-            spawn_overhead_seconds=0.01,
-            min_parallel_batch=4,
-            warmup_queries=8,
-            drift_window=4,
-            drift_factor=4.0,
-        )
-        defaults.update(kwargs)
-        return AdaptiveController(**defaults)
-
-    def test_warmup_batches_stay_sequential(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and "warm-up" in reason
-
-    def test_single_cpu_guard(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 1)
-        controller = self.make()
-        controller.observe(1.0, 10, "sequential")
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and reason == "single CPU"
-
-    def test_cheap_queries_stay_sequential_after_warmup(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.0001 * 20, 20, "sequential")  # 0.1ms/query
-        mode, reason = controller.decide(100)
-        assert mode == "sequential" and "below spawn overhead" in reason
-
-    def test_expensive_queries_go_parallel(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.01 * 20, 20, "sequential")  # 10ms/query
-        mode, reason = controller.decide(100)
-        assert mode == "parallel" and "above spawn overhead" in reason
-
-    def test_single_worker_always_sequential(self):
-        controller = self.make(workers=1)
-        controller.observe(1.0, 10, "sequential")
-        assert controller.decide(100)[0] == "sequential"
-
-    def test_small_batches_stay_sequential(self, monkeypatch):
-        import repro.service.frontend as frontend
-
-        monkeypatch.setattr(frontend.os, "cpu_count", lambda: 8)
-        controller = self.make()
-        controller.observe(0.01 * 20, 20, "sequential")
-        mode, reason = controller.decide(2)
-        assert mode == "sequential" and "min_parallel_batch" in reason
-
-    def test_parallel_observations_convert_to_serial_equivalent(self):
-        controller = self.make()
-        controller.observe(1.0, 10, "parallel")  # 4 workers → 0.4 s/query
-        assert controller.mean_seconds == pytest.approx(0.4)
-
-    def test_drift_resets_lifetime_statistics(self):
-        controller = self.make(drift_window=4, drift_factor=4.0, warmup_queries=1)
-        # A long cheap regime...
-        for _ in range(20):
-            controller.observe(0.001 * 10, 10, "sequential")
-        cheap_mean = controller.mean_seconds
-        # ...then the workload shifts to 100x slower queries.
-        for _ in range(4):
-            controller.observe(0.1 * 10, 10, "sequential")
-        assert controller.drift_events, "drift was not detected"
-        assert controller.mean_seconds > cheap_mean * 10
-        event = controller.drift_events[0]
-        assert event["window_mean_seconds"] > event["lifetime_mean_seconds"]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            self.make(drift_window=1)
-        with pytest.raises(ValueError):
-            self.make(drift_factor=1.0)

@@ -1,5 +1,6 @@
 """Tests for telemetry-driven planner calibration (:mod:`repro.service.telemetry`)."""
 
+import json
 import math
 import time
 
@@ -11,9 +12,10 @@ from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     solve_with_degree,
 )
-from repro.eval import DatabaseStatistics, plan_query, route_raw_units
+from repro.eval import DatabaseStatistics, ExecutorConfig, plan_query, route_raw_units
 from repro.service import (
     CalibrationState,
+    QueryService,
     RouteTimingCase,
     SolveSample,
     calibrate_planner,
@@ -90,16 +92,12 @@ class TestCalibratePlanner:
         result = calibrate_planner([], min_samples=8)
         assert result.source == "insufficient-samples"
         assert result.planner is DEFAULT_PLANNER_CONFIG
-        assert result.spawn_cost_threshold is None
 
-    def test_fitted_config_is_cost_mode_with_seconds_threshold(self):
+    def test_fitted_config_is_cost_mode_with_seconds_weights(self):
         true = {degree: 1e-6 for degree in ROUTES}
-        result = calibrate_planner(
-            synthetic_samples(true), spawn_overhead_seconds=0.004
-        )
+        result = calibrate_planner(synthetic_samples(true))
         assert result.source == "fitted"
         assert result.planner.mode == "cost"
-        assert result.spawn_cost_threshold == 0.004
         assert math.isclose(
             result.planner.treedepth_cost_weight, 1e-6, rel_tol=1e-9
         )
@@ -243,16 +241,63 @@ class TestCalibrationNeverRegressesScenarios:
 class TestCalibrationState:
     def test_save_load_round_trip(self, tmp_path):
         true = {degree: 2e-6 for degree in ROUTES}
-        result = calibrate_planner(
-            synthetic_samples(true), spawn_overhead_seconds=0.003
-        )
+        result = calibrate_planner(synthetic_samples(true))
         path = str(tmp_path / "calibration.json")
         result.state().save(path)
         loaded = CalibrationState.load(path)
         assert loaded.planner == result.planner
-        assert loaded.spawn_cost_threshold == 0.003
         assert loaded.source == "fitted"
         assert loaded.sample_count == result.sample_count
+
+    def test_file_saved_with_a_spawn_threshold_still_loads(self, tmp_path):
+        # Files written before the executor measured its own pool
+        # overhead carry a spawn_cost_threshold the state no longer has.
+        planner = PlannerConfig(mode="cost", path_cost_weight=1.25)
+        path = tmp_path / "calibration.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "planner": planner.to_dict(),
+                    "spawn_cost_threshold": 0.004,
+                    "sample_count": 12,
+                    "source": "fitted",
+                    "per_route": {"para-L": {"samples": 3.0}},
+                }
+            )
+        )
+        loaded = CalibrationState.load_or_none(str(path))
+        assert loaded == CalibrationState(
+            planner=planner,
+            sample_count=12,
+            source="fitted",
+            per_route={"para-L": {"samples": 3.0}},
+        )
+        scenario = scenario_by_name("grid_walks", count=3, seed=1)
+        with QueryService(
+            scenario.database,
+            executor=ExecutorConfig(workers=1),
+            calibration=str(path),
+        ) as service:
+            assert service.planner == planner
+            assert service.stats()["calibration"]["sample_count"] == 12
+
+    def test_only_the_legacy_threshold_key_is_dropped(self, tmp_path):
+        # Any other field the state does not know still marks the file
+        # unusable, as a wrong-shaped payload always has.
+        path = tmp_path / "calibration.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "planner": PlannerConfig(mode="cost").to_dict(),
+                    "spawn_cost_threshold": 0.004,
+                    "sample_count": 12,
+                    "source": "fitted",
+                    "per_route": {},
+                    "warmup_queries": 8,
+                }
+            )
+        )
+        assert CalibrationState.load_or_none(str(path)) is None
 
     def test_planner_config_dict_round_trip(self):
         config = PlannerConfig(mode="cost", path_cost_weight=1.25)

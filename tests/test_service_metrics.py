@@ -227,7 +227,7 @@ EXPECTED_STATS_KEYS = {
     "shared_stores",
     "classification_calls",
     "stores",
-    "controller",
+    "cutover",
     "mode_history",
     "calibration",
     "planner_mode",
@@ -258,15 +258,12 @@ EXPECTED_AUTOTUNE_KEYS = {
     "rejected",
     "tracked_patterns",
     "median_residual_factors",
-    "spawn_overhead",
     "events",
 }
 
-EXPECTED_CONTROLLER_KEYS = {
-    "queries_observed",
-    "mean_seconds",
-    "spawn_overhead_seconds",
-    "drift_events",
+EXPECTED_CUTOVER_KEYS = {
+    "pool_startup_seconds",
+    "chunk_overhead_seconds",
 }
 
 
@@ -303,7 +300,7 @@ class TestStatsSchema:
     def test_nested_schemas(self, stats):
         assert set(stats["monitor"]) == EXPECTED_MONITOR_KEYS
         assert set(stats["autotune"]) == EXPECTED_AUTOTUNE_KEYS
-        assert set(stats["controller"]) == EXPECTED_CONTROLLER_KEYS
+        assert set(stats["cutover"]) == EXPECTED_CUTOVER_KEYS
         assert stats["autotune"]["enabled"] is True
 
     def test_every_value_is_pure_json(self, stats):
@@ -319,6 +316,25 @@ class TestStatsSchema:
             stats = service.stats()
             assert set(stats) == EXPECTED_STATS_KEYS
             assert stats["autotune"] == {"enabled": False}
+
+    def test_spawn_overhead_gauge_reads_the_measured_chunk_overhead(self, scenario):
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1)
+        ) as service:
+            service.evaluate(scenario.queries[:4])
+            assert "repro_spawn_overhead_seconds NaN" in service.render_prometheus()
+            samples = service.stats()["metrics"]["repro_spawn_overhead_seconds"]
+            assert samples["samples"] == {"": None}
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config) as service:
+            # The first batch starts the pool; the second runs on it.
+            service.evaluate(scenario.queries, mode="parallel")
+            service.evaluate(scenario.queries, mode="parallel")
+            cutover = service.stats()["cutover"]
+            gauge = service.metrics.get("spawn_overhead_seconds")
+            assert cutover["pool_startup_seconds"] >= 0.0
+            assert cutover["chunk_overhead_seconds"] >= 0.0
+            assert gauge.value() == cutover["chunk_overhead_seconds"]
 
     def test_render_prometheus_endpoint(self, scenario):
         with QueryService(

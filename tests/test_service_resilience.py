@@ -700,7 +700,7 @@ class TestManagerFailover:
         ) as service:
             service.evaluate(scenario.queries, mode="parallel")
             swapped = replace(service.planner, mode="cost")
-            service._apply_planner(swapped, None)
+            service._apply_planner(swapped)
             version = service.planner_version
             assert version == 1
             faultinject.kill_manager(service._store_manager)
