@@ -23,16 +23,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.classification.degrees import ComplexityDegree, degree_from_width_bounds
-from repro.decomposition.path_decomposition import PathDecomposition
-from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.decomposition.treedepth import EliminationForest
 from repro.decomposition.treedepth_engine import TreedepthEngine, compute_treedepth
 from repro.decomposition.width import (
     PATHWIDTH_EXACT_SIZE_LIMIT,
     TREEDEPTH_EXACT_SIZE_LIMIT,
     TREEWIDTH_EXACT_SIZE_LIMIT,
-    good_path_decomposition,
-    good_tree_decomposition,
     width_profile_report_with_forest,
 )
 from repro.decomposition.width_engine import (
@@ -80,11 +76,10 @@ class StructureProfile:
     Widths left out of the constructor (as :func:`classify_structure`
     does for cores of at most :data:`LAZY_WIDTH_LIMIT` elements) are
     computed by the exact engines on first read.  :meth:`threshold_degree`
-    answers its threshold questions with capped searches instead, and
-    keeps the witness of the route it picks.  A lazy fill computes into
-    locals and stores only finished values, so a concurrent reader may
-    recompute but never sees half a result; no engine, memo or Gaifman
-    graph outlives the call that needed it.
+    answers its threshold questions with capped searches instead.  A lazy
+    fill computes into locals and stores only finished values, so a
+    concurrent reader may recompute but never sees half a result; no
+    engine, memo or Gaifman graph outlives the call that needed it.
     """
 
     __slots__ = (
@@ -97,8 +92,6 @@ class StructureProfile:
         "_treewidth",
         "_pathwidth",
         "_treedepth",
-        "_path_decomposition",
-        "_tree_decomposition",
     )
     __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
 
@@ -128,8 +121,6 @@ class StructureProfile:
         self._treedepth: Optional[Tuple[int, Optional[EliminationForest]]] = (
             None if core_treedepth is None else (core_treedepth, core_elimination_forest)
         )
-        self._path_decomposition: Optional[PathDecomposition] = None
-        self._tree_decomposition: Optional[TreeDecomposition] = None
 
     # -- the widths, filled on first read ------------------------------------
     @property
@@ -183,9 +174,7 @@ class StructureProfile:
         capped search, and tree depth goes first: tw ≤ pw ≤ td − 1, so
         ``td ≤ treedepth_max`` with ``td − 1`` within both other thresholds
         settles para-L, and the same engine yields the forest.  Then tw,
-        then pw seeded with the exact tw.  The engine that certifies the
-        PATH or TREE route's width builds its decomposition from its own
-        memo, so that route never searches again.
+        then pw seeded with the exact tw.
         """
         treedepth = self._treedepth
         if None not in (self._treewidth, self._pathwidth, treedepth):
@@ -206,56 +195,23 @@ class StructureProfile:
         if shallow and treedepth[0] - 1 <= min(pathwidth_max, treewidth_max):
             return ComplexityDegree.PARA_L
         # A capped value past its cap is only a lower bound: never stored.
-        tree_engine = path_engine = None
         treewidth = self._treewidth
         if treewidth is None:
-            tree_engine = TreewidthEngine(graph)
-            treewidth = tree_engine.value(treewidth_max)
+            treewidth = TreewidthEngine(graph).value(treewidth_max)
             if treewidth <= treewidth_max:
                 self._treewidth = treewidth
         if treewidth > treewidth_max:
             return ComplexityDegree.W1_HARD
         pathwidth = self._pathwidth
         if pathwidth is None:
-            path_engine = PathwidthEngine(graph, lower_hint=treewidth)
-            pathwidth = path_engine.value(pathwidth_max)
+            pathwidth = PathwidthEngine(graph, lower_hint=treewidth).value(pathwidth_max)
             if pathwidth <= pathwidth_max:
                 self._pathwidth = pathwidth
         if pathwidth > pathwidth_max:
-            if tree_engine is not None and self._tree_decomposition is None:
-                self._tree_decomposition = tree_engine.witness()[1]
             return ComplexityDegree.TREE_COMPLETE
         if shallow:
             return ComplexityDegree.PARA_L
-        if path_engine is not None and self._path_decomposition is None:
-            self._path_decomposition = path_engine.witness()[1]
         return ComplexityDegree.PATH_COMPLETE
-
-    # -- decompositions, built once per profile --------------------------------
-    def core_path_decomposition(self) -> PathDecomposition:
-        """A good path decomposition of the core, built once per profile.
-
-        Profiles are shared across a batch (and, through the caches,
-        across batches), so memoising the decomposition here removes a
-        per-solve rebuild from the PATH route — decompositions depend
-        only on the core, exactly like the widths.  When
-        :meth:`threshold_degree` routed the core to PATH, the layout of
-        the search that certified the pathwidth is already here.
-        """
-        cached = self._path_decomposition
-        if cached is None:
-            cached = good_path_decomposition(self.core)
-            self._path_decomposition = cached
-        return cached
-
-    def core_tree_decomposition(self) -> TreeDecomposition:
-        """A good tree decomposition of the core, built once per profile
-        (the TREE-route sibling of :meth:`core_path_decomposition`)."""
-        cached = self._tree_decomposition
-        if cached is None:
-            cached = good_tree_decomposition(self.core)
-            self._tree_decomposition = cached
-        return cached
 
     # -- value semantics --------------------------------------------------------
     def _arguments(self) -> Tuple:
@@ -278,7 +234,7 @@ class StructureProfile:
     def __reduce__(self) -> Tuple:
         # A profile crossing a process boundary carries every width, so a
         # receiver never classifies again, and pickles the same way
-        # whichever widths were read; decompositions are rebuilt on demand.
+        # whichever widths were read.
         return (StructureProfile, self._arguments())
 
     def __eq__(self, other: object) -> bool:

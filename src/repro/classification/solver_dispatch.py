@@ -1,15 +1,21 @@
 """Degree-aware homomorphism solving.
 
-Once a query (structure) has been classified, the right algorithm follows
-from the Classification Theorem:
+Once a query (structure) has been classified, the degree follows from the
+Classification Theorem, and it picks the machinery:
 
-* bounded tree depth  → the Lemma 3.3 recursion (:class:`TreeDepthSolver`),
-* bounded pathwidth   → the left-to-right sweep over an optimal path
-  decomposition (the Theorem 4.6 algorithm),
-* bounded treewidth   → dynamic programming over an optimal tree
-  decomposition (Lemma 3.4's algorithmic content),
+* bounded tree depth  → the Lemma 3.3 recursion (:class:`TreeDepthSolver`)
+  along the elimination forest that certified the core's tree depth,
+* bounded pathwidth or treewidth → the same recursion along a min-fill
+  elimination tree of the core,
 * otherwise           → the generic backtracking solver (the W[1]-hard
   regime, where nothing better is expected).
+
+The recursion memoises each subtree on its boundary (the ancestors
+adjacent to it).  That memo is the bag-keyed table of the Theorem 4.6
+sweep and of Lemma 3.4's dynamic programming, and on a min-fill tree no
+boundary exceeds the ordering's width, so one engine serves all three
+bounded degrees.  The path sweep and the tree-decomposition DP stay in
+:mod:`repro.homomorphism.join_engine` for counting and direct callers.
 
 :func:`solve_hom` performs the dispatch per pattern structure and reports
 which route was taken, so the benchmarks can attribute running time to the
@@ -23,13 +29,10 @@ from typing import Optional
 
 from repro.classification.classifier import StructureProfile, classify_structure
 from repro.classification.degrees import ComplexityDegree
-from repro.decomposition.width import (
-    good_path_decomposition,
-    good_tree_decomposition,
-)
+from repro.decomposition.heuristics import min_fill_elimination_forest
 from repro.homomorphism.backtracking import has_homomorphism
-from repro.homomorphism.join_engine import BOOLEAN, run_decomposition_dp, run_path_sweep
 from repro.homomorphism.treedepth_solver import TreeDepthSolver
+from repro.structures.gaifman import gaifman_graph
 from repro.structures.structure import Structure
 
 #: Default width thresholds used to pick a solver for a *single* structure.
@@ -186,6 +189,14 @@ def choose_degree(
     )
 
 
+#: The PATH and TREE routes' solver strings: one engine, named with the
+#: theorem behind each degree's upper bound.
+_FOREST_SOLVERS = {
+    ComplexityDegree.PATH_COMPLETE: "memoised forest recursion, min-fill elimination tree (Theorem 4.6)",
+    ComplexityDegree.TREE_COMPLETE: "memoised forest recursion, min-fill elimination tree (Lemma 3.4)",
+}
+
+
 def solve_with_degree(
     pattern: Structure,
     target: Structure,
@@ -210,24 +221,10 @@ def solve_with_degree(
         forest = profile.core_elimination_forest if use_core else None
         answer = TreeDepthSolver(effective, forest=forest, use_core=False).exists(target)
         solver = "treedepth-recursion (Lemma 3.3)"
-    elif degree is ComplexityDegree.PATH_COMPLETE:
-        # Decompositions depend only on the (core) structure, so repeated
-        # solves against different targets reuse the profile's memoised one.
-        decomposition = (
-            profile.core_path_decomposition()
-            if use_core
-            else good_path_decomposition(effective)
-        )
-        answer = bool(run_path_sweep(effective, target, decomposition, BOOLEAN))
-        solver = "semiring join engine, path sweep (Theorem 4.6)"
-    elif degree is ComplexityDegree.TREE_COMPLETE:
-        decomposition = (
-            profile.core_tree_decomposition()
-            if use_core
-            else good_tree_decomposition(effective)
-        )
-        answer = bool(run_decomposition_dp(effective, target, decomposition, BOOLEAN))
-        solver = "semiring join engine, tree-decomposition DP (Lemma 3.4)"
+    elif degree in (ComplexityDegree.PATH_COMPLETE, ComplexityDegree.TREE_COMPLETE):
+        forest = min_fill_elimination_forest(gaifman_graph(effective))
+        answer = TreeDepthSolver(effective, forest=forest, use_core=False).exists(target)
+        solver = _FOREST_SOLVERS[degree]
     else:
         answer = has_homomorphism(effective, target)
         solver = "generic backtracking (W[1]-hard regime)"

@@ -3,14 +3,16 @@
 The classifier only needs *exact* widths on the (small, parameter-sized)
 left-hand structures, but the benchmark workloads also exercise larger
 graphs where exact computation is infeasible; these heuristics provide the
-standard min-degree and min-fill elimination orderings and a BFS-based
-ordering for path decompositions.
+standard min-degree and min-fill elimination orderings, the elimination
+tree of a min-fill ordering (the forest the PATH and TREE routes solve
+on), and a BFS-based ordering for path decompositions.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, Iterator, List, Set, Tuple
 
+from repro.decomposition.treedepth import EliminationForest
 from repro.exceptions import DecompositionError
 from repro.graphlib.graph import Graph
 from repro.graphlib.traversal import bfs_order
@@ -66,20 +68,53 @@ def min_fill_ordering(graph: Graph) -> List[Vertex]:
     return ordering
 
 
-def ordering_width(graph: Graph, ordering: List[Vertex]) -> int:
-    """Return the width of an elimination ordering (treewidth upper bound)."""
+def _eliminated_neighbourhoods(
+    graph: Graph, ordering: List[Vertex]
+) -> Iterator[Tuple[Vertex, Set[Vertex]]]:
+    """Eliminate the vertices in ``ordering``, yielding each with its
+    later-eliminated neighbours at that point, fill edges included."""
     position = {v: i for i, v in enumerate(ordering)}
     adjacency: Dict[Vertex, set] = {v: set(graph.neighbors(v)) for v in graph.vertices}
-    width = 0
     for v in ordering:
         later = {u for u in adjacency[v] if position[u] > position[v]}
-        width = max(width, len(later))
+        yield v, later
         later_list = sorted(later, key=repr)
         for i, a in enumerate(later_list):
             for b in later_list[i + 1:]:
                 adjacency[a].add(b)
                 adjacency[b].add(a)
-    return width
+
+
+def ordering_width(graph: Graph, ordering: List[Vertex]) -> int:
+    """Return the width of an elimination ordering (treewidth upper bound)."""
+    return max(
+        (len(later) for _, later in _eliminated_neighbourhoods(graph, ordering)),
+        default=0,
+    )
+
+
+def min_fill_elimination_forest(graph: Graph) -> EliminationForest:
+    """Return the elimination tree of a min-fill ordering of ``graph``.
+
+    A vertex's parent is the earliest-eliminated of its neighbours at
+    elimination, fill edges included; a vertex with none is a root.  The
+    fill edges make every graph edge an ancestor/descendant pair, so the
+    forest witnesses the graph, and a vertex's neighbours at elimination
+    are exactly its ancestors adjacent to its subtree — at most the
+    ordering's width of them.
+    """
+    if len(graph) == 0:
+        return EliminationForest({}, [])
+    ordering = min_fill_ordering(graph)
+    position = {v: i for i, v in enumerate(ordering)}
+    parent: Dict[Vertex, Vertex] = {}
+    roots: List[Vertex] = []
+    for vertex, later in _eliminated_neighbourhoods(graph, ordering):
+        if later:
+            parent[vertex] = min(later, key=position.__getitem__)
+        else:
+            roots.append(vertex)
+    return EliminationForest(parent, roots)
 
 
 def bfs_layout(graph: Graph) -> List[Vertex]:

@@ -359,10 +359,11 @@ class _EvaluationContext:
                 return shared
         target = self.target_for(vocabulary)
         profile = self.profile_for(pattern, deadline)
+        # Threshold planning gets no statistics: pricing every route would
+        # read every exact width of the core, not just the one the route
+        # decision certified.
         stats = (
-            self.stats_for(vocabulary)
-            if self.config.mode == "cost" or self.timed
-            else None
+            self.stats_for(vocabulary) if self.config.mode == "cost" else None
         )
         plan = plan_query_cached(profile, stats, self.config)
         if self.timed:
@@ -372,7 +373,9 @@ class _EvaluationContext:
             from repro.service.telemetry import make_sample
 
             self.telemetry_buffer.append(
-                make_sample(plan.degree, profile, stats, elapsed, self.config)
+                make_sample(
+                    plan.degree, profile, self.stats_for(vocabulary), elapsed, self.config
+                )
             )
         else:
             result = solve_with_degree(pattern, target, plan.degree, profile)

@@ -12,12 +12,12 @@ selects machinery), so planning is purely a cost decision:
 ========================  =======================================================
 route                     cost model (elementary extension steps)
 ========================  =======================================================
-treedepth recursion       ``k · n · b^(td−1)``  — one branch per level of the
+para-L                    ``k · n · b^(td−1)``  — one branch per level of the
                           elimination forest, ``b`` candidates per branch
-path sweep                ``k · n · b^pw``      — ``k`` bags, table of at most
-                          ``n · b^pw`` weighted assignments per bag
-tree-decomposition DP     ``k · n · b^tw``      — same shape, tree-structured
-                          joins cost more bookkeeping per bag
+PATH                      ``k · n · b^pw``      — ``k`` vertices, a memo of at
+                          most ``n · b^pw`` boundary assignments per vertex
+TREE                      ``k · n · b^tw``      — same shape, bounded by the
+                          treewidth
 backtracking              ``n · b^(k−1)``       — one candidate set for the
                           first variable, ``b`` extensions for each further one
 ========================  =======================================================
@@ -125,23 +125,34 @@ def route_raw_units(
     (:mod:`repro.service.telemetry`), so fitted weights are directly
     comparable with the hand-set ones.
     """
+    return {
+        route: route_units(profile, stats, route, config) for route in _ROUTE_PRECEDENCE
+    }
+
+
+def route_units(
+    profile: StructureProfile,
+    stats: DatabaseStatistics,
+    degree: ComplexityDegree,
+    config: PlannerConfig = DEFAULT_PLANNER_CONFIG,
+) -> float:
+    """The unweighted estimate of one route (see :func:`route_raw_units`).
+
+    It reads only the width the route rests on, so pricing the route a
+    threshold decision took reads the width that decision certified.
+    """
     k = max(1, profile.core_size)
     n = max(1, stats.universe_size)
     branching = stats.branching_factor()
     if profile.core_certificate in _SYMMETRIC_CERTIFICATES:
         branching = max(1.0, branching * config.symmetry_discount)
-    return {
-        ComplexityDegree.PARA_L: _powcost(
-            1.0, k * n, branching, profile.core_treedepth - 1
-        ),
-        ComplexityDegree.PATH_COMPLETE: _powcost(
-            1.0, k * n, branching, profile.core_pathwidth
-        ),
-        ComplexityDegree.TREE_COMPLETE: _powcost(
-            1.0, k * n, branching, profile.core_treewidth
-        ),
-        ComplexityDegree.W1_HARD: _powcost(1.0, n, branching, k - 1),
-    }
+    if degree is ComplexityDegree.PARA_L:
+        return _powcost(1.0, k * n, branching, profile.core_treedepth - 1)
+    if degree is ComplexityDegree.PATH_COMPLETE:
+        return _powcost(1.0, k * n, branching, profile.core_pathwidth)
+    if degree is ComplexityDegree.TREE_COMPLETE:
+        return _powcost(1.0, k * n, branching, profile.core_treewidth)
+    return _powcost(1.0, n, branching, k - 1)
 
 
 def route_weights(config: PlannerConfig) -> Dict[ComplexityDegree, float]:

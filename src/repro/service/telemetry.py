@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.classification.classifier import StructureProfile
 from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, PlannerConfig
-from repro.eval.planner import COST_CAP, plan_query, route_raw_units, route_weights
+from repro.eval.planner import COST_CAP, plan_query, route_units, route_weights
 from repro.eval.stats import DatabaseStatistics
 
 #: Fitted weights are floored here — a degenerate fit (all-zero timings)
@@ -53,7 +53,7 @@ class SolveSample:
     """One realised solve: the route taken, its features, and the time.
 
     ``raw_units`` is the *unweighted* cost-model estimate of the route
-    that ran (:func:`repro.eval.planner.route_raw_units`) against the
+    that ran (:func:`repro.eval.planner.route_units`) against the
     statistics in force — the regressor the weights are fitted on.  The
     remaining fields are the :class:`DatabaseStatistics`/profile
     features behind it, kept so calibration reports stay inspectable.
@@ -75,8 +75,8 @@ def make_sample(
     seconds: float,
     config: PlannerConfig = DEFAULT_PLANNER_CONFIG,
 ) -> SolveSample:
-    """Build the telemetry sample for one realised solve."""
-    units = route_raw_units(profile, stats, config)[degree]
+    """Build the telemetry sample for one realised solve (pricing only its route)."""
+    units = route_units(profile, stats, degree, config)
     return SolveSample(
         route=degree.value,
         raw_units=units,

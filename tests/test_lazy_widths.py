@@ -2,9 +2,9 @@
 
 :func:`classify_structure` computes the core eagerly but leaves the widths
 of a core inside the exact engines' window unread.  :func:`choose_degree`
-then decides the route with capped searches (tree depth first), and the
-search that certifies the PATH or TREE route's width also lays out its
-decomposition.  Reading a width runs the same exact engine eager
+then decides the route with capped searches (tree depth first); the PATH
+and TREE routes solve on a min-fill elimination tree, so no route reads
+a decomposition.  Reading a width runs the same exact engine eager
 classification ran.  These tests hold lazy profiles to the eager
 reference, :func:`width_profile_report_with_forest` on the core, on four
 corpora:
@@ -17,7 +17,8 @@ corpora:
 * random structures with ternary and repeated-variable atoms.
 
 Engine constructions are counted to pin the work the lazy profile
-avoids, and pickled profiles must carry every width and no engine.
+avoids (a timed evaluation context included), and pickled profiles must
+carry every width and no engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Callable, Dict, List, Tuple
 
 import pytest
 
-from conftest import assert_valid_path_decomposition
 from test_core_engine_oracle import graph_patterns, mixed_patterns, random_structures
 
 import repro.classification.classifier as classifier_module
@@ -45,13 +45,17 @@ from repro.classification.solver_dispatch import (
     choose_degree,
     solve_with_degree,
 )
+from repro.cq.query import ConjunctiveQuery
 from repro.decomposition.treedepth_engine import TreedepthEngine
-from repro.decomposition.width import good_tree_decomposition, width_profile_report_with_forest
+from repro.decomposition.width import width_profile_report_with_forest
 from repro.decomposition.width_engine import PathwidthEngine, TreewidthEngine
+from repro.eval.executor import _EvaluationContext
+from repro.eval.planner import clear_plan_cache, route_raw_units
+from repro.eval.stats import DatabaseStatistics
+from repro.homomorphism.backtracking import has_homomorphism
 from repro.homomorphism.core_engine import compute_core
 from repro.structures import GRAPH_VOCABULARY, Structure, clique, cycle, path
 from repro.structures.builders import directed_path
-from repro.structures.gaifman import gaifman_graph
 
 #: The default thresholds plus custom ones that send cores down every
 #: branch of the decision: td within its threshold but td − 1 past another
@@ -191,26 +195,6 @@ def test_explicit_widths_keep_the_comparison_order():
     assert choose_degree(profile) is ComplexityDegree.W1_HARD
 
 
-def test_route_decompositions_are_the_certifying_witnesses(graph_cases):
-    routes = {degree: 0 for degree in ComplexityDegree}
-    for case in graph_cases:
-        profile = case.fresh_profile()
-        degree = choose_degree(profile)
-        routes[degree] += 1
-        graph = gaifman_graph(case.computation.core)
-        if degree is ComplexityDegree.PATH_COMPLETE:
-            assert_valid_path_decomposition(
-                graph, profile.core_path_decomposition(), profile.core_pathwidth
-            )
-        elif degree is ComplexityDegree.TREE_COMPLETE:
-            today = good_tree_decomposition(case.computation.core)
-            mine = profile.core_tree_decomposition()
-            assert mine.bags == today.bags
-            assert mine.tree.edges == today.tree.edges
-    assert routes[ComplexityDegree.PARA_L] and routes[ComplexityDegree.PATH_COMPLETE]
-    assert routes[ComplexityDegree.TREE_COMPLETE]
-
-
 def test_threads_racing_on_shared_profiles_see_finished_values(graph_cases):
     # Lazy fills take no lock: each computes into locals and stores only
     # finished values, so racing readers may compute twice but must never
@@ -261,6 +245,7 @@ class TestWorkAvoided:
             "depth_values": [],
             "forests": [],
             "tree_witnesses": [],
+            "path_witnesses": [],
             "eager_reports": [],
         }
 
@@ -285,6 +270,7 @@ class TestWorkAvoided:
         )
         counted(TreedepthEngine, "forest", "forests")
         counted(TreewidthEngine, "witness", "tree_witnesses")
+        counted(PathwidthEngine, "witness", "path_witnesses")
         counted(classifier_module, "width_profile_report_with_forest", "eager_reports")
         return calls
 
@@ -296,6 +282,7 @@ class TestWorkAvoided:
         degree = choose_degree(profile)
         result = solve_with_degree(case.pattern, TRIANGLE, degree, profile)
         assert result.degree is degree
+        assert result.answer == has_homomorphism(case.computation.core, TRIANGLE)
         return degree
 
     def test_shallow_cores_build_no_width_engine(self, graph_cases, calls):
@@ -332,8 +319,52 @@ class TestWorkAvoided:
             routed += 1
             assert self.route(case, calls) is ComplexityDegree.TREE_COMPLETE
             assert len(calls["treewidth"]) == 1
-            assert len(calls["tree_witnesses"]) == 1
+            assert calls["tree_witnesses"] == []
         assert routed >= 1
+
+    def test_bounded_routes_replay_no_witness(self, graph_cases, calls):
+        # The PATH and TREE routes solve on a min-fill elimination tree:
+        # the capped search that certified the route's width is the only
+        # one of its kind, and no engine lays out a decomposition.
+        routes = {degree: 0 for degree in ComplexityDegree}
+        certifying = {
+            ComplexityDegree.PATH_COMPLETE: "pathwidth",
+            ComplexityDegree.TREE_COMPLETE: "treewidth",
+        }
+        for case in graph_cases:
+            degree = self.route(case, calls)
+            routes[degree] += 1
+            if degree in certifying:
+                assert len(calls[certifying[degree]]) == 1
+                assert calls["tree_witnesses"] == calls["path_witnesses"] == []
+        assert routes[ComplexityDegree.PARA_L] and routes[ComplexityDegree.PATH_COMPLETE]
+        assert routes[ComplexityDegree.TREE_COMPLETE]
+
+    def test_timed_context_prices_only_the_route_taken(self, graph_cases, calls):
+        # A timed context samples the solve's cost-model units; pricing
+        # every route would run the exact tree depth search a PATH core's
+        # route decision only capped.
+        case = next(
+            case
+            for case in graph_cases
+            if case.reference_degree(DEFAULT_PLANNER_CONFIG) is ComplexityDegree.PATH_COMPLETE
+        )
+        clear_plan_cache()
+        for log in calls.values():
+            log.clear()
+        context = _EvaluationContext(
+            TRIANGLE, DEFAULT_PLANNER_CONFIG, use_cache=False, timed=True
+        )
+        result = context.solve(ConjunctiveQuery.from_structure(case.pattern))
+        assert result.degree is ComplexityDegree.PATH_COMPLETE
+        assert calls["forests"] == []
+        assert calls["depth_values"]
+        for cap, value in calls["depth_values"]:
+            assert cap is not None and value > cap
+        (sample,) = context.take_samples()
+        assert sample.route == result.degree.value
+        stats = DatabaseStatistics.of(TRIANGLE)
+        assert sample.raw_units == route_raw_units(result.profile, stats)[result.degree]
 
     def test_cores_past_the_window_stay_eager(self, calls):
         for pattern in big_cores():
@@ -373,13 +404,14 @@ class TestPickling:
                 payloads.append(payload)
             assert payloads[0] == payloads[1] == payloads[2]
 
-    def test_routed_profile_pickles_without_its_decomposition(self, graph_cases):
+    def test_solved_profile_pickles_without_its_route_state(self, graph_cases):
         for case in graph_cases:
             if case.reference_degree(DEFAULT_PLANNER_CONFIG) is ComplexityDegree.PATH_COMPLETE:
                 break
         profile = case.fresh_profile()
-        choose_degree(profile)
-        profile.core_path_decomposition()
+        degree = choose_degree(profile)
+        solve_with_degree(case.pattern, TRIANGLE, degree, profile)
         payload = pickle.dumps(profile)
         assert b"Decomposition" not in payload and b"Engine" not in payload
+        assert b"Solver" not in payload
         assert observed(pickle.loads(payload)) == expected(case)

@@ -74,8 +74,12 @@ class TestSolverProvenance:
 
     SOLVER_BY_DEGREE = {
         ComplexityDegree.PARA_L: "treedepth-recursion (Lemma 3.3)",
-        ComplexityDegree.PATH_COMPLETE: "semiring join engine, path sweep (Theorem 4.6)",
-        ComplexityDegree.TREE_COMPLETE: "semiring join engine, tree-decomposition DP (Lemma 3.4)",
+        ComplexityDegree.PATH_COMPLETE: (
+            "memoised forest recursion, min-fill elimination tree (Theorem 4.6)"
+        ),
+        ComplexityDegree.TREE_COMPLETE: (
+            "memoised forest recursion, min-fill elimination tree (Lemma 3.4)"
+        ),
         ComplexityDegree.W1_HARD: "generic backtracking (W[1]-hard regime)",
     }
 

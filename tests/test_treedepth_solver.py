@@ -3,31 +3,47 @@
 Each case runs the compiled ``exists``/``count`` against two references:
 the literal recursion of ``tests/oracles/treedepth_recursion.py`` along
 the same elimination forest, and the generic backtracking solver
-(``has_homomorphism`` / ``count_homomorphisms``).  The inputs cover what
-the compiled program treats specially: atoms of arity 3, variables
-repeated inside an atom, unary atoms, several forest roots, nullary atoms,
-a forest the caller supplies, and the patterns and targets of the
-``mixed_vocabulary`` scenario.
+(``has_homomorphism`` / ``count_homomorphisms``), on two forests: an
+exact (or caller-supplied) one and the min-fill elimination tree the PATH
+and TREE routes solve on.  The inputs cover what the compiled program
+treats specially: atoms of arity 3, variables repeated inside an atom,
+unary atoms, several forest roots, nullary atoms, a forest the caller
+supplies, the patterns and targets of the ``mixed_vocabulary`` scenario,
+a long path query counted through the boundary memo, and a forest taller
+than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from oracles import treedepth_recursion as oracle
-from repro.classification.classifier import classify_structure
+from repro.classification.classifier import StructureProfile, classify_structure
+from repro.classification.degrees import ComplexityDegree
+from repro.classification.solver_dispatch import solve_with_degree
+from repro.decomposition.heuristics import min_fill_elimination_forest
 from repro.decomposition.treedepth import dfs_elimination_forest
 from repro.exceptions import VocabularyError
 from repro.homomorphism import (
     TreeDepthSolver,
     count_homomorphisms,
     count_homomorphisms_join,
+    count_homomorphisms_treedepth,
     has_homomorphism,
 )
-from repro.structures import Structure, Vocabulary, gaifman_graph, random_structure
+from repro.structures import (
+    GRAPH_VOCABULARY,
+    Structure,
+    Vocabulary,
+    gaifman_graph,
+    random_structure,
+)
+from repro.structures.builders import directed_path
 from repro.workloads import scenario_by_name
+from repro.workloads.scenarios import path_query
 
 TERNARY = Vocabulary({"R": 3, "E": 2})
 UNARY = Vocabulary({"E": 2, "C": 1})
@@ -35,15 +51,17 @@ NULLARY = Vocabulary({"E": 2, "Z": 0})
 
 
 def assert_agrees(source: Structure, target: Structure, forest=None) -> None:
-    """Compiled, literal and backtracking answers coincide (exists and count)."""
-    solver = TreeDepthSolver(source, forest=forest, use_core=False)
+    """Compiled, literal and backtracking answers coincide (exists and count),
+    along ``forest`` (an exact one when None) and along a min-fill tree."""
     expected_count = count_homomorphisms(source, target)
-    assert oracle.count(source, solver.forest, target) == expected_count
-    assert solver.count(target) == expected_count
     expected = has_homomorphism(source, target)
     assert expected == (expected_count > 0)
-    assert oracle.exists(source, solver.forest, target) == expected
-    assert solver.exists(target) == expected
+    for tree in (forest, min_fill_elimination_forest(gaifman_graph(source))):
+        solver = TreeDepthSolver(source, forest=tree, use_core=False)
+        assert oracle.count(source, solver.forest, target) == expected_count
+        assert solver.count(target) == expected_count
+        assert oracle.exists(source, solver.forest, target) == expected
+        assert solver.exists(target) == expected
     assert TreeDepthSolver(source).exists(target) == expected
 
 
@@ -196,3 +214,35 @@ def test_mixed_vocabulary_patterns_count(mixed_vocabulary_cases):
             assert count_homomorphisms(core, target) == counted, pattern
             compared += 1
     assert compared >= 300
+
+
+def test_long_path_query_count_equals_the_join_engine(mixed_vocabulary_cases):
+    # P11 against the mixed_vocabulary database: the memo keys each vertex
+    # of the exact forest on its boundary, which is what makes counting
+    # 6.9 * 10^10 walks take a fraction of a second.
+    query = path_query(10)
+    pattern = query.canonical_structure()
+    assert any(pattern == case[0] for case in mixed_vocabulary_cases)
+    target = scenario_by_name("mixed_vocabulary", count=600, seed=1).database.to_structure(
+        query.vocabulary()
+    )
+    expected = count_homomorphisms_join(pattern, target)
+    assert expected == 68_936_590_884
+    assert count_homomorphisms_treedepth(pattern, target) == expected
+
+
+def test_forest_taller_than_the_recursion_limit():
+    # The min-fill tree of a path is a path: on 1,200 elements a recursion
+    # with one frame per level, on top of the test runner's own frames,
+    # would pass the default recursion limit; the explicit stack never
+    # touches it.  The profile's widths are given, because exact
+    # classification of so long a path is slow.
+    pattern = directed_path(1200)
+    profile = StructureProfile(pattern, pattern, 1, 1, 11)
+    triangle = Structure(GRAPH_VOCABULARY, range(3), {"E": [(0, 1), (1, 2), (2, 0)]})
+    forest = min_fill_elimination_forest(gaifman_graph(pattern))
+    assert forest.height() > sys.getrecursionlimit() - 50
+    for target, expected in ((triangle, True), (directed_path(600), False)):
+        result = solve_with_degree(pattern, target, ComplexityDegree.PATH_COMPLETE, profile)
+        assert result.answer is expected
+    assert TreeDepthSolver(pattern, forest=forest, use_core=False).count(triangle) == 3

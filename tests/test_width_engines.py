@@ -84,7 +84,11 @@ from repro.structures.builders import (
 )
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.operations import star_expansion
-from repro.structures.random_gen import random_graph_structure, random_tree_graph
+from repro.structures.random_gen import (
+    random_graph_structure,
+    random_structure,
+    random_tree_graph,
+)
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
 
@@ -349,12 +353,10 @@ class TestFacadeWiring:
         assert (tw, pw) == (3, 3)
         assert td > 3
 
-    def test_path_route_decomposition_comes_from_the_certifying_search(
-        self, monkeypatch
-    ):
-        # Classifying and routing a PATH core runs one pathwidth search: the
-        # capped one that certifies pw ≤ threshold also lays out the PATH
-        # route's decomposition, and nothing searches for a layout again.
+    def test_path_route_runs_one_pathwidth_search_and_no_witness(self, monkeypatch):
+        # Classifying, routing and solving a PATH core runs one pathwidth
+        # search, the capped one that certifies pw ≤ threshold; the route
+        # solves on a min-fill elimination tree, so no layout is laid out.
         constructed = []
         witnessed = []
         original_init = PathwidthEngine.__init__
@@ -388,13 +390,14 @@ class TestFacadeWiring:
             if choose_degree(profile) is not ComplexityDegree.PATH_COMPLETE:
                 continue
             routed += 1
-            decomposition = profile.core_path_decomposition()
-            assert profile.core_pathwidth_exact
-            assert_valid_path_decomposition(
-                gaifman_graph(profile.core), decomposition, profile.core_pathwidth
+            target = random_structure(pattern.vocabulary, 6, 40, rng)
+            result = solve_with_degree(
+                pattern, target, ComplexityDegree.PATH_COMPLETE, profile
             )
+            assert result.answer == has_homomorphism(pattern, target)
+            assert profile.core_pathwidth_exact
             assert len(constructed) == 1
-            assert witnessed == constructed
+            assert witnessed == []
         assert routed >= 8
 
 
