@@ -1,6 +1,6 @@
 """Benchmark: the EVAL(Φ) execution service vs the sequential reference.
 
-Three questions, answered with wall-clock numbers written to a
+Two questions, answered with wall-clock numbers written to a
 machine-readable ``BENCH_eval_service.json``:
 
 1. **Correctness under parallelism** — on every workload scenario the
@@ -13,12 +13,9 @@ machine-readable ``BENCH_eval_service.json``:
    each batch in-process, times every query, and hands the rest to the
    pool only once the batch has spent the pool's start-up cost, a full
    chunk per worker remains, and the rest, extrapolated from the
-   batch's own mean, finishes sooner on the pool after the per-chunk
-   overhead.  The report records each scenario's mode and the measured
-   seconds behind it.
-3. **Planner quality** — per query, the cost-based plan is timed against
-   the threshold dispatch; the report records the win rate (fraction of
-   queries where the planner's route was at least as fast).
+   batch's own mean, finishes sooner on the pool after a new pool's
+   start-up and the per-chunk overhead.  The report records each
+   scenario's mode and the measured seconds behind it.
 
 Run as a script for the full run, or with ``--quick`` for the CI smoke
 run (same checks, smaller scales)::
@@ -41,19 +38,8 @@ import os
 import time
 from typing import Dict, List
 
-from repro.classification.solver_dispatch import PlannerConfig, solve_with_degree
-from repro.cq.evaluation import (
-    _cached_profile,
-    clear_profile_cache,
-    evaluate_query_set_sequential,
-)
-from repro.eval import (
-    DatabaseStatistics,
-    EvalService,
-    ExecutorConfig,
-    clear_plan_cache,
-    plan_query,
-)
+from repro.cq.evaluation import clear_profile_cache, evaluate_query_set_sequential
+from repro.eval import EvalService, ExecutorConfig, clear_plan_cache
 from repro.workloads import all_scenario_names, scenario_by_name
 
 HEADLINE_SCENARIO = "mixed_vocabulary"
@@ -61,7 +47,6 @@ FULL_HEADLINE_QUERIES = 600
 QUICK_HEADLINE_QUERIES = 120
 FULL_SCENARIO_QUERIES = 60
 QUICK_SCENARIO_QUERIES = 16
-PLANNER_SAMPLE = 40
 REQUIRED_SPEEDUP = 2.0
 #: Every scenario must at least break even against the sequential
 #: reference — the measured serial/parallel decision exists precisely so
@@ -125,61 +110,6 @@ def run_scenario(name: str, count: int, workers: int, repeats: int = 3) -> Dict:
     }
 
 
-def run_planner_comparison(count: int) -> Dict:
-    """Time threshold-routed vs cost-routed solving on a query sample.
-
-    Profiles and statistics are computed outside the timed region, so the
-    numbers isolate exactly what the planner controls: the solver route.
-    A query is a planner *win* when the cost route is at least as fast
-    (route agreement counts as a win — same route, same time).
-    """
-    scenario = scenario_by_name(HEADLINE_SCENARIO, count=count, seed=SEED + 1)
-    threshold_config = PlannerConfig()
-    cost_config = PlannerConfig(mode="cost")
-    sample = scenario.queries[:PLANNER_SAMPLE]
-
-    wins = agreements = 0
-    threshold_total = cost_total = 0.0
-    for query in sample:
-        pattern = query.canonical_structure()
-        profile = _cached_profile(pattern)
-        target = scenario.database.to_structure(query.vocabulary())
-        stats = DatabaseStatistics.of(target)
-        threshold_plan = plan_query(profile, stats, threshold_config)
-        cost_plan = plan_query(profile, stats, cost_config)
-
-        # Untimed warm-up of both routes: the first solve against a target
-        # builds the lazy per-pattern hash-index tables, so whichever
-        # route ran first would otherwise pay that cost alone and bias
-        # the win rate.
-        solve_with_degree(pattern, target, threshold_plan.degree, profile)
-        solve_with_degree(pattern, target, cost_plan.degree, profile)
-
-        start = time.perf_counter()
-        threshold_result = solve_with_degree(pattern, target, threshold_plan.degree, profile)
-        threshold_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        cost_result = solve_with_degree(pattern, target, cost_plan.degree, profile)
-        cost_seconds = time.perf_counter() - start
-
-        assert threshold_result.answer == cost_result.answer, str(query)
-        threshold_total += threshold_seconds
-        cost_total += cost_seconds
-        if threshold_plan.degree is cost_plan.degree:
-            agreements += 1
-            wins += 1
-        elif cost_seconds <= threshold_seconds:
-            wins += 1
-    return {
-        "sample": len(sample),
-        "route_agreements": agreements,
-        "planner_wins": wins,
-        "win_rate": round(wins / len(sample), 3),
-        "threshold_seconds_total": round(threshold_total, 4),
-        "cost_seconds_total": round(cost_total, 4),
-    }
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -228,13 +158,6 @@ def main() -> int:
         f"speedup x{headline['speedup']:.2f}"
     )
 
-    planner = run_planner_comparison(headline_queries)
-    print(
-        f"  planner vs threshold: win rate {planner['win_rate']:.0%} "
-        f"({planner['planner_wins']}/{planner['sample']}, "
-        f"{planner['route_agreements']} route agreements)"
-    )
-
     report = {
         "benchmark": "eval_service",
         "quick": args.quick,
@@ -243,7 +166,6 @@ def main() -> int:
         "required_speedup": REQUIRED_SPEEDUP,
         "scenarios": scenario_reports,
         "headline": headline,
-        "planner": planner,
     }
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)

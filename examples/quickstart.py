@@ -66,15 +66,15 @@ def main() -> None:
     for query, result in evaluate_query_set(queries, database):
         print(f"  {query}  →  {result.answer}  [{result.solver}]")
 
-    # The same batch through the execution service: a cost-based plan per
-    # query (estimated from database statistics), and — for big batches —
-    # a chunked process pool via evaluate_query_set(..., workers=N) that
+    # The same batch through the execution service: each query is routed by
+    # its degree under the planner's width thresholds, and — for big batches
+    # — a chunked process pool via evaluate_query_set(..., workers=N)
     # returns byte-identical results in the same order.
-    from repro.eval import EvalService, PlannerConfig
+    from repro.eval import EvalService
 
-    service = EvalService(database, planner=PlannerConfig(mode="cost"))
-    print("cost-based plan for the triangle query:")
-    print(" ", service.plan(triangle).summary())
+    with EvalService(database) as service:
+        print("plan for the triangle query:")
+        print(" ", service.plan(triangle).summary())
 
 
 if __name__ == "__main__":

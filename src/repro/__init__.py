@@ -24,8 +24,8 @@ This package implements every object and algorithm the paper relies on:
   degree-aware solver dispatcher (the paper's main theorem as an API);
 * :mod:`repro.counting` — the counting classification of Section 6;
 * :mod:`repro.cq` — conjunctive queries, databases, EVAL(Φ);
-* :mod:`repro.eval` — the EVAL(Φ) execution service: database statistics,
-  cost-based planning, and the chunked multi-process executor;
+* :mod:`repro.eval` — the EVAL(Φ) execution service: degree-routed
+  planning, database statistics, and the chunked multi-process executor;
 * :mod:`repro.problems`, :mod:`repro.workloads` — concrete parameterized
   problems and benchmark workloads.
 
@@ -56,7 +56,7 @@ existence and Section-6 counting share one sweep::
 Whole query workloads go through the batched evaluator, which caches
 classification profiles and database→structure conversions across the
 queries of the batch, and optionally fans the batch out to a process
-pool with cost-based planning (:mod:`repro.eval`)::
+pool (:mod:`repro.eval`)::
 
     from repro.cq import evaluate_query_set
 

@@ -6,9 +6,9 @@ Four layering contracts the repo established and nothing enforced:
   methods so re-registration is idempotent and every metric appears in
   one scrape — never by direct constructor outside the metrics module;
 * ``solve_with_degree`` is the dispatch boundary; only the dispatcher
-  itself, the executor's worker context, and the autotuner's probe may
-  call it — everything else goes through ``EvalService`` /
-  ``QueryService`` so stores, telemetry, and planner hot-swap apply;
+  itself and the executor's evaluation context may call it — everything
+  else goes through ``EvalService`` / ``QueryService`` so the stores and
+  telemetry apply;
 * ``legacy_*`` functions are frozen reference implementations for
   differential tests; production modules must not grow dependencies on
   another module's legacy path;
@@ -35,7 +35,6 @@ _METRIC_CLASSES = {"Counter", "Gauge", "Histogram"}
 _DISPATCH_ALLOWLIST = {
     "classification/solver_dispatch.py",
     "eval/executor.py",
-    "service/autotune.py",
 }
 
 
@@ -94,7 +93,7 @@ class DispatchBypass:
                 yield Finding(
                     self.rule, self.severity, module.rel_path, node.lineno,
                     "direct solve_with_degree call bypasses the service "
-                    "dispatch (stores, telemetry, planner hot-swap)",
+                    "dispatch (stores, telemetry)",
                 )
 
 

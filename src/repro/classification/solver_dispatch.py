@@ -48,64 +48,20 @@ TREEWIDTH_THRESHOLD = 4
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    """How to pick a solver route for a query structure.
+    """The width thresholds that pick a solver route for a query structure.
 
-    ``mode="threshold"`` reproduces the historical dispatch: compare the
-    core widths against the three thresholds (the family-level bounds a
-    single structure stands in for).  ``mode="cost"`` asks the cost-based
-    planner of :mod:`repro.eval.planner` to estimate the work of every
-    route from database statistics and pick the cheapest; the threshold
-    fields then act as the tie-break precedence, not as a gate.  The cost
-    weights calibrate the per-route models against each other (they are
-    multiplicative fudge factors on the estimated number of elementary
-    extension steps).
+    The core's widths are compared against them (the family-level bounds
+    a single structure stands in for): tw past its threshold is the
+    W[1]-hard route, else pw past its threshold TREE, else td past its
+    threshold PATH, else para-L (:func:`choose_degree`).
     """
 
     treedepth_threshold: int = TREEDEPTH_THRESHOLD
     pathwidth_threshold: int = PATHWIDTH_THRESHOLD
     treewidth_threshold: int = TREEWIDTH_THRESHOLD
-    mode: str = "threshold"
-    #: Multiplicative weights of the per-route cost models (see
-    #: :func:`repro.eval.planner.plan_query`).  The decomposition engines
-    #: pay index-build and table bookkeeping overhead per bag, the
-    #: treedepth recursion and the backtracking solver run leaner loops.
-    treedepth_cost_weight: float = 1.0
-    path_cost_weight: float = 2.0
-    tree_cost_weight: float = 3.0
-    backtracking_cost_weight: float = 0.5
-    #: Branching multiplier applied when the core's rigidity certificate
-    #: names a *symmetric* family ("clique", "odd-cycle"): those cores
-    #: carry a vertex-transitive automorphism group, so a first-witness
-    #: search collapses symmetric subtrees and the effective branching is
-    #: below the fan-out statistic.  Identity-only certificates
-    #: ("ac-rigid", "singleton") and search-proven cores have no such
-    #: slack and keep the full estimate.  1.0 disables the adjustment.
-    symmetry_discount: float = 0.85
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("threshold", "cost"):
-            raise ValueError(f"unknown planner mode {self.mode!r}")
-        if not 0.0 < self.symmetry_discount <= 1.0:
-            raise ValueError("symmetry_discount must be in (0, 1]")
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable snapshot (see :meth:`from_dict`).
-
-        The calibration layer (:mod:`repro.service.telemetry`) persists
-        fitted configurations across service restarts through this pair.
-        """
-        from dataclasses import asdict
-
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlannerConfig":
-        """Rebuild a config saved by :meth:`to_dict` (unknown keys rejected)."""
-        return cls(**data)
 
 
-#: The configuration the library uses when the caller supplies none —
-#: byte-identical to the historical threshold dispatch.
+#: The configuration the library uses when the caller supplies none.
 DEFAULT_PLANNER_CONFIG = PlannerConfig()
 
 
@@ -131,10 +87,9 @@ class SolveResult:
     """Answer plus provenance of a dispatched homomorphism query.
 
     ``degree`` records the *route taken* — which of the four solver
-    machineries ran.  Under the default threshold dispatch this equals
-    the Theorem 3.1 classification of the query, but a cost-mode planner
-    may force a different route (e.g. backtracking on a para-L query
-    because the database is tiny); use :meth:`classification` for the
+    machineries ran.  Under the service's config it equals the Theorem
+    3.1 classification of the query; a caller of :func:`solve_with_degree`
+    may force another route, and :meth:`classification` reports the
     width-derived degree regardless of routing.
     """
 
@@ -209,8 +164,8 @@ def solve_with_degree(
     Every route is correct for every structure (a decomposition of some
     width always exists); the degree only selects which machinery runs.
     This is the dispatch body of :func:`solve_hom`, exposed so the
-    cost-based planner of :mod:`repro.eval` can force a route while
-    reporting the same provenance strings.
+    executor of :mod:`repro.eval` can run the route its planner chose
+    while reporting the same provenance strings.
     """
     effective = profile.core if use_core else pattern
 

@@ -17,8 +17,8 @@ across calls, via a bounded module-level cache) it reuses
 
 Evaluation routes through the :mod:`repro.eval` execution service:
 ``workers`` fans a batch out to a chunked process pool with deterministic
-result ordering, and ``planner`` swaps the historical threshold dispatch
-for a cost-based plan.  With neither argument the call takes
+result ordering, and ``planner`` swaps in other width thresholds for
+the degree that picks each route.  With neither argument the call takes
 :func:`evaluate_query_set_sequential`, the in-process reference path the
 service (and its tests) are measured against.
 """
@@ -83,7 +83,7 @@ def evaluate_query_set(
     ``workers`` (or an explicit ``executor`` config) routes the batch
     through the :class:`repro.eval.EvalService` process pool; ``planner``
     swaps in a different :class:`~repro.classification.solver_dispatch.PlannerConfig`
-    (e.g. cost mode).  The parallel path returns the same ordered list of
+    (other width thresholds).  The parallel path returns the same ordered list of
     ``(query, answer, solver)`` results as the sequential reference.
     """
     if workers is None and planner is None and executor is None:
@@ -91,7 +91,7 @@ def evaluate_query_set(
     from repro.eval.executor import EvalService, ExecutorConfig
 
     if executor is None:
-        # A bare planner= argument changes the planning mode only — it
+        # A bare planner= argument changes the thresholds only — it
         # must not silently fork one worker per CPU.
         executor = ExecutorConfig(workers=1 if workers is None else workers)
     elif workers is not None and executor.workers != workers:

@@ -10,6 +10,7 @@ on), and a BFS-based ordering for path decompositions.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Hashable, Iterator, List, Set, Tuple
 
 from repro.decomposition.treedepth import EliminationForest
@@ -40,31 +41,57 @@ def min_degree_ordering(graph: Graph) -> List[Vertex]:
 
 
 def min_fill_ordering(graph: Graph) -> List[Vertex]:
-    """Return an elimination ordering choosing a minimum-fill vertex each step."""
+    """Return an elimination ordering choosing a minimum-fill vertex each step.
+
+    Ties go to the vertex with the smallest ``repr``.  Eliminating a
+    vertex changes the fill count only of its neighbours (their
+    neighbourhoods change) and of their neighbours (edges appear among
+    their neighbours), so only those are recounted; a heap keyed on
+    ``(fill, repr)`` with stale entries skipped yields the next vertex.
+    """
     if len(graph) == 0:
         raise DecompositionError("cannot order the empty graph")
-    adjacency: Dict[Vertex, set] = {v: set(graph.neighbors(v)) for v in graph.vertices}
-    remaining = set(graph.vertices)
-    ordering: List[Vertex] = []
+    vertices = list(graph.vertices)
+    # Adjacency among the vertices not yet eliminated, fill edges included.
+    adjacency: Dict[Vertex, set] = {v: set(graph.neighbors(v)) for v in vertices}
+    label = {v: repr(v) for v in vertices}
+    index = {v: i for i, v in enumerate(vertices)}
 
     def fill_count(vertex: Vertex) -> int:
-        neighbours = [u for u in adjacency[vertex] if u in remaining]
+        neighbours = list(adjacency[vertex])
         missing = 0
         for i, a in enumerate(neighbours):
+            row = adjacency[a]
             for b in neighbours[i + 1:]:
-                if b not in adjacency[a]:
+                if b not in row:
                     missing += 1
         return missing
 
-    while remaining:
-        vertex = min(remaining, key=lambda v: (fill_count(v), repr(v)))
+    fill = {v: fill_count(v) for v in vertices}
+    heap = [(fill[v], label[v], index[v]) for v in vertices]
+    heapq.heapify(heap)
+    ordering: List[Vertex] = []
+    while heap:
+        count, _, position = heapq.heappop(heap)
+        vertex = vertices[position]
+        if fill.get(vertex) != count:
+            continue  # eliminated already, or recounted since
         ordering.append(vertex)
-        neighbours = sorted(adjacency[vertex] & remaining, key=repr)
-        for i, a in enumerate(neighbours):
-            for b in neighbours[i + 1:]:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        remaining.remove(vertex)
+        del fill[vertex]
+        neighbours = adjacency.pop(vertex)
+        affected = set(neighbours)
+        for a in neighbours:
+            row = adjacency[a]
+            row.discard(vertex)
+            row.update(neighbours)
+            row.discard(a)
+        for a in neighbours:
+            affected.update(adjacency[a])
+        for u in affected:
+            count = fill_count(u)
+            if count != fill[u]:
+                fill[u] = count
+                heapq.heappush(heap, (count, label[u], index[u]))
     return ordering
 
 

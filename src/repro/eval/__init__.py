@@ -1,11 +1,12 @@
-"""The EVAL(Φ) execution service: cost-based planning + parallel execution.
+"""The EVAL(Φ) execution service: degree-routed planning + parallel execution.
 
 The paper's motivating problem — answering many boolean conjunctive
-queries against a database — becomes a service here: database statistics
-(:mod:`repro.eval.stats`) feed a cost-based planner
-(:mod:`repro.eval.planner`) that picks a solver route per query, and a
-chunked multi-process executor (:mod:`repro.eval.executor`) streams
-deterministic results for batches of any size.
+queries against a database — becomes a service here: the planner
+(:mod:`repro.eval.planner`) routes each query by its Theorem 3.1 degree,
+and a chunked multi-process executor (:mod:`repro.eval.executor`)
+streams deterministic results for batches of any size;
+:mod:`repro.eval.stats` summarises a database's relation sizes and
+fan-outs.
 :func:`repro.cq.evaluation.evaluate_query_set` routes through this
 package; the pieces are exported here for direct use.
 """
@@ -17,15 +18,11 @@ from repro.classification.solver_dispatch import (
 )
 from repro.eval.executor import EvalService, ExecutorConfig
 from repro.eval.planner import (
-    COST_CAP,
     QueryPlan,
     clear_plan_cache,
-    estimate_route_costs,
     plan_cache_info,
     plan_query,
     plan_query_cached,
-    route_raw_units,
-    route_weights,
 )
 from repro.eval.stats import DatabaseStatistics
 
@@ -39,10 +36,6 @@ __all__ = [
     "plan_query_cached",
     "plan_cache_info",
     "clear_plan_cache",
-    "estimate_route_costs",
-    "route_raw_units",
-    "route_weights",
-    "COST_CAP",
     "EvalService",
     "ExecutorConfig",
 ]

@@ -4,17 +4,16 @@
 service able to chew through very large query batches:
 
 * **planning** — every query is routed through
-  :func:`repro.eval.planner.plan_query` under a pluggable
-  :class:`~repro.classification.solver_dispatch.PlannerConfig`; the
-  default (threshold mode) reproduces the historical dispatch exactly, so
-  answers, solver strings and profiles are byte-identical to the
-  sequential reference path.
+  :func:`repro.eval.planner.plan_query`, by its degree under the
+  :class:`~repro.classification.solver_dispatch.PlannerConfig`
+  thresholds, so answers, solver strings and profiles are byte-identical
+  to the sequential reference path.
 * **parallelism** — batches are cut into contiguous chunks and fanned out
   to a ``concurrent.futures.ProcessPoolExecutor``.  Work units are plain
   picklable query tuples; each worker process receives the database once
   (at pool initialisation) and keeps its own per-vocabulary target
-  structures, database statistics and classification-profile cache, so a
-  chunk never re-ships or re-derives the database side.  A batch starts
+  structures and classification-profile cache, so a chunk never
+  re-ships or re-derives the database side.  A batch starts
   in-process and moves to the pool only once the seconds it has measured
   say the pool finishes the rest sooner.
 * **determinism** — chunks are indexed at submission and results are
@@ -202,9 +201,9 @@ class _EvaluationContext:
         #: ``stores`` carries the sink, or when ``timed`` says the parent's
         #: does (a pool worker's bundle comes without it).
         self.timed = timed or (stores is not None and stores.telemetry is not None)
-        #: Samples of the solves since the last hand-off: a worker
-        #: returns them with each chunk's results, the parent records
-        #: them into its sink once per batch.
+        #: ``(route, seconds)`` samples of the solves since the last
+        #: hand-off: a worker returns them with each chunk's results,
+        #: the parent records them into its sink once per batch.
         self.telemetry_buffer: List[object] = []
         self.targets: Dict[Vocabulary, Structure] = {}
         self.stats: Dict[Vocabulary, DatabaseStatistics] = {}
@@ -226,37 +225,6 @@ class _EvaluationContext:
         self.by_content: (
             "BoundedLRU[Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]], AnySolveResult]"
         ) = BoundedLRU(_SOLVED_CACHE_LIMIT)
-        #: Version of the last planner adopted from the shared control
-        #: slot (0 = whatever the context was constructed with).  See
-        #: :meth:`maybe_sync_planner`.
-        self.planner_version = 0
-
-    def maybe_sync_planner(self) -> bool:
-        """Adopt a hot-swapped planner config from the control slot.
-
-        The parent publishes ``(version, PlannerConfig)`` under one key
-        (:meth:`EvalService.update_planner`); a worker checks it once
-        per chunk — a single proxy ``get``.  Plans are cached keyed by
-        config, so adoption invalidates nothing: the next
-        :func:`~repro.eval.planner.plan_query_cached` call under the
-        new config simply routes differently.  Memoised *results* are
-        kept — a query's answer is route-invariant, only its provenance
-        reflects the config it was first solved under.
-
-        Returns True when a new config was adopted.
-        """
-        if self.stores is None or self.stores.control is None:
-            return False
-        try:
-            entry = self.stores.control.get("planner")
-        except (EOFError, BrokenPipeError, ConnectionError):
-            # The manager is gone (service shutting down mid-chunk);
-            # keep evaluating under the config already in hand.
-            return False
-        if entry is None or entry[0] == self.planner_version:
-            return False
-        self.planner_version, self.config = entry
-        return True
 
     def beat(self, event: str) -> None:
         """Stamp this process's heartbeat onto the shared board (if any)."""
@@ -312,13 +280,7 @@ class _EvaluationContext:
 
     def plan(self, query: ConjunctiveQuery) -> QueryPlan:
         pattern = query.canonical_structure()
-        profile = self.profile_for(pattern)
-        stats = (
-            self.stats_for(pattern.vocabulary)
-            if self.config.mode == "cost"
-            else None
-        )
-        return plan_query_cached(profile, stats, self.config)
+        return plan_query_cached(self.profile_for(pattern), self.config)
 
     def solve(
         self,
@@ -359,23 +321,14 @@ class _EvaluationContext:
                 return shared
         target = self.target_for(vocabulary)
         profile = self.profile_for(pattern, deadline)
-        # Threshold planning gets no statistics: pricing every route would
-        # read every exact width of the core, not just the one the route
-        # decision certified.
-        stats = (
-            self.stats_for(vocabulary) if self.config.mode == "cost" else None
-        )
-        plan = plan_query_cached(profile, stats, self.config)
+        plan = plan_query_cached(profile, self.config)
         if self.timed:
+            from repro.service.store import SolveSample
+
             start = time.perf_counter()
             result = solve_with_degree(pattern, target, plan.degree, profile)
-            elapsed = time.perf_counter() - start
-            from repro.service.telemetry import make_sample
-
             self.telemetry_buffer.append(
-                make_sample(
-                    plan.degree, profile, self.stats_for(vocabulary), elapsed, self.config
-                )
+                SolveSample(plan.degree.value, time.perf_counter() - start)
             )
         else:
             result = solve_with_degree(pattern, target, plan.degree, profile)
@@ -438,7 +391,6 @@ def _evaluate_chunk(
     """
     if _WORKER_CONTEXT is None:  # pragma: no cover — initializer always ran
         raise RuntimeError("worker used before initialisation")
-    _WORKER_CONTEXT.maybe_sync_planner()
     _WORKER_CONTEXT.beat("chunk-start")
     start = time.perf_counter()
     results = []
@@ -495,9 +447,6 @@ class EvalService:
         #: (duck-typed to keep the import graph acyclic): every pool
         #: recycle and deadline expiry is reported to it.
         self._monitor = monitor
-        #: Monotonic counter behind planner hot swaps; published with
-        #: the config so workers can compare-and-adopt cheaply.
-        self._planner_version = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_key: Optional[Tuple[bool, bool]] = None
         #: Parent-side contexts for plan()/statistics(), keyed by the
@@ -538,52 +487,7 @@ class EvalService:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- planner hot swap ----------------------------------------------------
-    def update_planner(self, planner: PlannerConfig) -> int:
-        """Atomically swap the planner config without restarting the pool.
-
-        Three propagation paths, all config-keyed so nothing needs
-        invalidation:
-
-        * the parent-side contexts (sequential, introspection) are
-          switched in place — the next ``plan``/``solve`` uses the new
-          config;
-        * the shared **control slot** gets ``(version, config)`` under
-          one key — a single atomic proxy assignment; live pool workers
-          adopt it at their next chunk boundary
-          (:meth:`_EvaluationContext.maybe_sync_planner`);
-        * future pools (lazily created or recycled) are built from
-          ``self._planner`` directly.
-
-        Returns the new version number.
-        """
-        self._planner = planner
-        self._planner_version += 1
-        for context in list(self._introspection.values()) + list(
-            self._sequential_contexts.values()
-        ):
-            context.config = planner
-            context.planner_version = self._planner_version
-        if self._stores is not None and self._stores.control is not None:
-            self._stores.control["planner"] = (self._planner_version, planner)
-        return self._planner_version
-
-    def republish_planner(self) -> None:
-        """Re-seed the control slot with the current ``(version, config)``.
-
-        The failover path: a replacement manager starts with an empty
-        control dict, and workers spawned against it must still see the
-        planner hot-swapped before the old manager died.  One atomic
-        proxy assignment, same idiom as :meth:`update_planner` — but no
-        version bump, since nothing changed.
-        """
-        if (
-            self._planner_version > 0
-            and self._stores is not None
-            and self._stores.control is not None
-        ):
-            self._stores.control["planner"] = (self._planner_version, self._planner)
-
+    # -- pool lifecycle -----------------------------------------------------
     def restart_pool(self) -> None:
         """Terminate the worker pool; the next batch lazily builds a new one.
 
@@ -618,9 +522,9 @@ class EvalService:
     def context(self, use_cache: bool = True) -> _EvaluationContext:
         """The parent-side evaluation context (targets, stats, profiles).
 
-        What probing layers (:mod:`repro.service.autotune`) use to time
-        routes against the same targets and shared profile store the
-        workers see, without building their own copies.
+        It sees the same targets and shared profile store as the workers,
+        so a caller can warm them or plan against them without building
+        its own copies.
         """
         return self._introspection_context(use_cache)
 
@@ -728,8 +632,10 @@ class EvalService:
            and the measured start-up);
         2. at least one full chunk per worker remains;
         3. the rest, extrapolated from this batch's mean seconds per
-           query, finishes sooner on the pool once the per-chunk overhead
-           is paid.
+           query, finishes sooner on the pool once the pool's start-up
+           (the same price as in condition 1) and the per-chunk overhead
+           are paid.  Condition 1 only makes the head spend the start-up
+           price first; a new pool still pays it after the hand-over.
 
         Both costs are this service's measurements, or the module priors
         until it has them.  The in-process head is not wasted: its
@@ -767,14 +673,16 @@ class EvalService:
                 if done and spent >= startup and len(ahead) == full:
                     rest = len(ahead) if total is None else total - done
                     serial = spent / done * rest
-                    pooled = serial / workers + -(-rest // chunk_size) * overhead
+                    pooled = (
+                        startup + serial / workers + -(-rest // chunk_size) * overhead
+                    )
                     if pooled < serial:
                         handover = (
                             f"{done} queries took {spent * 1e3:.1f} ms in-process "
                             f"(pool start-up {startup * 1e3:.1f} ms); the other "
                             f"{rest} need ~{serial * 1e3:.1f} ms here, "
-                            f"~{pooled * 1e3:.1f} ms on the pool at "
-                            f"{overhead * 1e3:.2f} ms per chunk"
+                            f"~{pooled * 1e3:.1f} ms on the pool with its start-up "
+                            f"and {overhead * 1e3:.2f} ms per chunk"
                         )
                         break
                 query = ahead.popleft()

@@ -1,8 +1,6 @@
-"""Database statistics for the cost-based planner.
+"""Database statistics: relation sizes and index fan-out.
 
-The planner of :mod:`repro.eval.planner` needs to know, before running
-anything, roughly how much work each solver route would do against a given
-database.  The two observable drivers are
+Two numbers drive how much work a solver does against a database:
 
 * **relation sizes** — every solver touches each relevant relation at
   least once, and the join engine's table sizes grow with them, and
@@ -14,8 +12,9 @@ database.  The two observable drivers are
 
 :class:`DatabaseStatistics` condenses a target structure into exactly
 those numbers.  Statistics are cheap (one pass over the tuples via the
-cached :class:`~repro.structures.indexes.StructureIndex` columns) and
-picklable, so the parallel executor ships them to workers for free.
+cached :class:`~repro.structures.indexes.StructureIndex` columns), and
+measuring them warms the index columns the solvers read.  The planner
+does not read them: a query's route is its degree alone.
 """
 
 from __future__ import annotations
@@ -35,28 +34,13 @@ class DatabaseStatistics:
     per distinct value in the relation's first position — the expected
     number of candidate extensions the join engine sees once one endpoint
     of the relation is bound.  ``max_fan_out`` aggregates that over the
-    relations (floored at 1.0 so cost exponents never collapse the
-    estimate to zero).
+    relations (floored at 1.0).
     """
 
     universe_size: int
     total_tuples: int
     relation_sizes: Mapping[str, int] = field(default_factory=dict)
     fan_out: Mapping[str, float] = field(default_factory=dict)
-
-    def fingerprint(self) -> tuple:
-        """A hashable digest of the statistics, for plan-cache keys.
-
-        Two targets with equal fingerprints are indistinguishable to the
-        cost model (same universe size, same per-relation sizes and
-        fan-outs), so a plan computed against one is valid for the other.
-        """
-        return (
-            self.universe_size,
-            self.total_tuples,
-            tuple(sorted(self.relation_sizes.items())),
-            tuple(sorted((name, round(value, 9)) for name, value in self.fan_out.items())),
-        )
 
     @property
     def max_fan_out(self) -> float:
@@ -69,24 +53,14 @@ class DatabaseStatistics:
 
         Empty (and nullary) relations record ``fan_out = 0.0`` but cost
         the solvers no extension work at all, so averaging them in would
-        deflate the mean and skew cost-mode planning on sparse
-        vocabularies where most symbols are uninstantiated; only
-        relations that actually hold tuples participate.
+        deflate the mean on sparse vocabularies where most symbols are
+        uninstantiated; only relations that actually hold tuples
+        participate.
         """
         populated = [value for value in self.fan_out.values() if value > 0.0]
         if not populated:
             return 1.0
         return max(1.0, sum(populated) / len(populated))
-
-    def branching_factor(self) -> float:
-        """The cost model's effective branching base: ``min(n, mean fan-out)``.
-
-        The number of candidate extensions per bound prefix can never
-        exceed the universe, and the exponent arithmetic needs a base of
-        at least 1; this is the shared clamp the planner and the
-        telemetry layer both apply.
-        """
-        return max(1.0, min(float(max(1, self.universe_size)), self.mean_fan_out))
 
     @classmethod
     def of(cls, target: Structure) -> "DatabaseStatistics":

@@ -1,26 +1,20 @@
-"""The query-service layer: shared stores, calibration, and the front-end.
+"""The query-service layer: shared stores, observability, and the front-end.
 
 Where :mod:`repro.eval` turns one batch of queries into answers as fast
 as the hardware allows, this package turns the evaluator into a
 *service*: state that outlives batches (and is shared across pool
-workers), a planner that learns its own cost weights from realised
-timings, and a front-end that batches requests.  Whether a batch runs
+workers), counters of what it did, and a front-end that batches
+requests.  Whether a batch runs
 in-process or on the pool is the executor's decision
 (:class:`~repro.eval.executor.EvalService`), made from seconds it
 measures itself.
 
 * :mod:`repro.service.store` — :class:`SharedStore` (manager-backed
   cross-process KV with a process-local L1 and an exactly-once compute
-  protocol), :class:`TelemetrySink`, and the :class:`ServiceStores`
-  bundle the executor threads to its workers.
-* :mod:`repro.service.telemetry` — :class:`SolveSample` records,
-  least-squares weight fitting, the no-regression guard
-  (:func:`select_planner`) and :class:`CalibrationState` persistence.
+  protocol), :class:`TelemetrySink` with its ``(route, seconds)``
+  :class:`SolveSample` records, and the :class:`ServiceStores` bundle
+  the executor threads to its workers.
 * :mod:`repro.service.frontend` — :class:`QueryService`.
-* :mod:`repro.service.autotune` — the background recalibration loop:
-  :class:`AutoTuner` re-fits planner weights on a cadence or on
-  telemetry-residual drift and hot-swaps the config (guarded, no pool
-  restart).
 * :mod:`repro.service.metrics` — a Prometheus-style
   :class:`MetricsRegistry` (counters/gauges/histograms with a text
   exposition) every service registers its observables into.
@@ -37,18 +31,13 @@ Quickstart::
 
     from repro.service import QueryService
 
-    with QueryService(database, autotune=True) as service:
+    with QueryService(database) as service:
         for query, result in service.evaluate(queries):
             ...
-        print(service.stats())             # hit rates, modes, calibration
+        print(service.stats())             # hit rates, modes, cutover inputs
         print(service.render_prometheus()) # the /metrics text body
 """
 
-from repro.service.autotune import (
-    AutoTuneConfig,
-    AutoTuner,
-    ResidualTracker,
-)
 from repro.service.frontend import QueryService
 from repro.service.metrics import (
     Counter,
@@ -67,19 +56,9 @@ from repro.service.resilience import (
 from repro.service.store import (
     ServiceStores,
     SharedStore,
+    SolveSample,
     StoreManager,
     TelemetrySink,
-)
-from repro.service.telemetry import (
-    CalibrationResult,
-    CalibrationState,
-    RouteTimingCase,
-    SolveSample,
-    calibrate_planner,
-    fit_route_weights,
-    make_sample,
-    routed_seconds,
-    select_planner,
 )
 
 __all__ = [
@@ -89,17 +68,6 @@ __all__ = [
     "ServiceStores",
     "StoreManager",
     "SolveSample",
-    "make_sample",
-    "fit_route_weights",
-    "calibrate_planner",
-    "CalibrationResult",
-    "CalibrationState",
-    "RouteTimingCase",
-    "routed_seconds",
-    "select_planner",
-    "AutoTuner",
-    "AutoTuneConfig",
-    "ResidualTracker",
     "MetricsRegistry",
     "Counter",
     "Gauge",

@@ -15,14 +15,11 @@ looks like above the executor: one object bound to one database that
   :class:`~repro.eval.executor.EvalService` with no mode, and the
   executor decides from seconds it measured itself (pool start-up and
   per-chunk overhead) and from the batch's own per-query times;
-* **calibrates itself** — every solve feeds the telemetry sink, and
-  :meth:`calibrate` fits the planner's cost weights from the drained
-  samples (:mod:`repro.service.telemetry`), optionally persisting the
-  result so the next service starts calibrated;
 * **answers for itself** — :meth:`stats` exposes store hit/miss/compute
   counters (the "classification calls" the dedup benchmark gates on),
-  the mode history with reasons, the executor's measured cutover
-  inputs, and the calibration state.
+  the mode history with reasons, and the executor's measured cutover
+  inputs; every solve that ran leaves a ``(route, seconds)`` sample in
+  the telemetry sink, counted per route in ``route_solves_total``.
 """
 
 from __future__ import annotations
@@ -35,17 +32,15 @@ from collections import deque
 from collections.abc import Mapping as AbstractMapping
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, PlannerConfig
+from repro.classification.solver_dispatch import PlannerConfig
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
 from repro.eval.executor import AnySolveResult, EvalService, ExecutorConfig
 from repro.exceptions import DeadlineExceededError
-from repro.service.autotune import AutoTuneConfig, AutoTuner
 from repro.service.metrics import MetricsRegistry, register_store_metrics
 from repro.service.monitor import ServiceMonitor
 from repro.service.resilience import DeadlineBudget
 from repro.service.store import ServiceStores, StoreManager
-from repro.service.telemetry import CalibrationResult, CalibrationState, calibrate_planner
 from repro.structures.structure import Structure
 
 DatabaseLike = Union[Database, Structure]
@@ -89,7 +84,7 @@ def _json_safe(value: Any) -> Any:
 
 
 class QueryService:
-    """A long-lived, self-calibrating EVAL(Φ) query service.
+    """A long-lived EVAL(Φ) query service.
 
     Parameters
     ----------
@@ -103,24 +98,11 @@ class QueryService:
         for cross-worker sharing).  Default: exactly when the executor
         resolves to more than one worker.
     telemetry:
-        Record a :class:`~repro.service.telemetry.SolveSample` per
-        realised solve (the input to :meth:`calibrate`).
+        Record a :class:`~repro.service.store.SolveSample` per realised
+        solve (counted per route in ``route_solves_total``).
     batch_size:
         Upper bound on one executor batch; a flush of more pending
         queries is split, each slice getting its own mode decision.
-    calibration:
-        A :class:`CalibrationState` (or a path to one saved with
-        :meth:`save_calibration`) to start from, instead of the
-        hand-set defaults.  A missing, truncated or corrupted state
-        file is tolerated: the service logs nothing, keeps the
-        hand-set (or explicitly passed) planner, and starts clean —
-        a bad config file must never take the service down.
-    autotune:
-        ``True`` or an :class:`~repro.service.autotune.AutoTuneConfig`
-        arms background recalibration: after every batch the
-        :class:`~repro.service.autotune.AutoTuner` may re-fit the
-        planner from telemetry and hot-swap it (guarded, no pool
-        restart).  Default: off.
     metrics:
         A :class:`~repro.service.metrics.MetricsRegistry` to register
         into (one is created per service by default — pass a shared
@@ -144,8 +126,6 @@ class QueryService:
         shared: Optional[bool] = None,
         telemetry: bool = True,
         batch_size: int = 256,
-        calibration: Optional[Union[CalibrationState, str]] = None,
-        autotune: Union[None, bool, AutoTuneConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         batch_deadline_seconds: Optional[float] = None,
     ) -> None:
@@ -155,17 +135,9 @@ class QueryService:
             raise ValueError("batch_deadline_seconds must be positive")
         executor = executor if executor is not None else ExecutorConfig()
         self._database = database
-        self._base_planner = planner if planner is not None else DEFAULT_PLANNER_CONFIG
-        self._calibration: Optional[CalibrationState] = None
-        if isinstance(calibration, str):
-            calibration = CalibrationState.load_or_none(calibration)
-        if calibration is not None:
-            self._calibration = calibration
-            planner = calibration.planner
         if shared is None:
             shared = executor.effective_workers() > 1
         self._store_manager = StoreManager(shared=shared, telemetry=telemetry)
-        self._planner = planner if planner is not None else self._base_planner
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.monitor = ServiceMonitor(
             heartbeats=self._store_manager.stores.heartbeats,
@@ -174,7 +146,7 @@ class QueryService:
         )
         self._eval = EvalService(
             database,
-            planner=self._planner,
+            planner=planner,
             executor=executor,
             stores=self._store_manager.stores,
             monitor=self.monitor,
@@ -186,16 +158,7 @@ class QueryService:
         self._queries_served = 0
         self._batches_served = 0
         self._telemetry_cursor = 0
-        self._planner_version = 0
         self._register_metrics()
-        self.autotuner: Optional[AutoTuner] = None
-        if autotune:
-            tune_config = (
-                autotune if isinstance(autotune, AutoTuneConfig) else None
-            )
-            self.autotuner = AutoTuner(
-                self, config=tune_config, metrics=self.metrics
-            )
 
     def _register_metrics(self) -> None:
         register_store_metrics(self.metrics, self._store_manager.stores)
@@ -209,9 +172,6 @@ class QueryService:
         )
         self._batch_histogram = self.metrics.histogram(
             "batch_seconds", "Wall-clock seconds per served batch"
-        )
-        self._swap_counter = self.metrics.counter(
-            "planner_hot_swaps_total", "Planner configs hot-swapped into the service"
         )
         self._deadline_counter = self.metrics.counter(
             "deadline_exceeded_total", "Batches that blew their deadline budget"
@@ -249,18 +209,8 @@ class QueryService:
 
     @property
     def planner(self) -> PlannerConfig:
-        """The planner configuration currently in force."""
-        return self._planner
-
-    @property
-    def base_planner(self) -> PlannerConfig:
-        """The hand-set configuration calibration fits are baselined on."""
-        return self._base_planner
-
-    @property
-    def planner_version(self) -> int:
-        """How many planner configs have been hot-swapped in (0 = none)."""
-        return self._planner_version
+        """The planner configuration the service routes under."""
+        return self._eval.planner
 
     def eval_context(self):
         """The parent-side evaluation context (targets, stats, profiles)."""
@@ -303,15 +253,13 @@ class QueryService:
 
         Runs at every batch boundary (cheap: one ``is_alive`` on a
         child process).  On failover the supervisor re-points the store
-        bundle in place, the executor republishes the planner control
-        slot into the fresh manager and tears down the worker pool (its
+        bundle in place, the executor tears down the worker pool (its
         workers hold proxies into the corpse), and the monitor is
         re-attached to the new heartbeat board.
         """
         if self._store_manager.manager_alive():
             return False
         generation = self._store_manager.failover()
-        self._eval.republish_planner()
         self._eval.restart_pool()
         self.monitor.attach_heartbeats(self._store_manager.stores.heartbeats)
         self.monitor.observe_failover(generation)
@@ -345,20 +293,11 @@ class QueryService:
                 "seconds": elapsed,
             }
         )
-        self._after_batch(batch, ran_mode, elapsed)
-        return results
-
-    def _after_batch(
-        self, batch: List[ConjunctiveQuery], ran_mode: str, elapsed: float
-    ) -> None:
-        """Per-batch observability + the autotune hook."""
         self._queries_counter.inc(len(batch), mode=ran_mode)
         self._batch_histogram.observe(elapsed)
-        new_samples = self._consume_new_samples()
-        for sample in new_samples:
+        for sample in self._consume_new_samples():
             self._route_counter.inc(route=sample.route)
-        if self.autotuner is not None:
-            self.autotuner.observe_batch(batch, new_samples)
+        return results
 
     def _consume_new_samples(self) -> list:
         """Telemetry samples recorded since the last batch, each once.
@@ -374,59 +313,10 @@ class QueryService:
         samples, self._telemetry_cursor = sink.since(self._telemetry_cursor)
         return samples
 
-    # -- calibration --------------------------------------------------------
     def telemetry_samples(self) -> list:
         """Every solve sample the sink retains (read non-destructively)."""
         sink = self.stores.telemetry
         return [] if sink is None else sink.drain()
-
-    def calibrate(self, min_samples: int = 8, apply: bool = True) -> CalibrationResult:
-        """Fit planner weights from this service's telemetry.
-
-        With ``apply=True`` (and enough samples) the fitted cost-mode
-        configuration is hot-swapped in (:meth:`apply_calibration`).
-        The hand-set config the service started from stays the fitting
-        baseline, so repeated calibrations do not compound.
-        """
-        samples = self.telemetry_samples()
-        result = calibrate_planner(
-            samples, base=self._base_planner, min_samples=min_samples
-        )
-        if apply and result.source == "fitted":
-            self.apply_calibration(result)
-        return result
-
-    def apply_calibration(self, result: CalibrationResult) -> int:
-        """Adopt a calibration result by atomic hot swap (no pool restart).
-
-        The public entry the autotuner uses after its guard passes.
-        Returns the new planner version.
-        """
-        version = self._apply_planner(result.planner)
-        self._calibration = result.state()
-        return version
-
-    def _apply_planner(self, planner: PlannerConfig) -> int:
-        """Hot-swap the planner into the live service.
-
-        No pool restart: the parent-side contexts switch in place and
-        the new ``(version, config)`` pair is published to the shared
-        control slot, which live workers read once per chunk
-        (:meth:`repro.eval.executor.EvalService.update_planner`).  A
-        batch in flight finishes under whichever config its worker
-        held at chunk start — answers are route-invariant, so the swap
-        is always safe mid-stream.
-        """
-        self._planner = planner
-        self._planner_version = self._eval.update_planner(planner)
-        self._swap_counter.inc()
-        return self._planner_version
-
-    def save_calibration(self, path: str) -> None:
-        """Persist the current calibration state (raises if none exists)."""
-        if self._calibration is None:
-            raise ValueError("no calibration has been applied or loaded")
-        self._calibration.save(path)
 
     # -- the stats endpoint -------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -460,17 +350,7 @@ class QueryService:
                     "chunk_overhead_seconds": self._eval.chunk_overhead_seconds,
                 },
                 "mode_history": list(self._mode_history),
-                "calibration": (
-                    None if self._calibration is None else self._calibration.to_dict()
-                ),
-                "planner_mode": self._planner.mode,
-                "planner_version": self._planner_version,
                 "monitor": self.monitor.info(),
-                "autotune": (
-                    {"enabled": False}
-                    if self.autotuner is None
-                    else self.autotuner.info()
-                ),
                 "metrics": self.metrics.collect(),
             }
         )

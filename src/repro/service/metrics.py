@@ -1,7 +1,7 @@
 """A Prometheus-style metrics registry for the query service.
 
 The service layer already *has* most of its numbers — store counters,
-mode history, telemetry samples — but each lives in its own ad-hoc dict
+mode history, solve samples — but each lives in its own ad-hoc dict
 and none is consumable by standard tooling.
 This module gives them one production-style home:
 

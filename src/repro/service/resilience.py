@@ -1,6 +1,6 @@
 """Control-plane resilience: retries, circuit breaking, deadline budgets.
 
-Every shared-store miss, claim poll and control-slot read crosses into
+Every shared-store miss, claim poll and heartbeat write crosses into
 one ``multiprocessing.Manager`` process.  Before this
 module the stack had exactly two answers to that process stalling or
 dying: burn the full claim timeout per waiter, or let a raw

@@ -21,11 +21,11 @@ level:
   pays **at most one** compute per distinct key — the guarantee the
   classification-dedup benchmark gates on — with a timeout fallback so
   a crashed claimant can never wedge the store.
-* :class:`TelemetrySink` — the parent-side sample buffer behind
-  telemetry-driven planner calibration (:mod:`repro.service.telemetry`).
-  It never crosses a process boundary: pool workers send each chunk's
-  solve samples back with the chunk's results, and the parent records
-  them.
+* :class:`TelemetrySink` — the parent-side buffer of
+  :class:`SolveSample` records, one ``(route, seconds)`` pair per solve
+  that ran (behind the front-end's ``route_solves_total`` counter).  It
+  never crosses a process boundary: pool workers send each chunk's solve
+  samples back with the chunk's results, and the parent records them.
 * :class:`ServiceStores` — the bundle the executor threads through pool
   initialisation (workers get it without the sink), plus
   :class:`StoreManager`, the owner of the manager process's lifetime.
@@ -60,7 +60,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.caching import BoundedLRU
 from repro.exceptions import StoreUnavailableError
@@ -613,6 +613,13 @@ class SharedStore:
         return shared
 
 
+class SolveSample(NamedTuple):
+    """One realised solve: the route that ran and its wall seconds."""
+
+    route: str
+    seconds: float
+
+
 class TelemetrySink:
     """The parent process's *bounded* buffer of solve samples.
 
@@ -621,8 +628,7 @@ class TelemetrySink:
     chunk's samples as that chunk's results come back from the pool.
     Each :meth:`record` keeps one batch; the sink retains at most
     ``max_batches`` most-recent batches — a long-lived service records
-    telemetry forever, and calibration wants a recent window anyway
-    (old-regime samples would outvote a shifted workload).
+    telemetry forever.
 
     The sink also counts every batch it ever recorded, which makes
     :meth:`since` a cursor read: a consumer asks for the batches after
@@ -702,30 +708,22 @@ class ServiceStores:
     to None, which leaves the copy picklable, and return their samples
     with each chunk's results.
 
-    ``control`` is the hot-swap channel: a (manager) dict the parent
-    publishes versioned control values into — today a single key,
-    ``"planner" → (version, PlannerConfig)`` — and every worker reads
-    once per chunk.  One key means one atomic proxy assignment per
-    update and one ``get`` per check: a worker either sees the old
-    (version, config) pair or the new one, never a torn mix.
-
     ``heartbeats`` is the worker-health board: each worker writes
     ``pid → (wall-clock time, event)`` at chunk boundaries, and the
     service monitor (:mod:`repro.service.monitor`) reads it to tell a
     busy worker from a wedged one.
 
     After a :meth:`StoreManager.failover` the *same bundle object* is
-    re-pointed in place (stores rebound, fresh ``control`` and
-    ``heartbeats`` proxies; the sink, having no manager state, stays as
-    it is), so every parent-side holder — executor, monitor, metrics
-    callbacks — sees the replacement without re-plumbing.  Pool workers
-    hold copies and are restarted by the front-end.
+    re-pointed in place (stores rebound, a fresh ``heartbeats`` proxy;
+    the sink, having no manager state, stays as it is), so every
+    parent-side holder — executor, monitor, metrics callbacks — sees the
+    replacement without re-plumbing.  Pool workers hold copies and are
+    restarted by the front-end.
     """
 
     profiles: Optional[SharedStore] = None
     answers: Optional[SharedStore] = None
     telemetry: Optional[TelemetrySink] = None
-    control: Optional[Any] = None
     heartbeats: Optional[Any] = None
 
     def info(self) -> Dict[str, Any]:
@@ -792,18 +790,15 @@ class StoreManager:
                 claim_timeout=claim_timeout,
                 policy=policy,
             )
-            control: Any = self._manager.dict()
             heartbeats: Any = self._manager.dict()
         else:
             profiles = SharedStore.local(capacity=profile_capacity, policy=policy)
             answers = SharedStore.local(capacity=answer_capacity, policy=policy)
-            control = {}
             heartbeats = {}
         self.stores = ServiceStores(
             profiles=profiles,
             answers=answers,
             telemetry=TelemetrySink() if telemetry else None,
-            control=control,
             heartbeats=heartbeats,
         )
 
@@ -840,8 +835,8 @@ class StoreManager:
         parent-side holders recover without re-plumbing.  The shared state is rebuilt lazily: L1s and
         reconcile queues republish what this process knows, workers
         re-populate the rest on demand.  The caller (the front-end)
-        still owns two follow-ups: republish the planner control slot
-        and restart the pool so workers pickle the new proxies.
+        still owns the follow-up: restart the pool so workers pickle the
+        new proxies.
         """
         if self._manager is None:
             return self.generation
@@ -863,7 +858,6 @@ class StoreManager:
                 lock=manager.Lock(),
                 counters=manager.dict(_counter_seed()),
             )
-        stores.control = manager.dict()
         stores.heartbeats = manager.dict()
         self.generation += 1
         try:

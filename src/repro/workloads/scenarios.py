@@ -38,7 +38,7 @@ scenario               what it stresses
                        branch-and-bound treedepth engine end to end
 ``load_shift``         a mid-run mix flip — cheap folding patterns for the
                        first half, long directed paths and odd cycles for
-                       the second; the autotune recalibration scenario
+                       the second, in one batch stream
 =====================  ====================================================
 
 All randomness flows through an explicit ``random.Random(seed)``; the
@@ -384,8 +384,7 @@ def _load_shift(count: int, seed: int, scale: int = 1) -> EvalScenario:
         "load_shift",
         "a mid-run workload flip: the first half is cheap folding patterns "
         "(symmetric trees/paths), the second half long directed paths and "
-        "odd cycles — a planner calibrated on the first half misprices the "
-        "second, the autotuner's recalibration trigger in one batch stream",
+        "odd cycles, in one batch stream",
         tuple(queries),
         dense_graph_database(18 * scale, edge_probability=0.35 / scale, seed=seed),
     )

@@ -124,8 +124,8 @@ def skewed_database(
 
     A few "celebrity" domain values appear in most rows — the classic
     worst case for join fan-out, and exactly the situation where the
-    cost-based planner's fan-out statistic diverges from the uniform
-    estimate.  ``tables`` maps table names to arities (default: a binary
+    fan-out statistic of :class:`~repro.eval.stats.DatabaseStatistics`
+    diverges from the uniform estimate.  ``tables`` maps table names to arities (default: a binary
     ``E`` and a unary ``C1``).
     """
     if tables is None:

@@ -15,7 +15,7 @@ Four injection surfaces:
   pool breaks mid-chunk) and :func:`wedge_worker` (sleep forever — the
   chunk deadline must catch it).
 * :class:`FlakyMapping` wraps a shared control-plane mapping (the
-  planner control slot, the heartbeat board) so exactly one access
+  heartbeat board) so exactly one access
   raises :class:`ConnectionError` — a stand-in for a manager timeout or
   dropped connection, which the guarded worker paths must swallow.
 * :class:`FaultyData` wraps a store's *backing* mapping with scripted
@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 
 import repro.eval.executor as executor_mod
 from repro.classification.degrees import ComplexityDegree
-from repro.service.telemetry import SolveSample
+from repro.service.store import SolveSample
 
 _ORIGINAL_EVALUATE_CHUNK = executor_mod._evaluate_chunk
 
@@ -137,9 +137,9 @@ def chunk_fault(action: Callable[..., None]) -> Iterator[Any]:
 class FlakyMapping:
     """Wraps a shared mapping so exactly one access raises ConnectionError.
 
-    Both the read path (``get`` — the planner sync) and the write path
-    (``__setitem__`` — the heartbeat stamp) can fire; whichever access
-    wins the one-shot flag raises, every later access passes through.
+    Both item reads and the write path (``__setitem__`` — the heartbeat
+    stamp) can fire; whichever access wins the one-shot flag raises,
+    every later access passes through.
     Picklable (module-level class, proxy-backed state), so it survives
     the pool-initializer round trip into workers.
     """
@@ -151,10 +151,6 @@ class FlakyMapping:
     def _maybe_fail(self) -> None:
         if should_fire(self._flags):
             raise ConnectionError("injected manager-store timeout")
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        self._maybe_fail()
-        return self._inner.get(key, default)
 
     def __getitem__(self, key: Any) -> Any:
         self._maybe_fail()
@@ -309,14 +305,7 @@ def flood_telemetry(sink: Any, batches: int = 1200, per_batch: int = 3) -> int:
     batch from a full sink.  Returns the number of samples recorded.
     """
     route = next(iter(ComplexityDegree)).value
-    sample = SolveSample(
-        route=route,
-        raw_units=1.0,
-        seconds=0.001,
-        core_size=2,
-        universe_size=10,
-        branching=1.5,
-    )
+    sample = SolveSample(route=route, seconds=0.001)
     for _ in range(batches):
         sink.record([sample] * per_batch)
     return batches * per_batch

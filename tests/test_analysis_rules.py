@@ -524,11 +524,11 @@ class TestAPI002:
 
     def test_quiet_in_allowlisted_modules(self, tmp_path):
         fired, _ = scan_snippet(
-            tmp_path, "service/autotune.py",
+            tmp_path, "eval/executor.py",
             """
             from repro.classification.solver_dispatch import solve_with_degree
 
-            def probe(pattern, target, degree, profile):
+            def solve(pattern, target, degree, profile):
                 return solve_with_degree(pattern, target, degree, profile)
             """,
         )

@@ -138,21 +138,20 @@ class TestStreaming:
         )
 
 
-class TestCostModePlanning:
-    def test_cost_mode_answers_match_reference(self, scenario):
+class TestIntrospection:
+    def test_service_plan_is_the_route_taken(self, scenario):
         reference = evaluate_query_set_sequential(scenario.queries, scenario.database)
-        cost_planned = evaluate_query_set(
-            scenario.queries, scenario.database, planner=PlannerConfig(mode="cost")
+        strict = PlannerConfig(
+            treedepth_threshold=1, pathwidth_threshold=1, treewidth_threshold=1
         )
-        # Routes may differ (that is the point); answers may not.
-        assert [r.answer for _, r in cost_planned] == [r.answer for _, r in reference]
-        assert [str(q) for q, _ in cost_planned] == [str(q) for q, _ in reference]
-
-    def test_service_plan_exposes_estimates(self, scenario):
-        service = EvalService(scenario.database, planner=PlannerConfig(mode="cost"))
-        plan = service.plan(scenario.queries[0])
-        assert plan.mode == "cost"
-        assert plan.estimates and plan.cost == min(plan.estimates.values())
+        with EvalService(
+            scenario.database, planner=strict, executor=ExecutorConfig(workers=1)
+        ) as service:
+            planned = [service.plan(query).degree for query in scenario.queries]
+            results = service.evaluate(scenario.queries)
+        assert planned == [result.degree for _, result in results]
+        assert planned != [result.degree for _, result in reference]
+        assert [r.answer for _, r in results] == [r.answer for _, r in reference]
 
     def test_statistics_reflect_query_vocabulary(self):
         scenario = scenario_by_name("grid_walks", count=3, seed=1)
@@ -381,9 +380,9 @@ class TestHandoverDecision:
         # Three cheap queries, a slow one, then cheap ones again: right
         # after the slow query the batch mean overprices the rest, and a
         # start-up priced at what the last pool measured would hand over
-        # there.  Priced at the prior, the head runs on to 14 queries.
+        # there.  Priced at the prior, the head runs on to 9 queries.
         prior = POOL_STARTUP_PRIOR_SECONDS
-        costs = [0.04 * prior] * 3 + [0.5 * prior] + [0.04 * prior] * 36
+        costs = [0.07 * prior] * 3 + [0.5 * prior] + [0.07 * prior] * 36
         batch = list(scenario.queries)
         with EvalService(scenario.database, executor=HANDOVER_CONFIG) as fresh:
             probe.costs = list(costs)
@@ -397,7 +396,7 @@ class TestHandoverDecision:
             probe.costs = list(costs)
             results = probe.attach(service).evaluate(batch)
             assert service.last_mode == "parallel"
-        assert [head for head, _ in probe.handovers] == [14, 14]
+        assert [head for head, _ in probe.handovers] == [9, 9]
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
         )
@@ -413,6 +412,33 @@ class TestHandoverDecision:
             assert service.last_mode == "parallel"
         assert [head for head, _ in probe.handovers] == [1]
         assert probe.handovers[0][1] == batch[1:]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_new_pool_prices_its_startup_into_the_rest(self, scenario, probe):
+        # With 1.8 queries of overhead per four-query chunk, two workers
+        # finish any rest of fewer than 70 queries sooner only while the
+        # pool is already running: a new pool's start-up, paid after the
+        # hand-over, tips the balance back to in-process.
+        batch = list(scenario.queries)
+        overhead = 1.8 * probe.seconds_per_query
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as fresh:
+            fresh.chunk_overhead_seconds = overhead
+            results = probe.attach(fresh).evaluate(batch)
+            assert fresh.last_mode == "sequential"
+        assert probe.handovers == []
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            assert service._pool is not None
+            service.chunk_overhead_seconds = overhead
+            probe.solves = 0
+            results = probe.attach(service).evaluate(batch)
+            assert service.last_mode == "parallel"
+        assert [head for head, _ in probe.handovers] == [1]
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
         )
@@ -465,8 +491,8 @@ class TestHandoverDecision:
             probe.attach(service).evaluate(scenario.queries)
             assert service.last_mode_reason == (
                 "4 queries took 24.0 ms in-process (pool start-up 20.0 ms); "
-                "the other 36 need ~216.0 ms here, ~117.0 ms on the pool at "
-                "1.00 ms per chunk"
+                "the other 36 need ~216.0 ms here, ~137.0 ms on the pool with "
+                "its start-up and 1.00 ms per chunk"
             )
 
     def test_in_process_reason_names_the_measured_seconds(self, scenario, probe):

@@ -50,7 +50,7 @@ from repro.decomposition.treedepth_engine import TreedepthEngine
 from repro.decomposition.width import width_profile_report_with_forest
 from repro.decomposition.width_engine import PathwidthEngine, TreewidthEngine
 from repro.eval.executor import _EvaluationContext
-from repro.eval.planner import clear_plan_cache, route_raw_units
+from repro.eval.planner import clear_plan_cache
 from repro.eval.stats import DatabaseStatistics
 from repro.homomorphism.backtracking import has_homomorphism
 from repro.homomorphism.core_engine import compute_core
@@ -340,14 +340,23 @@ class TestWorkAvoided:
         assert routes[ComplexityDegree.PARA_L] and routes[ComplexityDegree.PATH_COMPLETE]
         assert routes[ComplexityDegree.TREE_COMPLETE]
 
-    def test_timed_context_prices_only_the_route_taken(self, graph_cases, calls):
-        # A timed context samples the solve's cost-model units; pricing
-        # every route would run the exact tree depth search a PATH core's
-        # route decision only capped.
+    def test_timed_context_records_only_the_route_and_its_seconds(
+        self, graph_cases, calls, monkeypatch
+    ):
+        # A timed solve samples the route it took and the seconds it ran:
+        # it reads no database statistics, and a PATH core's capped tree
+        # depth search stays the only one.
         case = next(
             case
             for case in graph_cases
             if case.reference_degree(DEFAULT_PLANNER_CONFIG) is ComplexityDegree.PATH_COMPLETE
+        )
+        measured = []
+        original = DatabaseStatistics.of.__func__
+        monkeypatch.setattr(
+            DatabaseStatistics,
+            "of",
+            classmethod(lambda cls, target: measured.append(target) or original(cls, target)),
         )
         clear_plan_cache()
         for log in calls.values():
@@ -357,14 +366,14 @@ class TestWorkAvoided:
         )
         result = context.solve(ConjunctiveQuery.from_structure(case.pattern))
         assert result.degree is ComplexityDegree.PATH_COMPLETE
+        assert measured == []
         assert calls["forests"] == []
         assert calls["depth_values"]
         for cap, value in calls["depth_values"]:
             assert cap is not None and value > cap
         (sample,) = context.take_samples()
-        assert sample.route == result.degree.value
-        stats = DatabaseStatistics.of(TRIANGLE)
-        assert sample.raw_units == route_raw_units(result.profile, stats)[result.degree]
+        assert tuple(sample) == (result.degree.value, sample.seconds)
+        assert sample.seconds >= 0.0
 
     def test_cores_past_the_window_stay_eager(self, calls):
         for pattern in big_cores():

@@ -1,6 +1,9 @@
 """Planner and dispatch provenance: every solver route is reachable,
 reported degrees match the configured thresholds (including the exact
-boundary cases), and the cost-based planner behaves sanely."""
+boundary cases), and the planner routes by the degree alone."""
+
+import dataclasses
+import pickle
 
 import pytest
 
@@ -13,7 +16,8 @@ from repro.classification import (
     solve_hom,
     solve_with_degree,
 )
-from repro.eval import DatabaseStatistics, estimate_route_costs, plan_query
+from repro.eval import DatabaseStatistics, EvalService, plan_query
+from repro.eval.planner import route_certified
 from repro.homomorphism import has_homomorphism
 from repro.structures import clique, cycle, path
 from repro.structures.builders import directed_path
@@ -63,9 +67,74 @@ class TestChooseDegreeBoundaries:
         assert choose_degree(profile) is ComplexityDegree.PARA_L
         assert choose_degree(profile, strict) is ComplexityDegree.W1_HARD
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(mode="oracle")
+    @pytest.mark.parametrize("threshold", [1, 2, 3, 6])
+    @pytest.mark.parametrize(
+        "measure, heavier",
+        [
+            ("treewidth", ComplexityDegree.W1_HARD),
+            ("pathwidth", ComplexityDegree.TREE_COMPLETE),
+            ("treedepth", ComplexityDegree.PATH_COMPLETE),
+        ],
+    )
+    def test_each_threshold_moves_only_its_own_boundary(self, measure, heavier, threshold):
+        # The other two thresholds are out of reach, so only ``measure``
+        # can move the degree: at its threshold the query stays para-L,
+        # one past it takes the heavier route.  The other widths are the
+        # least that keep tw <= pw <= td - 1.
+        config = PlannerConfig(
+            **{
+                f"{name}_threshold": threshold if name == measure else 50
+                for name in ("treedepth", "pathwidth", "treewidth")
+            }
+        )
+
+        def widths(value):
+            if measure == "treewidth":
+                return value, value, value + 1
+            if measure == "pathwidth":
+                return 1, value, value + 1
+            return min(1, value - 1), min(1, value - 1), value
+
+        at = profile_with_widths(*widths(threshold))
+        past = profile_with_widths(*widths(threshold + 1))
+        assert choose_degree(at, config) is ComplexityDegree.PARA_L
+        assert choose_degree(past, config) is heavier
+
+
+class TestPlannerConfig:
+    def test_defaults_are_the_module_thresholds(self):
+        from repro.classification.solver_dispatch import (
+            DEFAULT_PLANNER_CONFIG,
+            PATHWIDTH_THRESHOLD,
+            TREEDEPTH_THRESHOLD,
+            TREEWIDTH_THRESHOLD,
+        )
+
+        assert PlannerConfig() == DEFAULT_PLANNER_CONFIG
+        assert DEFAULT_PLANNER_CONFIG == PlannerConfig(
+            treedepth_threshold=TREEDEPTH_THRESHOLD,
+            pathwidth_threshold=PATHWIDTH_THRESHOLD,
+            treewidth_threshold=TREEWIDTH_THRESHOLD,
+        )
+        assert (TREEDEPTH_THRESHOLD, PATHWIDTH_THRESHOLD, TREEWIDTH_THRESHOLD) == (4, 3, 4)
+
+    def test_the_three_thresholds_are_the_whole_config(self):
+        assert [field.name for field in dataclasses.fields(PlannerConfig)] == [
+            "treedepth_threshold",
+            "pathwidth_threshold",
+            "treewidth_threshold",
+        ]
+
+    def test_configs_are_immutable_value_keys(self):
+        # The plan cache keys on the config and pool workers receive a
+        # pickled copy, so equal thresholds must mean an equal key.
+        config = PlannerConfig(treedepth_threshold=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.treedepth_threshold = 3
+        assert config == PlannerConfig(treedepth_threshold=2)
+        assert hash(config) == hash(PlannerConfig(treedepth_threshold=2))
+        assert config != PlannerConfig()
+        assert pickle.loads(pickle.dumps(config)) == config
 
 
 class TestSolverProvenance:
@@ -122,39 +191,22 @@ class TestSolverProvenance:
         assert result.answer == has_homomorphism(pattern, target)
 
 
-class TestCostPlanner:
-    def test_threshold_mode_matches_choose_degree(self):
-        target = random_graph_structure(10, 0.4, seed=5)
-        stats = DatabaseStatistics.of(target)
+#: Thresholds under which ``clique(5)`` (tw 4, pw 4) routes to W[1]
+#: instead of TREE.
+STRICT = PlannerConfig(treedepth_threshold=2, pathwidth_threshold=2, treewidth_threshold=2)
+
+
+class TestPlanQuery:
+    def test_plan_is_the_threshold_degree(self):
         for pattern in (path(4), clique(5), clique(6), directed_path(17)):
             profile = classify_structure(pattern)
-            plan = plan_query(profile, stats, PlannerConfig())
-            assert plan.degree is choose_degree(profile)
-            assert plan.mode == "threshold"
-            # estimates are populated (advisory) when stats are available
-            assert set(plan.estimates) == set(ComplexityDegree)
-
-    def test_cost_mode_picks_a_cheapest_route(self):
-        target = random_graph_structure(10, 0.4, seed=5)
-        stats = DatabaseStatistics.of(target)
-        config = PlannerConfig(mode="cost")
-        profile = classify_structure(cycle(5))
-        plan = plan_query(profile, stats, config)
-        assert plan.mode == "cost"
-        assert plan.cost == min(plan.estimates.values())
-
-    def test_cost_mode_tracks_database_size(self):
-        config = PlannerConfig(mode="cost")
-        profile = classify_structure(path(4))
-        small = DatabaseStatistics.of(random_graph_structure(5, 0.5, seed=1))
-        large = DatabaseStatistics.of(random_graph_structure(40, 0.5, seed=1))
-        cheap = estimate_route_costs(profile, small, config)
-        costly = estimate_route_costs(profile, large, config)
-        for degree in ComplexityDegree:
-            assert costly[degree] > cheap[degree]
+            for config in (PlannerConfig(), STRICT):
+                plan = plan_query(profile, config)
+                assert plan.degree is choose_degree(profile, config)
+                assert plan.certified
 
     def test_result_degree_is_the_route_but_classification_is_preserved(self):
-        # A cost-mode plan may route a para-L query to backtracking; the
+        # A caller may force another route onto a para-L query; the
         # result's degree records that route, while .classification()
         # still reports the Theorem 3.1 degree from the core widths.
         pattern = path(4)
@@ -164,16 +216,110 @@ class TestCostPlanner:
         assert forced.degree is ComplexityDegree.W1_HARD
         assert forced.classification() is ComplexityDegree.PARA_L
 
-    def test_cost_mode_without_stats_falls_back_to_thresholds(self):
-        profile = classify_structure(clique(6))
-        plan = plan_query(profile, None, PlannerConfig(mode="cost"))
-        assert plan.degree is choose_degree(profile)
-        assert plan.estimates == {}
-
     def test_plan_summary_mentions_route(self):
-        stats = DatabaseStatistics.of(random_graph_structure(6, 0.5, seed=2))
-        plan = plan_query(classify_structure(path(3)), stats)
-        assert "route" in plan.summary()
+        plan = plan_query(classify_structure(path(3)))
+        assert plan.summary() == "route para-L"
+
+    @pytest.mark.parametrize(
+        "pattern, degree",
+        [(case[0], case[1]) for case in TestSolverProvenance.CASES],
+        ids=lambda value: value.name if isinstance(value, ComplexityDegree) else None,
+    )
+    def test_every_route_is_planned_on_a_real_pattern(self, pattern, degree):
+        plan = plan_query(classify_structure(pattern))
+        assert plan == plan_query(classify_structure(pattern))
+        assert plan.degree is degree
+        assert plan.summary() == f"route {degree.value}"
+
+    def test_plan_carries_only_the_route_and_its_certification(self):
+        plan = plan_query(classify_structure(path(3)))
+        assert [field.name for field in dataclasses.fields(plan)] == ["degree", "certified"]
+
+
+#: Core widths ``(tw, pw, td)`` the default thresholds route to each degree.
+WIDTHS_BY_DEGREE = {
+    ComplexityDegree.PARA_L: (1, 1, 2),
+    ComplexityDegree.PATH_COMPLETE: (1, 1, 5),
+    ComplexityDegree.TREE_COMPLETE: (2, 4, 5),
+    ComplexityDegree.W1_HARD: (5, 5, 6),
+}
+
+#: The exactness flag of the width measure each bounded route rests on;
+#: the backtracking route depends on the core size alone.
+DRIVING_FLAG = {
+    ComplexityDegree.PARA_L: "core_treedepth_exact",
+    ComplexityDegree.PATH_COMPLETE: "core_pathwidth_exact",
+    ComplexityDegree.TREE_COMPLETE: "core_treewidth_exact",
+}
+
+
+class TestRouteCertification:
+    """A plan is uncertified exactly when the width behind its route is a
+    heuristic upper bound; the other two measures' flags do not matter."""
+
+    @pytest.mark.parametrize(
+        "flag", ["core_treewidth_exact", "core_pathwidth_exact", "core_treedepth_exact"]
+    )
+    @pytest.mark.parametrize("degree", list(ComplexityDegree), ids=lambda d: d.name)
+    def test_only_the_driving_measure_decides_certification(self, degree, flag):
+        tw, pw, td = WIDTHS_BY_DEGREE[degree]
+        structure = path(2)
+        profile = StructureProfile(structure, structure, tw, pw, td, **{flag: False})
+        plan = plan_query(profile)
+        assert plan.degree is degree
+        assert plan.certified is (DRIVING_FLAG.get(degree) != flag)
+        assert route_certified(profile, degree) is plan.certified
+
+    def test_summary_flags_a_heuristic_route(self):
+        structure = path(2)
+        profile = StructureProfile(
+            structure, structure, 2, 4, 5, core_treewidth_exact=False
+        )
+        assert plan_query(profile).summary() == (
+            f"route {ComplexityDegree.TREE_COMPLETE.value} (heuristic-width route)"
+        )
+
+
+class TestCertificateAwarePlanning:
+    """The core engine's rigidity certificate is provenance only: the
+    route follows from the core widths whatever certified the core."""
+
+    CERTIFICATES = [None, "singleton", "clique", "odd-cycle", "ac-rigid"]
+
+    def test_threshold_routing_unaffected_by_certificates(self):
+        structure = cycle(5)
+        for degree, (tw, pw, td) in WIDTHS_BY_DEGREE.items():
+            for certificate in self.CERTIFICATES:
+                profile = StructureProfile(
+                    structure, structure, tw, pw, td, core_certificate=certificate
+                )
+                assert plan_query(profile).degree is degree
+                assert plan_query(profile, STRICT).degree is choose_degree(
+                    profile_with_widths(tw, pw, td), STRICT
+                )
+
+    @pytest.mark.parametrize(
+        "pattern, certificate",
+        [
+            (cycle(7), "odd-cycle"),
+            (clique(5), "clique"),
+            (directed_path(8), "ac-rigid"),
+            (path(1), "singleton"),
+        ],
+        ids=["odd-cycle", "clique", "ac-rigid", "singleton"],
+    )
+    def test_real_certified_cores_route_by_their_widths(self, pattern, certificate):
+        profile = classify_structure(pattern)
+        assert profile.core_certificate == certificate
+        uncertified = StructureProfile(
+            profile.structure,
+            profile.core,
+            profile.core_treewidth,
+            profile.core_pathwidth,
+            profile.core_treedepth,
+        )
+        for config in (PlannerConfig(), STRICT):
+            assert plan_query(profile, config) == plan_query(uncertified, config)
 
 
 class TestDatabaseStatistics:
@@ -226,8 +372,28 @@ class TestDatabaseStatistics:
         stats = DatabaseStatistics.of(structure)
         assert stats.mean_fan_out == 1.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counts_match_the_structure(self, seed):
+        target = random_graph_structure(12, 0.35, seed=seed)
+        edges = target.relation("E")
+        stats = DatabaseStatistics.of(target)
+        assert stats.universe_size == len(target)
+        assert stats.relation_sizes == {"E": len(edges)}
+        assert stats.total_tuples == target.total_tuples() == len(edges)
+        assert stats.fan_out["E"] == len(edges) / len({edge[0] for edge in edges})
+
+    def test_context_measures_each_vocabulary_once(self):
+        target = random_graph_structure(10, 0.4, seed=5)
+        with EvalService(target) as service:
+            context = service.context()
+            first = context.stats_for(target.vocabulary)
+            assert context.stats_for(target.vocabulary) is first
+        assert first == DatabaseStatistics.of(target)
+
 
 class TestPlanCache:
+    """The plan cache is keyed on ``(pattern structure, config)``."""
+
     def setup_method(self):
         from repro.eval import clear_plan_cache
 
@@ -236,149 +402,57 @@ class TestPlanCache:
     def test_repeated_planning_hits_the_cache(self):
         from repro.eval import clear_plan_cache, plan_cache_info, plan_query_cached
 
-        target = random_graph_structure(10, 0.4, seed=5)
-        stats = DatabaseStatistics.of(target)
         profile = classify_structure(path(4))
-        first = plan_query_cached(profile, stats, PlannerConfig(mode="cost"))
-        second = plan_query_cached(profile, stats, PlannerConfig(mode="cost"))
+        first = plan_query_cached(profile)
+        second = plan_query_cached(profile)
         assert first is second
         info = plan_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
         clear_plan_cache()
         assert plan_cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_equal_statistics_fingerprints_share_a_plan(self):
-        from repro.eval import plan_query_cached
-
-        # Two value-identical databases produce distinct stats objects but
-        # the same fingerprint — the cache must not care about identity.
-        stats_a = DatabaseStatistics.of(random_graph_structure(10, 0.4, seed=5))
-        stats_b = DatabaseStatistics.of(random_graph_structure(10, 0.4, seed=5))
-        assert stats_a is not stats_b
-        assert stats_a.fingerprint() == stats_b.fingerprint()
-        profile = classify_structure(cycle(5))
-        config = PlannerConfig(mode="cost")
-        assert plan_query_cached(profile, stats_a, config) is plan_query_cached(
-            profile, stats_b, config
-        )
-
-    def test_different_statistics_produce_fresh_plans(self):
+    def test_equal_structures_share_a_plan(self):
         from repro.eval import plan_cache_info, plan_query_cached
 
-        profile = classify_structure(path(4))
-        config = PlannerConfig(mode="cost")
-        small = DatabaseStatistics.of(random_graph_structure(5, 0.5, seed=1))
-        large = DatabaseStatistics.of(random_graph_structure(40, 0.5, seed=1))
-        plan_small = plan_query_cached(profile, small, config)
-        plan_large = plan_query_cached(profile, large, config)
-        assert plan_small is not plan_large
+        # Two profiles of equal structures are distinct objects; the
+        # cache must not care about identity.
+        first, second = classify_structure(cycle(5)), classify_structure(cycle(5))
+        assert first is not second
+        assert plan_query_cached(first) is plan_query_cached(second)
+        assert plan_cache_info()["misses"] == 1
+
+    def test_different_structures_produce_fresh_plans(self):
+        from repro.eval import plan_cache_info, plan_query_cached
+
+        light = plan_query_cached(classify_structure(path(4)))
+        heavy = plan_query_cached(classify_structure(clique(6)))
+        assert light.degree is ComplexityDegree.PARA_L
+        assert heavy.degree is ComplexityDegree.W1_HARD
         assert plan_cache_info()["misses"] == 2
 
     def test_different_configs_do_not_collide(self):
-        from repro.eval import plan_query_cached
+        from repro.eval import plan_cache_info, plan_query_cached
 
-        stats = DatabaseStatistics.of(random_graph_structure(10, 0.4, seed=5))
         profile = classify_structure(clique(5))
-        threshold_plan = plan_query_cached(profile, stats, PlannerConfig())
-        cost_plan = plan_query_cached(profile, stats, PlannerConfig(mode="cost"))
-        assert threshold_plan.mode == "threshold"
-        assert cost_plan.mode == "cost"
+        default_plan = plan_query_cached(profile, PlannerConfig())
+        strict_plan = plan_query_cached(profile, STRICT)
+        assert default_plan.degree is ComplexityDegree.TREE_COMPLETE
+        assert strict_plan.degree is ComplexityDegree.W1_HARD
+        assert plan_cache_info()["misses"] == 2
 
     def test_cache_is_bounded(self):
         from repro.eval import plan_cache_info, plan_query_cached
         from repro.eval.planner import _PLAN_CACHE_LIMIT
 
         profile = classify_structure(path(3))
-        for size in range(2, _PLAN_CACHE_LIMIT + 30):
-            stats = DatabaseStatistics(
-                universe_size=size, total_tuples=size, relation_sizes={"E": size},
-                fan_out={"E": 1.0},
-            )
-            plan_query_cached(profile, stats, PlannerConfig(mode="cost"))
+        for threshold in range(_PLAN_CACHE_LIMIT + 30):
+            plan_query_cached(profile, PlannerConfig(treedepth_threshold=threshold))
         assert plan_cache_info()["size"] <= _PLAN_CACHE_LIMIT
 
     def test_cached_plans_match_uncached(self):
         from repro.eval import plan_query_cached
 
-        stats = DatabaseStatistics.of(random_graph_structure(12, 0.3, seed=8))
-        for pattern in (path(4), cycle(5), clique(5)):
+        for pattern in (path(4), cycle(5), clique(5), directed_path(17)):
             profile = classify_structure(pattern)
-            for config in (PlannerConfig(), PlannerConfig(mode="cost")):
-                cached = plan_query_cached(profile, stats, config)
-                direct = plan_query(profile, stats, config)
-                assert cached.degree is direct.degree
-                assert cached.estimates == direct.estimates
-
-
-class TestCertificateAwarePlanning:
-    """The cost model reads StructureProfile.core_certificate: symmetric
-    certificates ("clique", "odd-cycle") discount the branching base;
-    identity-only rigidity ("ac-rigid") and search-proven cores do not."""
-
-    def _stats(self):
-        return DatabaseStatistics(
-            universe_size=50,
-            total_tuples=400,
-            relation_sizes={"E": 400},
-            fan_out={"E": 8.0},
-        )
-
-    def _profile(self, certificate):
-        structure = cycle(5)
-        return StructureProfile(
-            structure=structure,
-            core=structure,
-            core_treewidth=2,
-            core_pathwidth=2,
-            core_treedepth=3,
-            core_certificate=certificate,
-        )
-
-    @pytest.mark.parametrize("certificate", ["clique", "odd-cycle"])
-    def test_symmetric_certificates_lower_every_estimate(self, certificate):
-        stats = self._stats()
-        plain = estimate_route_costs(self._profile(None), stats)
-        discounted = estimate_route_costs(self._profile(certificate), stats)
-        for degree in plain:
-            assert discounted[degree] < plain[degree]
-
-    @pytest.mark.parametrize("certificate", [None, "ac-rigid", "singleton"])
-    def test_rigid_and_searched_cores_keep_full_branching(self, certificate):
-        stats = self._stats()
-        baseline = estimate_route_costs(self._profile(None), stats)
-        assert estimate_route_costs(self._profile(certificate), stats) == baseline
-
-    def test_discount_of_one_disables_the_adjustment(self):
-        stats = self._stats()
-        config = PlannerConfig(symmetry_discount=1.0)
-        assert estimate_route_costs(
-            self._profile("clique"), stats, config
-        ) == estimate_route_costs(self._profile(None), stats, config)
-
-    def test_invalid_discount_rejected(self):
-        with pytest.raises(ValueError):
-            PlannerConfig(symmetry_discount=0.0)
-        with pytest.raises(ValueError):
-            PlannerConfig(symmetry_discount=1.5)
-
-    def test_real_odd_cycle_profile_carries_the_discount(self):
-        profile = classify_structure(cycle(7))
-        assert profile.core_certificate == "odd-cycle"
-        stats = self._stats()
-        rigid = classify_structure(directed_path(8))
-        assert rigid.core_certificate == "ac-rigid"
-        from repro.eval import route_raw_units
-
-        # Same branching statistic, but only the odd cycle sees it discounted.
-        discounted = route_raw_units(profile, stats)[ComplexityDegree.W1_HARD]
-        config_off = PlannerConfig(symmetry_discount=1.0)
-        full = route_raw_units(profile, stats, config_off)[ComplexityDegree.W1_HARD]
-        assert discounted < full
-
-    def test_threshold_routing_unaffected_by_certificates(self):
-        # The discount shapes estimates only; threshold mode still routes
-        # by the width thresholds.
-        stats = self._stats()
-        plan_plain = plan_query(self._profile(None), stats)
-        plan_cert = plan_query(self._profile("odd-cycle"), stats)
-        assert plan_plain.degree is plan_cert.degree
+            for config in (PlannerConfig(), STRICT):
+                assert plan_query_cached(profile, config) == plan_query(profile, config)

@@ -1,13 +1,16 @@
 """Tests for the query-service front-end (:mod:`repro.service.frontend`)."""
 
+import math
 import multiprocessing
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro.classification import ComplexityDegree, PlannerConfig, classify_structure
 from repro.cq import evaluate_query_set_sequential, parse_query
 from repro.eval import ExecutorConfig
-from repro.service import QueryService
+from repro.service import QueryService, SolveSample
 from repro.service.frontend import MODE_HISTORY_LIMIT
 from repro.workloads import scenario_by_name
 
@@ -145,6 +148,96 @@ class TestTelemetryFromWorkers:
             assert len(service.stores.telemetry) == len(distinct)
 
 
+def route_counts(service):
+    """The ``route_solves_total`` counter, per route label value."""
+    counter = service.metrics.get("route_solves_total")
+    return {
+        degree.value: counter.value(route=degree.value)
+        for degree in ComplexityDegree
+        if counter.value(route=degree.value)
+    }
+
+
+class TestTelemetrySamples:
+    """One ``(route, seconds)`` sample per solve that ran, counted per route."""
+
+    def test_one_sample_per_distinct_pattern_solved(self, scenario):
+        distinct = distinct_patterns(scenario.queries)
+        assert len(distinct) < len(scenario.queries)
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries)
+            assert len(service.telemetry_samples()) == len(distinct)
+            assert service.stats()["stores"]["telemetry_samples"] == len(distinct)
+
+    def test_samples_carry_the_route_taken_and_its_seconds(self, scenario):
+        distinct = distinct_patterns(scenario.queries)
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            results = service.evaluate(distinct)
+            samples = service.telemetry_samples()
+        assert SolveSample._fields == ("route", "seconds")
+        assert Counter(sample.route for sample in samples) == Counter(
+            result.degree.value for _, result in results
+        )
+        for sample in samples:
+            assert math.isfinite(sample.seconds) and sample.seconds >= 0.0
+
+    def test_route_counter_counts_every_sample_once(self, scenario):
+        half = len(scenario.queries) // 2
+        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries[:half])
+            service.evaluate(scenario.queries)
+            service.evaluate(scenario.queries)
+            samples = service.telemetry_samples()
+            counted = route_counts(service)
+        assert counted == dict(Counter(sample.route for sample in samples))
+
+    def test_telemetry_off_records_nothing(self, scenario, reference):
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), telemetry=False
+        ) as service:
+            results = service.evaluate(scenario.queries)
+            assert service.stores.telemetry is None
+            assert service.telemetry_samples() == []
+            assert service.stats()["stores"]["telemetry_samples"] is None
+            assert route_counts(service) == {}
+        assert triples(results) == triples(reference)
+
+
+#: Thresholds that send every core with an edge (tw, pw >= 1, td >= 2)
+#: down one route.  An edgeless core (tw = pw = 0) cannot pass a
+#: non-negative threshold, so the test leaves those out.
+FORCING = {
+    ComplexityDegree.PARA_L: PlannerConfig(50, 50, 50),
+    ComplexityDegree.PATH_COMPLETE: PlannerConfig(1, 50, 50),
+    ComplexityDegree.TREE_COMPLETE: PlannerConfig(1, 0, 50),
+    ComplexityDegree.W1_HARD: PlannerConfig(1, 0, 0),
+}
+
+
+class TestForcedRoutes:
+    @pytest.mark.parametrize("degree", list(ComplexityDegree), ids=lambda d: d.name)
+    def test_every_route_answers_like_the_reference(self, scenario, reference, degree):
+        # Every route is correct for every pattern; the thresholds only
+        # pick which machinery runs.
+        chosen = [
+            (query, expected)
+            for query, expected in reference
+            if classify_structure(query.canonical_structure()).core_treewidth >= 1
+        ]
+        assert len(chosen) >= 10
+        queries = [query for query, _ in chosen]
+        with QueryService(
+            scenario.database, planner=FORCING[degree], executor=ExecutorConfig(workers=1)
+        ) as service:
+            results = service.evaluate(queries)
+            samples = service.telemetry_samples()
+            counted = route_counts(service)
+        assert [r.answer for _, r in results] == [e.answer for _, e in chosen]
+        assert {r.degree for _, r in results} == {degree}
+        assert samples and {sample.route for sample in samples} == {degree.value}
+        assert counted == {degree.value: len(samples)}
+
+
 class TestContentMemoInWorkers:
     def test_parallel_wave_of_fresh_copies_solves_nothing(self, scenario, reference):
         config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
@@ -192,12 +285,10 @@ class TestStatsEndpoint:
             "stores",
             "cutover",
             "mode_history",
-            "calibration",
-            "planner_mode",
+            "monitor",
+            "metrics",
         ):
             assert key in stats
-        assert stats["calibration"] is None
-        assert stats["planner_mode"] == "threshold"
         # One worker never starts a pool, so neither input is measured.
         assert stats["cutover"] == {
             "pool_startup_seconds": None,
@@ -268,43 +359,3 @@ class TestServingModes:
             assert modes(service) == [("sequential", "forced by caller")]
             assert service._eval._pool is None
         assert triples(results) == triples(reference)
-
-
-class TestCalibrationLifecycle:
-    def test_calibrate_applies_cost_mode_and_survives_restart(self, scenario, reference, tmp_path):
-        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
-            service.evaluate(scenario.queries)
-            result = service.calibrate(min_samples=1)
-            assert result.source == "fitted"
-            assert service.planner.mode == "cost"
-            assert service.stats()["calibration"]["source"] == "fitted"
-            # Answers are unchanged under the calibrated planner.
-            results = service.evaluate(scenario.queries)
-            assert [r.answer for _, r in results] == [
-                r.answer for _, r in reference
-            ]
-            path = str(tmp_path / "calibration.json")
-            service.save_calibration(path)
-        # A fresh service restarts straight into the calibrated state.
-        with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1), calibration=path
-        ) as restarted:
-            assert restarted.planner.mode == "cost"
-            results = restarted.evaluate(scenario.queries[:8])
-            assert [r.answer for _, r in results] == [
-                r.answer for _, r in reference[:8]
-            ]
-
-    def test_save_without_calibration_raises(self, scenario, tmp_path):
-        with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
-            with pytest.raises(ValueError):
-                service.save_calibration(str(tmp_path / "nope.json"))
-
-    def test_insufficient_samples_does_not_apply(self, scenario):
-        with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1), telemetry=False
-        ) as service:
-            service.evaluate(scenario.queries[:3])
-            result = service.calibrate()
-            assert result.source == "insufficient-samples"
-            assert service.planner.mode == "threshold"

@@ -117,9 +117,9 @@ class TestWedgedWorker:
 
 class TestManagerStoreTimeout:
     def test_control_plane_hiccup_is_survived(self, scenario, reference):
-        """One injected ConnectionError on the control plane (planner
-        slot or heartbeat board) must be swallowed by the guarded worker
-        paths: answers identical, no recycle, no crash."""
+        """One injected ConnectionError on the control plane (the
+        heartbeat board) must be swallowed by the guarded worker paths:
+        answers identical, no recycle, no crash."""
         with multiprocessing.Manager() as manager:
             flags = manager.dict()
             flags["armed"] = True
@@ -128,7 +128,6 @@ class TestManagerStoreTimeout:
                 # Wrap before the first parallel batch — the lazily
                 # created pool then pickles the flaky wrappers into its
                 # workers via the initializer.
-                stores.control = faultinject.FlakyMapping(stores.control, flags)
                 stores.heartbeats = faultinject.FlakyMapping(stores.heartbeats, flags)
                 results = service.evaluate(scenario.queries, mode="parallel")
                 stats = service.stats()

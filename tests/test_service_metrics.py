@@ -229,11 +229,7 @@ EXPECTED_STATS_KEYS = {
     "stores",
     "cutover",
     "mode_history",
-    "calibration",
-    "planner_mode",
-    "planner_version",
     "monitor",
-    "autotune",
     "metrics",
 }
 
@@ -246,19 +242,6 @@ EXPECTED_MONITOR_KEYS = {
     "workers",
     "failovers",
     "failover_events",
-}
-
-EXPECTED_AUTOTUNE_KEYS = {
-    "enabled",
-    "total_solves",
-    "solves_since_recalibration",
-    "cooldown_remaining",
-    "attempts",
-    "adopted",
-    "rejected",
-    "tracked_patterns",
-    "median_residual_factors",
-    "events",
 }
 
 EXPECTED_CUTOVER_KEYS = {
@@ -289,7 +272,7 @@ class TestStatsSchema:
     @pytest.fixture(scope="class")
     def stats(self, scenario):
         with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1), autotune=True
+            scenario.database, executor=ExecutorConfig(workers=1)
         ) as service:
             service.evaluate(scenario.queries)
             return service.stats()
@@ -299,23 +282,13 @@ class TestStatsSchema:
 
     def test_nested_schemas(self, stats):
         assert set(stats["monitor"]) == EXPECTED_MONITOR_KEYS
-        assert set(stats["autotune"]) == EXPECTED_AUTOTUNE_KEYS
         assert set(stats["cutover"]) == EXPECTED_CUTOVER_KEYS
-        assert stats["autotune"]["enabled"] is True
 
     def test_every_value_is_pure_json(self, stats):
         assert_json_types(stats)
 
     def test_json_round_trip_is_lossless(self, stats):
         assert json.loads(json.dumps(stats)) == stats
-
-    def test_autotune_off_still_reports_the_key(self, scenario):
-        with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1)
-        ) as service:
-            stats = service.stats()
-            assert set(stats) == EXPECTED_STATS_KEYS
-            assert stats["autotune"] == {"enabled": False}
 
     def test_spawn_overhead_gauge_reads_the_measured_chunk_overhead(self, scenario):
         with QueryService(

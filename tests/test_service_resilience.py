@@ -30,8 +30,9 @@ import time
 import pytest
 
 import faultinject
+from repro.classification import PlannerConfig, classify_structure
 from repro.cq import evaluate_query_set_sequential
-from repro.eval import ExecutorConfig
+from repro.eval import ExecutorConfig, plan_query
 from repro.exceptions import DeadlineExceededError, StoreUnavailableError
 from repro.service import QueryService
 from repro.service.resilience import (
@@ -690,25 +691,33 @@ class TestManagerFailover:
         assert stats["monitor"]["failovers"] == 1
         assert stats["stores"]["profiles"]["available"] is True
 
-    def test_failover_preserves_the_planner_hot_swap(self, scenario):
-        """A config hot-swapped before the kill must survive into the
-        replacement manager's control slot (republish_planner)."""
-        from dataclasses import replace
-
+    def test_failover_preserves_the_planner_config(self, scenario, reference):
+        """The pool a failover restarts routes under the service's own
+        planner: a non-default config takes the same routes after the
+        kill as before it."""
+        strict = PlannerConfig(
+            treedepth_threshold=1, pathwidth_threshold=1, treewidth_threshold=1
+        )
+        planned = [
+            plan_query(classify_structure(query.canonical_structure()), strict).degree
+            for query in scenario.queries
+        ]
+        assert planned != [result.degree for _, result in reference]
         with QueryService(
-            scenario.database, executor=parallel_config()
+            scenario.database, planner=strict, executor=parallel_config()
         ) as service:
-            service.evaluate(scenario.queries, mode="parallel")
-            swapped = replace(service.planner, mode="cost")
-            service._apply_planner(swapped)
-            version = service.planner_version
-            assert version == 1
+            before = service.evaluate(scenario.queries, mode="parallel")
+            solved = len(service.telemetry_samples())
             faultinject.kill_manager(service._store_manager)
-            service.evaluate(scenario.queries, mode="parallel")
-            entry = service.stores.control.get("planner")
-        assert entry is not None
-        assert entry[0] == version
-        assert entry[1].mode == "cost"
+            after = service.evaluate(scenario.queries, mode="parallel")
+            stats = service.stats()
+            assert service.planner == strict
+            # The restarted workers solved afresh, not from a memo.
+            assert len(service.telemetry_samples()) > solved
+        assert stats["monitor"]["failovers"] == 1
+        for results in (before, after):
+            assert [result.degree for _, result in results] == planned
+            assert [r.answer for _, r in results] == [r.answer for _, r in reference]
 
     def test_local_stores_never_fail_over(self, scenario):
         with QueryService(
