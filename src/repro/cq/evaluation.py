@@ -25,7 +25,17 @@ service (and its tests) are measured against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.caching import BoundedLRU
 
@@ -54,8 +64,11 @@ _PROFILE_CACHE: "BoundedLRU[Structure, StructureProfile]" = BoundedLRU(
 )
 
 
-def _cached_profile(pattern: Structure) -> StructureProfile:
-    return _PROFILE_CACHE.get_or_put(pattern, lambda: classify_structure(pattern))
+def _cached_profile(
+    pattern: Structure,
+    classify: Callable[[Structure], StructureProfile] = classify_structure,
+) -> StructureProfile:
+    return _PROFILE_CACHE.get_or_put(pattern, lambda: classify(pattern))
 
 
 def clear_profile_cache() -> None:

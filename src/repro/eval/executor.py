@@ -43,6 +43,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -116,7 +117,10 @@ class ExecutorConfig:
     :class:`~repro.classification.solver_dispatch.SlimSolveResult`
     projections instead of full results — pool workers then ship a few
     scalars per query back to the parent instead of the profile with its
-    embedded structures (ROADMAP: "leaner result shipping").
+    embedded structures (ROADMAP: "leaner result shipping").  Either
+    way a worker ships each result object to the parent once and a
+    number for it afterwards (:func:`_evaluate_chunk`), so a repeated
+    query costs a few bytes per trip whichever shape it has.
 
     ``chunk_deadline_seconds`` arms fault tolerance: while waiting on
     the next in-order chunk the service gives up once the chunk has
@@ -177,6 +181,10 @@ class _EvaluationContext:
     catches queries that differ only in atom order or repeated atoms.
     Renamed variables give a different canonical structure and are
     solved separately.
+
+    :attr:`classifications` counts the classifier calls this context
+    made, whichever profile cache missed; the owner takes the count
+    (:meth:`take_classifications`) and sums it per service.
     """
 
     def __init__(
@@ -225,6 +233,15 @@ class _EvaluationContext:
         self.by_content: (
             "BoundedLRU[Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]], AnySolveResult]"
         ) = BoundedLRU(_SOLVED_CACHE_LIMIT)
+        self.classifications = 0
+        #: Pool workers only: the worker's token, set at pool start-up,
+        #: and the number each result object it shipped went out under
+        #: (see :meth:`ship`).
+        self.worker: Tuple[int, int] = (0, 0)
+        self.shipped: "BoundedLRU[int, Tuple[int, AnySolveResult]]" = BoundedLRU(
+            _SOLVED_CACHE_LIMIT
+        )
+        self.next_number = 0
 
     def beat(self, event: str) -> None:
         """Stamp this process's heartbeat onto the shared board (if any)."""
@@ -264,19 +281,28 @@ class _EvaluationContext:
             # store's claim protocol makes the compute exactly-once and
             # its counters are what the service stats endpoint reports.
             return self.stores.profiles.get_or_compute(
-                pattern, lambda: classify_structure(pattern), deadline=deadline
+                pattern, lambda: self._classify(pattern), deadline=deadline
             )
         if self.use_cache:
             # The bounded cross-call LRU owned by repro.cq.evaluation;
             # imported lazily to keep the import graph acyclic.
             from repro.cq.evaluation import _cached_profile
 
-            return _cached_profile(pattern)
+            return _cached_profile(pattern, self._classify)
         profile = self.local_profiles.get(pattern)
         if profile is None:
-            profile = classify_structure(pattern)
+            profile = self._classify(pattern)
             self.local_profiles[pattern] = profile
         return profile
+
+    def _classify(self, pattern: Structure) -> StructureProfile:
+        self.classifications += 1
+        return classify_structure(pattern)
+
+    def take_classifications(self) -> int:
+        """Hand over the classifier calls counted so far and restart the count."""
+        count, self.classifications = self.classifications, 0
+        return count
 
     def plan(self, query: ConjunctiveQuery) -> QueryPlan:
         pattern = query.canonical_structure()
@@ -344,6 +370,33 @@ class _EvaluationContext:
         samples, self.telemetry_buffer = self.telemetry_buffer, []
         return samples
 
+    def ship(
+        self, results: Sequence[AnySolveResult]
+    ) -> Tuple[Tuple[int, ...], Dict[int, AnySolveResult]]:
+        """Number a chunk's results for the trip to the parent (worker side).
+
+        Returns one number per result and the results shipped for the
+        first time, keyed by their new numbers.  A result object this
+        worker has shipped before goes as its number alone: the memos
+        hand back the same object for a repeat, so identity is the key,
+        and each entry holds its object so that the ``id`` stays its
+        own while the entry lives.  The table is an LRU of
+        :data:`_SOLVED_CACHE_LIMIT` entries that the parent mirrors
+        (:meth:`EvalService._receive`); numbers are never reused, so an
+        entry the parent lacks is a miss there, never a wrong result.
+        """
+        numbers = []
+        fresh: Dict[int, AnySolveResult] = {}
+        for result in results:
+            entry = self.shipped.get(id(result))
+            if entry is None:
+                entry = (self.next_number, result)
+                self.next_number += 1
+                self.shipped.put(id(result), entry)
+                fresh[entry[0]] = result
+            numbers.append(entry[0])
+        return tuple(numbers), fresh
+
     def flush_telemetry(self) -> None:
         """Record buffered telemetry samples into the sink (parent side)."""
         if self.telemetry_buffer and self.stores is not None and self.stores.telemetry is not None:
@@ -362,26 +415,54 @@ def _initialize_worker(
     slim: bool,
     stores: "Optional[ServiceStores]" = None,
     timed: bool = False,
+    generation: int = 0,
 ) -> None:
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = _EvaluationContext(
         database, config, use_cache, slim, stores, timed
     )
+    # The pid alone could repeat in a later pool; the parent numbers
+    # every pool it starts.
+    _WORKER_CONTEXT.worker = (generation, os.getpid())
+
+
+class _ChunkPayload(NamedTuple):
+    """What a pool worker sends back for one chunk."""
+
+    #: The worker's ``(pool generation, pid)`` token.
+    worker: Tuple[int, int]
+    #: One number per query, in chunk order (see :meth:`_EvaluationContext.ship`).
+    numbers: Tuple[int, ...]
+    #: The result objects this worker ships for the first time, by number.
+    fresh: Dict[int, AnySolveResult]
+    #: The ``(route, seconds)`` samples of the solves the worker ran.
+    samples: List[object]
+    #: Seconds the worker spent evaluating the chunk.
+    busy: float
+    #: Classifier calls the worker made since its previous payload.
+    classifications: int
 
 
 def _evaluate_chunk(
     queries: Tuple[ConjunctiveQuery, ...],
     deadline: "Optional[DeadlineBudget]" = None,
-) -> Tuple[List[AnySolveResult], List[object], float]:
+) -> _ChunkPayload:
     """The picklable work unit: evaluate one chunk in the worker's context.
 
-    Returns the chunk's results, the telemetry samples of the solves it
-    ran, and the seconds the worker spent solving the chunk; the parent
-    records the samples when it yields the chunk and measures the pool's
-    overheads against the busy seconds.  With ``slim_results``
-    configured the worker projects each result before it crosses the
-    process boundary, so the parent never pays for unpickling profiles
-    it does not want.
+    The payload carries each result as a number.  A result object goes
+    with its number the first time this worker ships it and as the
+    number alone afterwards; the parent keeps every object it received
+    under its worker's token and number, so a repeat costs a few bytes
+    instead of a pickled profile with its pattern, core and forest, and
+    resolves to the very object the first trip delivered.  With
+    ``slim_results`` configured the worker projects each result before
+    it is numbered, so a first trip ships a few scalars too.  The
+    payload also carries the telemetry samples of the solves the chunk
+    ran, the seconds the worker spent on it and its classifier calls;
+    the parent records the samples when it yields the chunk and
+    measures the pool's overheads against the busy seconds.  The
+    numbering table changes only once every query has been answered, so
+    a chunk that raises leaves it as it was.
 
     ``deadline`` is the batch's shared budget (``time.monotonic`` is
     system-wide on Linux, so the pickled expiry means the same instant
@@ -399,9 +480,17 @@ def _evaluate_chunk(
             deadline.check("worker chunk query")
         results.append(_WORKER_CONTEXT.solve(query, deadline))
     busy = time.perf_counter() - start
-    samples = _WORKER_CONTEXT.take_samples()
+    numbers, fresh = _WORKER_CONTEXT.ship(results)
+    payload = _ChunkPayload(
+        _WORKER_CONTEXT.worker,
+        numbers,
+        fresh,
+        _WORKER_CONTEXT.take_samples(),
+        busy,
+        _WORKER_CONTEXT.take_classifications(),
+    )
     _WORKER_CONTEXT.beat("chunk-done")
-    return results, samples, busy
+    return payload
 
 
 def _chunks(
@@ -472,6 +561,15 @@ class EvalService:
         #: larger of the busy seconds per worker and the slowest chunk.
         self.pool_startup_seconds: Optional[float] = None
         self.chunk_overhead_seconds: Optional[float] = None
+        #: Pools started so far; each worker's token pairs the number of
+        #: its pool with its pid.
+        self._generation = 0
+        #: Per worker token, the result objects its chunks delivered, by
+        #: number: the parent half of :meth:`_EvaluationContext.ship`.
+        self._shipped: Dict[Tuple[int, int], "BoundedLRU[int, AnySolveResult]"] = {}
+        #: Classifier calls of the contexts this service no longer reads
+        #: and of the pool workers (see :attr:`classification_calls`).
+        self._classifications = 0
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -480,6 +578,7 @@ class EvalService:
             self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_key = None
+        self._shipped.clear()
 
     def __enter__(self) -> "EvalService":
         return self
@@ -509,6 +608,24 @@ class EvalService:
     def executor(self) -> ExecutorConfig:
         """The executor configuration the service evaluates under."""
         return self._executor
+
+    @property
+    def classification_calls(self) -> int:
+        """Classifier calls made for this service, in every process.
+
+        Counted where the classifier is called, in the parent's contexts
+        and in every pool worker (each chunk's payload carries the
+        worker's count), so the value means the same with the shared
+        profile store, with the module cache and without either.  Calls
+        made in a chunk whose payload the service never reads (a stream
+        closed early, a worker killed mid-chunk) are not counted.
+        """
+        return self._classifications + sum(
+            context.classifications
+            for context in chain(
+                self._introspection.values(), self._sequential_contexts.values()
+            )
+        )
 
     def _introspection_context(self, use_cache: bool) -> _EvaluationContext:
         context = self._introspection.get(use_cache)
@@ -695,7 +812,7 @@ class EvalService:
                 yield query, result
                 ahead.extend(islice(source, 1))
         finally:
-            context.flush_telemetry()
+            self._settle(context)
         if handover is None:
             self._record_mode(
                 "sequential",
@@ -719,7 +836,12 @@ class EvalService:
                     deadline.check("sequential batch query")
                 yield query, context.solve(query, deadline)
         finally:
-            context.flush_telemetry()
+            self._settle(context)
+
+    def _settle(self, context: _EvaluationContext) -> None:
+        """Record a parent context's telemetry and classifier calls."""
+        context.flush_telemetry()
+        self._classifications += context.take_classifications()
 
     def _batch_context(self, use_cache: bool) -> _EvaluationContext:
         # With the cross-call cache enabled the service context persists
@@ -763,6 +885,12 @@ class EvalService:
         running = self._pool
         pool = self._ensure_pool(use_cache)
         fresh = pool is not running
+        # A replaced pool's numbers can no longer arrive.
+        self._shipped = {
+            worker: table
+            for worker, table in self._shipped.items()
+            if worker[0] == self._generation
+        }
         started = time.perf_counter()
         busy_total = 0.0
         busy_max = 0.0
@@ -802,9 +930,9 @@ class EvalService:
                 if budget is not None:
                     remaining = budget.clamp(remaining)
                 if remaining is None:
-                    results, samples, busy = future.result()
+                    payload = future.result()
                 else:
-                    results, samples, busy = future.result(timeout=max(remaining, 0.0))
+                    payload = future.result(timeout=max(remaining, 0.0))
             except DeadlineExceededError:
                 # A worker's budget check fired mid-chunk.  Every other
                 # in-flight chunk shares the same expired budget, so
@@ -853,6 +981,7 @@ class EvalService:
             pending.pop(next_yield)
             chunk = submitted.pop(next_yield)
             submitted_at = submit_times.pop(next_yield)
+            busy = payload.busy
             if next_yield == 0 and fresh:
                 self.pool_startup_seconds = max(
                     0.0, time.monotonic() - submitted_at - busy
@@ -862,8 +991,10 @@ class EvalService:
             next_yield += 1
             # Recorded here, where each chunk index passes exactly once,
             # so a recycle's re-dispatch never records a chunk twice.
-            if samples and sink is not None:
-                sink.record(samples)
+            if payload.samples and sink is not None:
+                sink.record(payload.samples)
+            self._classifications += payload.classifications
+            results = self._receive(payload, chunk, use_cache, budget)
             handed = time.perf_counter()
             yield from zip(chunk, results)
             paused += time.perf_counter() - handed
@@ -873,6 +1004,51 @@ class EvalService:
             wall = time.perf_counter() - started - paused
             least = max(busy_total / workers, busy_max)
             self.chunk_overhead_seconds = max(0.0, (wall - least) / next_yield)
+
+    def _receive(
+        self,
+        payload: _ChunkPayload,
+        chunk: Tuple[ConjunctiveQuery, ...],
+        use_cache: bool,
+        budget: "Optional[DeadlineBudget]" = None,
+    ) -> List[AnySolveResult]:
+        """Resolve a chunk's numbers to result objects (parent side).
+
+        Each worker's table mirrors the worker's own LRU: the parent
+        reads a worker's chunks in the order the worker ran them and
+        applies the same inserts and touches.  A number the table lacks
+        went out with an object in a chunk this service never read (a
+        stream closed early, a recycled pool) or left the table first;
+        its query is then solved here, and the result kept under that
+        number for the worker's later repeats.
+        """
+        table = self._shipped.get(payload.worker)
+        if table is None:
+            table = self._shipped[payload.worker] = BoundedLRU(_SOLVED_CACHE_LIMIT)
+        results = []
+        for query, number in zip(chunk, payload.numbers):
+            result = payload.fresh.get(number)
+            if result is not None:
+                table.put(number, result)
+            else:
+                result = table.get(number)
+                if result is None:
+                    result = self._solve_here(query, use_cache, budget)
+                    table.put(number, result)
+            results.append(result)
+        return results
+
+    def _solve_here(
+        self,
+        query: ConjunctiveQuery,
+        use_cache: bool,
+        budget: "Optional[DeadlineBudget]" = None,
+    ) -> AnySolveResult:
+        context = self._batch_context(use_cache)
+        try:
+            return context.solve(query, budget)
+        finally:
+            self._settle(context)
 
     def _recycle_pool(
         self,
@@ -954,6 +1130,7 @@ class EvalService:
         if self._pool is not None and self._pool_key != key:
             self.close()
         if self._pool is None:
+            self._generation += 1
             stores = self._stores
             timed = stores is not None and stores.telemetry is not None
             if timed:
@@ -971,6 +1148,7 @@ class EvalService:
                     self._executor.slim_results,
                     stores,
                     timed,
+                    self._generation,
                 ),
             )
             self._pool_key = key

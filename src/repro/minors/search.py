@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
+from repro.graphlib.components import connected_components
 from repro.graphlib.graph import Graph
 from repro.minors.minor_map import MinorMap
 
@@ -62,6 +63,11 @@ def _connected_subsets_containing(
             stack.append(current | {vertex})
 
 
+def _cyclomatic_number(graph: Graph) -> int:
+    """Return ``m − n + c``, the number of independent cycles of ``graph``."""
+    return graph.number_of_edges() - len(graph) + len(connected_components(graph))
+
+
 def find_minor_map(
     pattern: Graph, host: Graph, max_branch_size: Optional[int] = None
 ) -> Optional[MinorMap]:
@@ -70,11 +76,27 @@ def find_minor_map(
     ``max_branch_size`` caps the size of each branch set (default: enough to
     use every spare host vertex).  The search is exponential in the worst
     case but fast for the small patterns used by the reductions and tests.
+
+    A pattern with more vertices or edges than the host, or a larger
+    cyclomatic number, is no minor of it, and the search is skipped:
+    deleting a vertex or an edge, or contracting an edge of a simple
+    graph, raises none of the three.
     """
     if len(pattern) == 0:
         return MinorMap({})
-    if len(pattern) > len(host):
+    if (
+        len(pattern) > len(host)
+        or pattern.number_of_edges() > host.number_of_edges()
+        or _cyclomatic_number(pattern) > _cyclomatic_number(host)
+    ):
         return None
+    return _search_minor_map(pattern, host, max_branch_size)
+
+
+def _search_minor_map(
+    pattern: Graph, host: Graph, max_branch_size: Optional[int] = None
+) -> Optional[MinorMap]:
+    """The branch-set backtracking behind :func:`find_minor_map`, unpruned."""
     if max_branch_size is None:
         max_branch_size = len(host) - len(pattern) + 1
     max_branch_size = max(1, max_branch_size)

@@ -322,10 +322,12 @@ class QueryService:
     def stats(self) -> Dict[str, Any]:
         """The service's observable state, one JSON-serialisable dict.
 
-        ``classification_calls`` is the shared profile store's global
-        compute counter — on a repeated-pattern workload it is bounded
-        by the number of *distinct* patterns the service ever saw,
-        which is the dedup guarantee the benchmark gates.
+        ``classification_calls`` counts classifier calls where they
+        happen, in the parent and in every pool worker, with or without
+        the shared stores.  With the shared profile store it equals the
+        store's global compute counter — on a repeated-pattern workload
+        it is bounded by the number of *distinct* patterns the service
+        ever saw, which is the dedup guarantee the benchmark gates.
 
         ``mode_history`` holds the last :data:`MODE_HISTORY_LIMIT`
         batches only; ``batches_served`` counts every batch.
@@ -336,14 +338,13 @@ class QueryService:
         subsystems leak.
         """
         stores = self.stores.info()
-        profiles = stores.get("profiles") or {}
         return _json_safe(
             {
                 "queries_served": self._queries_served,
                 "batches_served": self._batches_served,
                 "pending": len(self._pending),
                 "shared_stores": self._store_manager.shared,
-                "classification_calls": profiles.get("computes", 0),
+                "classification_calls": self._eval.classification_calls,
                 "stores": stores,
                 "cutover": {
                     "pool_startup_seconds": self._eval.pool_startup_seconds,

@@ -100,8 +100,8 @@ def kill_manager_action(flags: Any, queries: Any) -> None:
 def _faulty_evaluate_chunk(queries, deadline=None):  # noqa: ANN001 — must match the original
     """Module-level (hence picklable-by-reference) chunk wrapper.
 
-    Returns the original's ``(results, samples, busy_seconds)`` unchanged,
-    so the parent's overhead measurements see the real chunk.
+    Returns the original's chunk payload unchanged, so the parent's
+    overhead measurements see the real chunk.
     """
     if _ACTIVE is not None:
         action, flags = _ACTIVE

@@ -12,6 +12,7 @@ from repro.classification import PlannerConfig
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     SlimSolveResult,
+    SolveResult,
 )
 from repro.cq import (
     ConjunctiveQuery,
@@ -674,11 +675,13 @@ class TestPoolMeasurements:
             scenario.database, DEFAULT_PLANNER_CONFIG, True, False
         )
         chunk = tuple(scenario.queries[:4])
-        results, samples, busy = executor_module._evaluate_chunk(chunk)
+        payload = executor_module._evaluate_chunk(chunk)
         # Untimed workers return no samples, but always their busy seconds.
-        assert samples == []
+        assert payload.samples == []
         assert len(solves) >= 1
-        assert busy >= 0.005 * len(solves)
+        assert payload.busy >= 0.005 * len(solves)
+        # A worker's first chunk ships every result object it answers with.
+        results = [payload.fresh[number] for number in payload.numbers]
         assert triples(zip(chunk, results)) == triples(
             evaluate_query_set_sequential(list(chunk), scenario.database)
         )
@@ -859,3 +862,140 @@ class TestSlimResults:
             results = service.evaluate(scenario.queries[:12], mode="parallel")
             assert service.last_mode == "parallel"
         assert all(isinstance(r, SlimSolveResult) for _, r in results)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the slowed solver and the injected fault reach pool workers only by fork",
+)
+
+
+def one_per_pattern(queries):
+    """The first query of each distinct canonical pattern, in input order."""
+    first = {}
+    for query in queries:
+        first.setdefault(query.canonical_structure(), query)
+    return list(first.values())
+
+
+@pytest.fixture
+def payloads(monkeypatch):
+    """Every chunk payload the parent resolves, in the order it reads them."""
+    received = []
+    original = EvalService._receive
+
+    def recording(service, payload, *args, **kwargs):
+        received.append(payload)
+        return original(service, payload, *args, **kwargs)
+
+    monkeypatch.setattr(EvalService, "_receive", recording)
+    return received
+
+
+@pytest.fixture
+def busy_workers(monkeypatch):
+    """Slows every query by 2 ms, memo hits included, so that a chunk
+    keeps its worker busy long enough for the other worker to take the
+    next one: both workers run chunks in every wave."""
+    import repro.eval.executor as executor_module
+
+    original = executor_module._EvaluationContext.solve
+
+    def slow(context, query, deadline=None):
+        time.sleep(0.002)
+        return original(context, query, deadline)
+
+    monkeypatch.setattr(executor_module._EvaluationContext, "solve", slow)
+
+
+@fork_only
+@pytest.mark.usefixtures("busy_workers")
+class TestResultNumbers:
+    """A worker ships each result object once; repeats cross as numbers."""
+
+    @pytest.fixture
+    def batch(self, scenario):
+        # Every chunk holds every pattern once, so any worker that runs a
+        # chunk has shipped them all.
+        return one_per_pattern(scenario.queries)[:8] * 8
+
+    @pytest.fixture
+    def reference(self, scenario, batch):
+        return evaluate_query_set_sequential(batch, scenario.database)
+
+    @pytest.mark.parametrize("slim", [False, True])
+    def test_a_second_wave_resolves_numbers_to_the_first_waves_objects(
+        self, scenario, batch, reference, payloads, slim
+    ):
+        import pickle
+
+        config = ExecutorConfig(
+            workers=2, chunk_size=8, min_parallel_batch=1, slim_results=slim
+        )
+        with EvalService(scenario.database, executor=config) as service:
+            first = service.evaluate(batch, mode="parallel")
+            assert len({payload.worker for payload in payloads}) == 2
+            payloads.clear()
+            second = service.evaluate(batch, mode="parallel")
+        assert payloads
+        assert all(b"SolveResult" not in pickle.dumps(payload) for payload in payloads)
+        assert {id(result) for _, result in second} <= {id(result) for _, result in first}
+        expected = SlimSolveResult if slim else SolveResult
+        assert all(type(result) is expected for _, result in second)
+        assert triples(second) == triples(reference)
+
+    def test_numbers_shipped_to_a_closed_stream_are_answered_in_the_parent(
+        self, scenario, batch, reference, monkeypatch
+    ):
+        answered_here = []
+        original = EvalService._solve_here
+
+        def counting(service, query, *args, **kwargs):
+            answered_here.append(query)
+            return original(service, query, *args, **kwargs)
+
+        monkeypatch.setattr(EvalService, "_solve_here", counting)
+        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            stream = service.evaluate_stream(batch, mode="parallel")
+            for _ in range(3):
+                next(stream)
+            # The chunks still in flight run to the end, and the objects
+            # the second worker ships in them never reach the parent.
+            stream.close()
+            again = service.evaluate(batch, mode="parallel")
+            recorded = len(answered_here)
+            third = service.evaluate(batch, mode="parallel")
+        assert recorded >= 1
+        assert triples(again) == triples(reference)
+        assert triples(third) == triples(reference)
+
+    def test_a_restarted_pool_ships_under_new_worker_tokens(
+        self, scenario, batch, reference, payloads
+    ):
+        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(batch, mode="parallel")
+            before = {payload.worker for payload in payloads}
+            payloads.clear()
+            service.restart_pool()
+            again = service.evaluate(batch, mode="parallel")
+        assert not before & {payload.worker for payload in payloads}
+        assert triples(again) == triples(reference)
+
+    def test_repeats_across_a_killed_worker_match_the_reference(
+        self, scenario, batch, reference
+    ):
+        import faultinject
+
+        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        with faultinject.chunk_fault(faultinject.kill_worker) as flags:
+            flags.pop("armed")
+            with EvalService(scenario.database, executor=config) as service:
+                service.evaluate(batch, mode="parallel")
+                flags["armed"] = True
+                second = service.evaluate(batch, mode="parallel")
+                assert "armed" not in flags, "the kill never fired"
+                third = service.evaluate(batch, mode="parallel")
+        assert triples(second) == triples(reference)
+        assert triples(third) == triples(reference)

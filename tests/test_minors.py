@@ -1,5 +1,7 @@
 """Tests for minor maps, minor search and the excluded-minor facts of Theorem 2.3."""
 
+import itertools
+
 import pytest
 
 from repro.decomposition import exact_pathwidth, exact_treedepth, exact_treewidth
@@ -13,6 +15,7 @@ from repro.minors import (
     largest_path_minor,
     random_minor,
 )
+from repro.minors.search import _search_minor_map
 from repro.structures import (
     clique_graph,
     complete_binary_tree_graph,
@@ -81,6 +84,34 @@ class TestMinorSearch:
         assert largest_path_minor(path_graph(5)) == 5
         assert largest_path_minor(cycle_graph(5)) == 5
         assert largest_path_minor(star_graph(3)) == 3
+
+
+def small_graphs(max_order):
+    """Every graph on at most ``max_order`` vertices, one per isomorphism class."""
+    graphs = []
+    for order in range(max_order + 1):
+        slots = list(itertools.combinations(range(order), 2))
+        seen = set()
+        for mask in range(1 << len(slots)):
+            edges = [slot for index, slot in enumerate(slots) if mask >> index & 1]
+            form = min(
+                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                for p in itertools.permutations(range(order))
+            )
+            if form not in seen:
+                seen.add(form)
+                graphs.append(Graph(range(order), edges))
+    return graphs
+
+
+class TestPrunedSearch:
+    def test_pruned_search_agrees_with_the_full_search(self):
+        """The vertex, edge and cyclomatic-number prunes never drop a minor."""
+        graphs = small_graphs(5)
+        assert len(graphs) == 1 + 1 + 2 + 4 + 11 + 34
+        for pattern, host in itertools.product(graphs, repeat=2):
+            pruned = find_minor_map(pattern, host) is None
+            assert pruned == (_search_minor_map(pattern, host) is None), (pattern, host)
 
 
 class TestRandomMinorsAndMonotonicity:

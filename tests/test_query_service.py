@@ -100,6 +100,22 @@ class TestClassificationDedup:
         assert stats["shared_stores"] is True
         assert stats["classification_calls"] <= distinct
 
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_workers_classifications_count_with_and_without_shared_stores(
+        self, shared
+    ):
+        """Pool workers count where they classify; each pattern of a
+        forced-parallel batch of distinct patterns is classified once."""
+        scenario = scenario_by_name("mixed_vocabulary", count=60, seed=1)
+        queries = distinct_patterns(scenario.queries)
+        distinct = len({query.canonical_structure() for query in queries})
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with QueryService(scenario.database, executor=config, shared=shared) as service:
+            service.evaluate(queries, mode="parallel")
+            stats = service.stats()
+        assert stats["shared_stores"] is shared
+        assert stats["classification_calls"] == distinct
+
     def test_answer_store_shares_solves_across_batches(self, scenario):
         with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
             service.evaluate(scenario.queries)
