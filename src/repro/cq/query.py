@@ -11,7 +11,7 @@ classifies.  The :class:`ConjunctiveQuery` class keeps the syntactic view
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cq.database import Database
 from repro.exceptions import FormulaError
@@ -19,6 +19,18 @@ from repro.logic.canonical import canonical_query
 from repro.logic.formula import Formula
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
+
+
+#: One atom as plain data: ``(relation, variables)``.
+PlainAtom = Tuple[str, Tuple[str, ...]]
+
+#: What :meth:`ConjunctiveQuery.content_key` returns: the plain atoms, then
+#: the variables.
+ContentKey = Tuple[Tuple[PlainAtom, ...], Tuple[str, ...]]
+
+
+def _format_atom(relation: str, variables: Sequence[str]) -> str:
+    return f"{relation}({', '.join(variables)})"
 
 
 @dataclass(frozen=True)
@@ -29,7 +41,7 @@ class QueryAtom:
     variables: Tuple[str, ...]
 
     def __str__(self) -> str:
-        return f"{self.relation}({', '.join(self.variables)})"
+        return _format_atom(self.relation, self.variables)
 
 
 class ConjunctiveQuery:
@@ -50,30 +62,51 @@ class ConjunctiveQuery:
         atoms: Sequence[QueryAtom | Tuple[str, Sequence[str]]],
         extra_variables: Sequence[str] = (),
     ) -> None:
-        normalised: List[QueryAtom] = []
+        plain: List[PlainAtom] = []
         for atom in atoms:
             if isinstance(atom, QueryAtom):
-                normalised.append(atom)
+                relation, variables = atom.relation, atom.variables
             else:
                 relation, variables = atom
-                normalised.append(QueryAtom(relation, tuple(variables)))
-        self._atoms = tuple(normalised)
-        seen: List[str] = []
-        for atom in self._atoms:
-            for variable in atom.variables:
-                if variable not in seen:
-                    seen.append(variable)
+            plain.append((relation, tuple(variables)))
+        # A dict keeps first-occurrence order and answers membership in
+        # constant time.
+        order: Dict[str, None] = {}
+        for _, variables in plain:
+            for variable in variables:
+                order[variable] = None
         for variable in extra_variables:
-            if variable not in seen:
-                seen.append(variable)
-        if not seen:
+            order[variable] = None
+        if not order:
             raise FormulaError("a conjunctive query needs at least one variable")
-        self._variables = tuple(seen)
+        self._variables = tuple(order)
+        #: The plain atoms and the variables: the query's only copy of its
+        #: atoms (see :meth:`content_key`).
+        self._key: ContentKey = (tuple(plain), self._variables)
+        #: The :class:`QueryAtom` view, built the first time :attr:`atoms`
+        #: is read.
+        self._atoms: Optional[Tuple[QueryAtom, ...]] = None
+
+    @classmethod
+    def from_content_key(cls, key: ContentKey) -> "ConjunctiveQuery":
+        """Rebuild a query from its :meth:`content_key`.
+
+        The key's variables list the atoms' variables first, in
+        first-occurrence order, and the isolated extras after them, so
+        passing them as ``extra_variables`` gives back the same variables
+        and hence an equal key.
+        """
+        atoms, variables = key
+        return cls(atoms, extra_variables=variables)
 
     # -- accessors ------------------------------------------------------------
     @property
     def atoms(self) -> Tuple[QueryAtom, ...]:
         """The query's atoms."""
+        if self._atoms is None:
+            self._atoms = tuple(
+                QueryAtom(relation, variables) for relation, variables in self._key[0]
+            )
         return self._atoms
 
     @property
@@ -84,40 +117,44 @@ class ConjunctiveQuery:
     def vocabulary(self) -> Vocabulary:
         """Return the vocabulary the query speaks about."""
         arities: Dict[str, int] = {}
-        for atom in self._atoms:
-            if atom.relation in arities and arities[atom.relation] != len(atom.variables):
+        for relation, variables in self._key[0]:
+            if relation in arities and arities[relation] != len(variables):
                 raise FormulaError(
-                    f"relation {atom.relation!r} used with two different arities"
+                    f"relation {relation!r} used with two different arities"
                 )
-            arities[atom.relation] = len(atom.variables)
+            arities[relation] = len(variables)
         return Vocabulary(arities)
 
     # -- Chandra–Merlin translations ----------------------------------------------
-    def content_key(self) -> Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]]:
-        """A hashable key that determines the canonical structure.
+    def content_key(self) -> ContentKey:
+        """A hashable key of plain tuples that determines the canonical structure.
 
-        :meth:`canonical_structure` is a function of exactly the atoms and
-        the variables (``extra_variables`` become isolated elements), so
-        equal keys mean equal canonical structures.  The converse fails:
-        reordered or repeated atoms give different keys for one structure.
-        The key is rebuilt on every call; nothing is cached on the query.
+        The key is ``(((relation, variables), …), variables)``: the atoms
+        in order, then the variables.  :meth:`canonical_structure` is a
+        function of exactly these (``extra_variables`` become isolated
+        elements), so equal keys mean equal canonical structures.  The
+        converse fails: reordered or repeated atoms give different keys
+        for one structure.  The key is built once, with the query, and
+        pickles without any reference to this module, so it is also what
+        the executor sends to its pool workers
+        (:meth:`from_content_key` rebuilds the query there).
         """
-        return self._atoms, self._variables
+        return self._key
 
     def canonical_structure(self) -> Structure:
         """Return the query's canonical structure (variables as elements)."""
         relations: Dict[str, set] = {}
-        for atom in self._atoms:
-            relations.setdefault(atom.relation, set()).add(atom.variables)
+        for relation, variables in self._key[0]:
+            relations.setdefault(relation, set()).add(variables)
         return Structure(self.vocabulary(), self._variables, relations)
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "ConjunctiveQuery":
         """Return the canonical boolean conjunctive query of a structure."""
-        atoms: List[QueryAtom] = []
+        atoms: List[PlainAtom] = []
         for symbol in sorted(structure.vocabulary, key=lambda s: s.name):
             for tup in sorted(structure.relation(symbol.name), key=repr):
-                atoms.append(QueryAtom(symbol.name, tuple(f"x[{x!r}]" for x in tup)))
+                atoms.append((symbol.name, tuple(f"x[{x!r}]" for x in tup)))
         extra = [f"x[{x!r}]" for x in sorted(structure.universe, key=repr)]
         return cls(atoms, extra_variables=extra)
 
@@ -156,8 +193,10 @@ class ConjunctiveQuery:
         return classify_structure(self.canonical_structure())
 
     def __str__(self) -> str:
-        atoms = " ∧ ".join(str(atom) for atom in self._atoms) or "⊤"
-        return f"∃{', '.join(self._variables)} . {atoms}"
+        atoms = " ∧ ".join(
+            _format_atom(relation, variables) for relation, variables in self._key[0]
+        )
+        return f"∃{', '.join(self._variables)} . {atoms or '⊤'}"
 
     def __repr__(self) -> str:
-        return f"ConjunctiveQuery({len(self._atoms)} atoms, {len(self._variables)} variables)"
+        return f"ConjunctiveQuery({len(self._key[0])} atoms, {len(self._variables)} variables)"

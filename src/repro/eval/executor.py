@@ -10,7 +10,10 @@ service able to chew through very large query batches:
   to the sequential reference path.
 * **parallelism** — batches are cut into contiguous chunks and fanned out
   to a ``concurrent.futures.ProcessPoolExecutor``.  Work units are plain
-  picklable query tuples; each worker process receives the database once
+  tuples: a chunk travels as its queries'
+  :meth:`~repro.cq.query.ConjunctiveQuery.content_key` values (strings
+  in tuples, no query objects), and a worker rebuilds a query only for a
+  key its memo lacks.  Each worker process receives the database once
   (at pool initialisation) and keeps its own per-vocabulary target
   structures and classification-profile cache, so a chunk never
   re-ships or re-derives the database side.  A batch starts
@@ -61,7 +64,7 @@ from repro.classification.solver_dispatch import (
     solve_with_degree,
 )
 from repro.cq.database import Database
-from repro.cq.query import ConjunctiveQuery, QueryAtom
+from repro.cq.query import ConjunctiveQuery, ContentKey
 from repro.eval.planner import QueryPlan, plan_query_cached
 from repro.eval.stats import DatabaseStatistics
 from repro.structures.structure import Structure
@@ -104,9 +107,12 @@ class ExecutorConfig:
     ``workers=None`` asks for one worker per CPU; ``workers<=1`` keeps
     everything in-process (the sequential reference behaviour).  Batches
     shorter than ``min_parallel_batch`` stay in-process too — pool
-    start-up costs more than a handful of queries.  ``inflight_factor``
-    bounds the submission window to ``workers · inflight_factor`` chunks,
-    which is what keeps streaming over huge batches memory-bounded.
+    start-up costs more than a handful of queries.  A chunk of
+    ``chunk_size`` queries goes to a worker as their content keys, plain
+    tuples rather than query objects (:func:`_evaluate_chunk`).
+    ``inflight_factor`` bounds the submission window to
+    ``workers · inflight_factor`` chunks, which is what keeps streaming
+    over huge batches memory-bounded.
 
     Whether a batch that could go either way runs in-process or on the
     pool is not configured: :class:`EvalService` decides it from seconds
@@ -126,11 +132,13 @@ class ExecutorConfig:
     the next in-order chunk the service gives up once the chunk has
     been in flight that long, declares the pool wedged, and recycles it
     — a fresh pool, every unfinished chunk re-submitted, the old
-    processes terminated.  A broken pool (worker killed) recycles the
-    same way regardless of the deadline.  ``None`` (the default) keeps
-    the historical blocking wait.  ``max_recycles`` bounds consecutive
-    recycle attempts per evaluation call, so a fault that re-arms
-    forever fails loudly instead of looping.
+    processes terminated.  The deadline covers every chunk, including
+    one answered wholly from a worker's memo, which stamps no heartbeat.
+    A broken pool (worker killed) recycles the same way regardless of
+    the deadline.  ``None`` (the default) keeps the historical blocking
+    wait.  ``max_recycles`` bounds consecutive recycle attempts per
+    evaluation call, so a fault that re-arms forever fails loudly
+    instead of looping.
     """
 
     workers: Optional[int] = None
@@ -174,9 +182,10 @@ class _EvaluationContext:
     costs index lookups and propagation, not ``n`` retraction searches.
 
     Results are memoised at two levels.  :attr:`by_content` is keyed by
-    the query's atoms and variables and is probed first, so a repeated
-    query — the same objects or an equal one parsed afresh — is answered
-    without building its canonical structure.  On a miss the query is
+    the query's content key, its atoms and variables as plain tuples, and
+    is probed first, so a repeated query — the same objects, an equal one
+    parsed afresh, or a key sent to a pool worker — is answered without
+    building its canonical structure.  On a miss the query is
     canonicalised and :attr:`solved`, keyed by (pattern, vocabulary),
     catches queries that differ only in atom order or repeated atoms.
     Renamed variables give a different canonical structure and are
@@ -230,9 +239,9 @@ class _EvaluationContext:
         #: :meth:`~repro.cq.query.ConjunctiveQuery.content_key`, probed
         #: before canonicalising.  Every answered query leaves an entry,
         #: whichever level answered it.
-        self.by_content: (
-            "BoundedLRU[Tuple[Tuple[QueryAtom, ...], Tuple[str, ...]], AnySolveResult]"
-        ) = BoundedLRU(_SOLVED_CACHE_LIMIT)
+        self.by_content: "BoundedLRU[ContentKey, AnySolveResult]" = BoundedLRU(
+            _SOLVED_CACHE_LIMIT
+        )
         self.classifications = 0
         #: Pool workers only: the worker's token, set at pool start-up,
         #: and the number each result object it shipped went out under
@@ -444,10 +453,18 @@ class _ChunkPayload(NamedTuple):
 
 
 def _evaluate_chunk(
-    queries: Tuple[ConjunctiveQuery, ...],
+    keys: Tuple[ContentKey, ...],
     deadline: "Optional[DeadlineBudget]" = None,
 ) -> _ChunkPayload:
     """The picklable work unit: evaluate one chunk in the worker's context.
+
+    A chunk arrives as its queries' content keys
+    (:meth:`~repro.cq.query.ConjunctiveQuery.content_key`): plain tuples
+    of strings, which pickle and unpickle several times faster than query
+    objects.  Each key is probed in the worker's content memo, and only a
+    key the memo lacks is rebuilt into a query
+    (:meth:`~repro.cq.query.ConjunctiveQuery.from_content_key`) and
+    solved.
 
     The payload carries each result as a number.  A result object goes
     with its number the first time this worker ships it and as the
@@ -464,33 +481,70 @@ def _evaluate_chunk(
     numbering table changes only once every query has been answered, so
     a chunk that raises leaves it as it was.
 
+    Heartbeats mark only the part of a chunk that computes: the worker
+    stamps "chunk-start" on the board at the chunk's first memo miss and
+    "chunk-done" once the chunk is answered, if it stamped the start.  A
+    chunk answered wholly from the memo makes no trip to the manager.  A
+    worker wedged in a solve still shows a stale "chunk-start", and the
+    executor's chunk deadline covers every chunk either way.
+
     ``deadline`` is the batch's shared budget (``time.monotonic`` is
     system-wide on Linux, so the pickled expiry means the same instant
     here as in the parent): the worker checks it between queries and
     threads it into store waits, so one budget bounds the whole nested
     stack instead of per-layer timeouts compounding.
     """
-    if _WORKER_CONTEXT is None:  # pragma: no cover — initializer always ran
+    context = _WORKER_CONTEXT
+    if context is None:  # pragma: no cover — initializer always ran
         raise RuntimeError("worker used before initialisation")
-    _WORKER_CONTEXT.beat("chunk-start")
+    stamped = False
     start = time.perf_counter()
     results = []
-    for query in queries:
+    for key in keys:
         if deadline is not None:
             deadline.check("worker chunk query")
-        results.append(_WORKER_CONTEXT.solve(query, deadline))
+        result = context.by_content.get(key)
+        if result is None:
+            if not stamped:
+                context.beat("chunk-start")
+                stamped = True
+            result = context.solve(ConjunctiveQuery.from_content_key(key), deadline)
+        results.append(result)
     busy = time.perf_counter() - start
-    numbers, fresh = _WORKER_CONTEXT.ship(results)
+    numbers, fresh = context.ship(results)
     payload = _ChunkPayload(
-        _WORKER_CONTEXT.worker,
+        context.worker,
         numbers,
         fresh,
-        _WORKER_CONTEXT.take_samples(),
+        context.take_samples(),
         busy,
-        _WORKER_CONTEXT.take_classifications(),
+        context.take_classifications(),
     )
-    _WORKER_CONTEXT.beat("chunk-done")
+    if stamped:
+        context.beat("chunk-done")
     return payload
+
+
+def _submit_chunk(
+    pool: ProcessPoolExecutor,
+    chunk: Tuple[ConjunctiveQuery, ...],
+    budget: "Optional[DeadlineBudget]",
+) -> Future:
+    """Send one chunk to the pool as its queries' content keys.
+
+    A pool that broke before the chunk went out (a worker died between
+    batches, or while the window was filling) refuses the submission.
+    The chunk then gets a future that already holds the error, so the
+    in-order wait recycles the pool and re-dispatches it like any chunk
+    the broken pool lost.
+    """
+    keys = tuple(query.content_key() for query in chunk)
+    try:
+        return pool.submit(_evaluate_chunk, keys, budget)
+    except BrokenProcessPool as error:
+        refused: Future = Future()
+        refused.set_exception(error)
+        return refused
 
 
 def _chunks(
@@ -915,7 +969,7 @@ class EvalService:
                     break
                 submitted[next_submit] = chunk
                 submit_times[next_submit] = time.monotonic()
-                pending[next_submit] = pool.submit(_evaluate_chunk, chunk, budget)
+                pending[next_submit] = _submit_chunk(pool, chunk, budget)
                 next_submit += 1
             if next_yield not in pending:
                 break
@@ -1081,7 +1135,7 @@ class EvalService:
             if future.done() and not future.cancelled() and future.exception() is None:
                 continue  # a finished result survives the recycle
             future.cancel()
-            pending[index] = pool.submit(_evaluate_chunk, submitted[index], budget)
+            pending[index] = _submit_chunk(pool, submitted[index], budget)
             submit_times[index] = time.monotonic()
             redispatched += 1
         terminated = self._terminate_pool(old)

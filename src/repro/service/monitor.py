@@ -8,9 +8,11 @@ this module the service noticed neither — a dead worker surfaced as a
 worker stalled the yield loop forever.  Now:
 
 * every worker stamps the shared **heartbeat board**
-  (``ServiceStores.heartbeats``: ``pid → (wall time, event)``) at chunk
-  boundaries, so the parent can tell "busy on a long chunk" from "has
-  not moved since its deadline";
+  (``ServiceStores.heartbeats``: ``pid → (wall time, event)``) around
+  the part of a chunk that computes — "chunk-start" at the chunk's
+  first memo miss, "chunk-done" at its end — so the parent can tell
+  "busy on a long chunk" from "has not moved since its deadline".  A
+  chunk answered wholly from the worker's memo stamps nothing;
 * the executor enforces a **per-chunk deadline**
   (:attr:`~repro.eval.executor.ExecutorConfig.chunk_deadline_seconds`)
   while waiting on the next in-order chunk and reports every recycle —
@@ -41,8 +43,8 @@ __all__ = ["WorkerHealth", "ServiceMonitor", "beat"]
 def beat(board: Any, worker_id: int, event: str, now: Optional[float] = None) -> None:
     """Stamp one worker's heartbeat onto the shared board.
 
-    A single proxy assignment — one IPC round trip — so workers can
-    afford to call it at every chunk boundary.
+    A single proxy assignment — one IPC round trip, which is why workers
+    stamp only chunks that compute something.
     """
     board[worker_id] = (time.time() if now is None else now, event)
 

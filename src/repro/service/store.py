@@ -709,9 +709,11 @@ class ServiceStores:
     with each chunk's results.
 
     ``heartbeats`` is the worker-health board: each worker writes
-    ``pid → (wall-clock time, event)`` at chunk boundaries, and the
-    service monitor (:mod:`repro.service.monitor`) reads it to tell a
-    busy worker from a wedged one.
+    ``pid → (wall-clock time, event)`` around the part of a chunk that
+    computes (from its first memo miss to its end; a chunk of memo hits
+    writes nothing), and the service monitor
+    (:mod:`repro.service.monitor`) reads it to tell a busy worker from a
+    wedged one.
 
     After a :meth:`StoreManager.failover` the *same bundle object* is
     re-pointed in place (stores rebound, a fresh ``heartbeats`` proxy;
@@ -753,9 +755,9 @@ class StoreManager:
     every store re-pointed **in place** so the executor, monitor and
     metrics callbacks keep working through the same objects.  Shared
     state is cache-semantics by construction (profiles and answers are
-    recomputable, heartbeats repopulate on the next chunk), so nothing
-    is copied out of the corpse; the stores' L1s and reconcile queues
-    refill the new backend lazily.  The telemetry sink lives in the
+    recomputable, heartbeats repopulate on the next chunk that
+    computes), so nothing is copied out of the corpse; the stores' L1s
+    and reconcile queues refill the new backend lazily.  The telemetry sink lives in the
     parent, not the manager, so it keeps its samples through a
     failover.
     """

@@ -10,8 +10,8 @@ exactly once per test regardless of chunk scheduling.
 Four injection surfaces:
 
 * :func:`chunk_fault` wraps ``repro.eval.executor._evaluate_chunk`` so
-  an ``action(flags, queries)`` hook runs at every chunk start inside
-  the worker.  Stock actions: :func:`kill_worker` (``os._exit`` — the
+  an ``action(flags, keys)`` hook runs at every chunk start inside the
+  worker (``keys`` are the chunk's query content keys).  Stock actions: :func:`kill_worker` (``os._exit`` — the
   pool breaks mid-chunk) and :func:`wedge_worker` (sleep forever — the
   chunk deadline must catch it).
 * :class:`FlakyMapping` wraps a shared control-plane mapping (the
@@ -64,7 +64,7 @@ def should_fire(flags: Any) -> bool:
     return flags.pop("armed", None) is not None
 
 
-def kill_worker(flags: Any, queries: Any) -> None:
+def kill_worker(flags: Any, keys: Any) -> None:
     """Die abruptly mid-chunk — no cleanup, no exception, exit code 42.
 
     The parent sees a ``BrokenProcessPool`` and must recycle the pool
@@ -74,7 +74,7 @@ def kill_worker(flags: Any, queries: Any) -> None:
         os._exit(42)
 
 
-def wedge_worker(flags: Any, queries: Any) -> None:
+def wedge_worker(flags: Any, keys: Any) -> None:
     """Hang forever mid-chunk (a stuck syscall / runaway solve stand-in).
 
     Only the executor's per-chunk deadline can detect this — the pool
@@ -85,7 +85,7 @@ def wedge_worker(flags: Any, queries: Any) -> None:
             time.sleep(3600)
 
 
-def kill_manager_action(flags: Any, queries: Any) -> None:
+def kill_manager_action(flags: Any, keys: Any) -> None:
     """SIGKILL the store-manager pid armed under ``flags["manager_pid"]``.
 
     A :func:`chunk_fault` action: fired from inside a worker at chunk
@@ -97,7 +97,7 @@ def kill_manager_action(flags: Any, queries: Any) -> None:
         os.kill(flags["manager_pid"], signal.SIGKILL)
 
 
-def _faulty_evaluate_chunk(queries, deadline=None):  # noqa: ANN001 — must match the original
+def _faulty_evaluate_chunk(keys, deadline=None):  # noqa: ANN001 — must match the original
     """Module-level (hence picklable-by-reference) chunk wrapper.
 
     Returns the original's chunk payload unchanged, so the parent's
@@ -105,8 +105,8 @@ def _faulty_evaluate_chunk(queries, deadline=None):  # noqa: ANN001 — must mat
     """
     if _ACTIVE is not None:
         action, flags = _ACTIVE
-        action(flags, queries)
-    return _ORIGINAL_EVALUATE_CHUNK(queries, deadline)
+        action(flags, keys)
+    return _ORIGINAL_EVALUATE_CHUNK(keys, deadline)
 
 
 @contextmanager

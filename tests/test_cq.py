@@ -106,6 +106,87 @@ class TestConjunctiveQuery:
             ConjunctiveQuery([])
 
 
+def first_occurrence_order(atoms, extra_variables=()):
+    """The variable order by its literal definition: atoms first, then extras."""
+    seen = []
+    for atom in atoms:
+        for variable in atom.variables:
+            if variable not in seen:
+                seen.append(variable)
+    for variable in extra_variables:
+        if variable not in seen:
+            seen.append(variable)
+    return tuple(seen)
+
+
+class TestContentKey:
+    """``content_key()`` is the query's atoms and variables as plain tuples."""
+
+    def test_the_key_is_plain_tuples_of_strings(self):
+        query = parse_query("exists w . E(x, y), R(y, y, z)")
+        assert query.content_key() == (
+            (("E", ("x", "y")), ("R", ("y", "y", "z"))),
+            ("x", "y", "z", "w"),
+        )
+
+    def test_a_list_of_variables_works_in_either_spelling(self):
+        from repro.eval import EvalService
+
+        spellings = [
+            ConjunctiveQuery([QueryAtom("E", ["x", "y"]), QueryAtom("E", ["y", "z"])]),
+            ConjunctiveQuery([("E", ["x", "y"]), ("E", ["y", "z"])]),
+            ConjunctiveQuery([("E", ("x", "y")), ("E", ("y", "z"))]),
+        ]
+        assert len({query.content_key() for query in spellings}) == 1
+        database = Database({"E": [(1, 2), (2, 3)]})
+        assert [query.holds_on(database) for query in spellings] == [True] * 3
+        with EvalService(database) as service:
+            results = service.evaluate(spellings)
+        answers = {(result.answer, result.solver) for _, result in results}
+        assert answers == {(True, results[0][1].solver)}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "E(x, y), E(y, z), E(z, x)",
+            "exists w v . E(x, y), R(y, y, z)",
+            "exists x y w . E(x, y), E(x, y)",
+            "exists w . Label(w)",
+        ],
+    )
+    def test_from_content_key_rebuilds_an_equal_query(self, text):
+        query = parse_query(text)
+        rebuilt = ConjunctiveQuery.from_content_key(query.content_key())
+        assert rebuilt.content_key() == query.content_key()
+        assert rebuilt.variables == query.variables
+        assert rebuilt.canonical_structure() == query.canonical_structure()
+        assert rebuilt.vocabulary() == query.vocabulary()
+        assert str(rebuilt) == str(query)
+        assert rebuilt.atoms == query.atoms
+
+    def test_reordered_or_repeated_atoms_give_distinct_keys(self):
+        query = parse_query("E(x, y), E(y, z)")
+        reordered = ConjunctiveQuery(tuple(reversed(query.atoms)), query.variables)
+        repeated = ConjunctiveQuery(query.atoms + query.atoms[:1])
+        keys = {variant.content_key() for variant in (query, reordered, repeated)}
+        assert len(keys) == 3
+        # A repeated atom changes the key even where the variables agree.
+        assert repeated.variables == query.variables
+        assert reordered.canonical_structure() == query.canonical_structure()
+        assert repeated.canonical_structure() == query.canonical_structure()
+
+    def test_variable_order_is_first_occurrence_on_every_scenario(self):
+        from repro.workloads import all_scenario_names, scenario_by_name
+
+        for name in all_scenario_names():
+            for query in scenario_by_name(name, count=30, seed=3).queries:
+                assert query.variables == first_occurrence_order(query.atoms), name
+                extras = ("isolated",) + tuple(reversed(query.variables)) + ("isolated",)
+                padded = ConjunctiveQuery(query.atoms, extra_variables=extras)
+                assert padded.variables == first_occurrence_order(query.atoms, extras)
+                assert padded.variables == query.variables + ("isolated",)
+
+
 class TestParser:
     def test_basic_forms(self):
         assert len(parse_query("E(x,y), E(y,z)").atoms) == 2

@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+import pickle
 import time
 from types import SimpleNamespace
 
@@ -675,7 +676,9 @@ class TestPoolMeasurements:
             scenario.database, DEFAULT_PLANNER_CONFIG, True, False
         )
         chunk = tuple(scenario.queries[:4])
-        payload = executor_module._evaluate_chunk(chunk)
+        payload = executor_module._evaluate_chunk(
+            tuple(query.content_key() for query in chunk)
+        )
         # Untimed workers return no samples, but always their busy seconds.
         assert payload.samples == []
         assert len(solves) >= 1
@@ -685,6 +688,152 @@ class TestPoolMeasurements:
         assert triples(zip(chunk, results)) == triples(
             evaluate_query_set_sequential(list(chunk), scenario.database)
         )
+
+
+def sent_to_pool(monkeypatch):
+    """Patches the pool's ``submit`` to record each call's pickled arguments."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    sent = []
+    original = ProcessPoolExecutor.submit
+
+    def recording(pool, fn, *args, **kwargs):
+        sent.append(pickle.dumps((fn, args, kwargs)))
+        return original(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    return sent
+
+
+class TestWireFormat:
+    """A chunk travels to the pool as plain content keys, not query objects."""
+
+    def test_a_pickled_query_names_its_module(self, scenario):
+        # What the checks below look for when a query object is sent.
+        assert b"repro.cq.query" in pickle.dumps(scenario.queries[0])
+
+    def test_first_dispatch_sends_no_query_objects(self, scenario, monkeypatch):
+        sent = sent_to_pool(monkeypatch)
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            results = service.evaluate(scenario.queries, mode="parallel")
+        assert len(sent) == len(scenario.queries) // 4
+        assert all(b"repro.cq.query" not in arguments for arguments in sent)
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the injected fault reaches pool workers only by fork",
+    )
+    def test_a_redispatch_after_a_killed_worker_sends_no_query_objects(
+        self, scenario, monkeypatch
+    ):
+        import faultinject
+
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with faultinject.chunk_fault(faultinject.kill_worker) as flags:
+            sent = sent_to_pool(monkeypatch)
+            with EvalService(scenario.database, executor=config) as service:
+                results = service.evaluate(scenario.queries, mode="parallel")
+            assert "armed" not in flags, "the kill never fired"
+        assert len(sent) > len(scenario.queries) // 4
+        assert all(b"repro.cq.query" not in arguments for arguments in sent)
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+
+class TestBrokenPoolAtSubmission:
+    """A pool that broke while idle refuses ``submit``; the batch recycles it."""
+
+    def test_a_worker_killed_between_batches_costs_a_recycle_not_the_batch(
+        self, scenario
+    ):
+        import signal
+
+        from repro.service import ServiceMonitor
+
+        monitor = ServiceMonitor()
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config, monitor=monitor) as service:
+            service.evaluate(scenario.queries[:8], mode="parallel")
+            pool = service._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            waited = time.monotonic() + 10.0
+            while not pool._broken and time.monotonic() < waited:
+                time.sleep(0.01)
+            # The pool now refuses every submission of the next batch.
+            assert pool._broken
+            results = service.evaluate(scenario.queries, mode="parallel")
+        assert monitor.recycles == 1
+        assert monitor.recycle_events[0]["reason"] == "broken-pool"
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+
+class RecordingBoard(dict):
+    """A heartbeat board that also lists every event written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def __setitem__(self, worker, entry):
+        self.events.append(entry[1])
+        super().__setitem__(worker, entry)
+
+
+class TestHeartbeats:
+    """A worker stamps the board only around chunks that compute."""
+
+    @pytest.fixture
+    def board(self, scenario, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        board = RecordingBoard()
+        monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
+        executor_module._initialize_worker(
+            scenario.database,
+            DEFAULT_PLANNER_CONFIG,
+            True,
+            False,
+            ServiceStores(heartbeats=board),
+        )
+        return board
+
+    def test_a_chunk_of_memo_hits_writes_nothing(self, scenario, board):
+        from repro.eval.executor import _evaluate_chunk
+
+        keys = tuple(query.content_key() for query in scenario.queries[:4])
+        _evaluate_chunk(keys)
+        assert board.events == ["chunk-start", "chunk-done"]
+        assert list(board) == [os.getpid()]
+        _evaluate_chunk(keys)
+        assert board.events == ["chunk-start", "chunk-done"]
+        # One miss after the hits stamps both again.
+        _evaluate_chunk(keys + (scenario.queries[4].content_key(),))
+        assert board.events == ["chunk-start", "chunk-done"] * 2
+
+    def test_a_worker_that_fails_mid_solve_is_left_at_chunk_start(
+        self, scenario, board, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+        from repro.service import ServiceMonitor
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(executor_module, "solve_with_degree", failing)
+        keys = tuple(query.content_key() for query in scenario.queries[:4])
+        with pytest.raises(RuntimeError, match="solver failed"):
+            executor_module._evaluate_chunk(keys)
+        assert board.events == ["chunk-start"]
+        monitor = ServiceMonitor(heartbeats=board, deadline_seconds=1.0)
+        stale = [worker.worker_id for worker in monitor.unhealthy_workers(time.time() + 5)]
+        assert stale == [os.getpid()]
 
 
 def rebuilt(query):
@@ -894,18 +1043,19 @@ def payloads(monkeypatch):
 
 @pytest.fixture
 def busy_workers(monkeypatch):
-    """Slows every query by 2 ms, memo hits included, so that a chunk
-    keeps its worker busy long enough for the other worker to take the
-    next one: both workers run chunks in every wave."""
+    """Slows every chunk by 2 ms a query, memo hits included, so that a
+    chunk keeps its worker busy long enough for the other worker to take
+    the next one: both workers run chunks in every wave.  The delay sits
+    in the worker's numbering step, which every chunk passes through."""
     import repro.eval.executor as executor_module
 
-    original = executor_module._EvaluationContext.solve
+    original = executor_module._EvaluationContext.ship
 
-    def slow(context, query, deadline=None):
-        time.sleep(0.002)
-        return original(context, query, deadline)
+    def slow(context, results):
+        time.sleep(0.002 * len(results))
+        return original(context, results)
 
-    monkeypatch.setattr(executor_module._EvaluationContext, "solve", slow)
+    monkeypatch.setattr(executor_module._EvaluationContext, "ship", slow)
 
 
 @fork_only
