@@ -162,6 +162,19 @@ class StructureProfile:
         """Number of elements of the core."""
         return len(self.core)
 
+    def adopt_widths(self, other: "StructureProfile") -> None:
+        """Take the widths ``other`` has computed that this profile lacks.
+
+        ``other`` must have an equal core: the widths are the core's, so
+        they are the same values whichever profile computed them.
+        """
+        if self._treewidth is None:
+            self._treewidth = other._treewidth
+        if self._pathwidth is None:
+            self._pathwidth = other._pathwidth
+        if self._treedepth is None:
+            self._treedepth = other._treedepth
+
     # -- the route decision ---------------------------------------------------
     def threshold_degree(
         self, treedepth_max: int, pathwidth_max: int, treewidth_max: int

@@ -20,6 +20,15 @@ bounded degrees.  The path sweep and the tree-decomposition DP stay in
 :func:`solve_hom` performs the dispatch per pattern structure and reports
 which route was taken, so the benchmarks can attribute running time to the
 degrees.
+
+Route and answer depend on the core alone: :func:`choose_degree` reads
+only the core's widths, and with ``use_core`` every route decides
+``hom(core(A) → B)``, which holds iff ``hom(A → B)`` does.
+:func:`solve_hom`, and the reference evaluator built on it, still
+dispatches once per pattern.  The executor of :mod:`repro.eval` calls
+:func:`solve_with_degree` once per distinct core in each evaluation
+context, and a pattern that folds to a core solved there gets that
+solve's route, solver string and answer.
 """
 
 from __future__ import annotations
@@ -165,7 +174,8 @@ def solve_with_degree(
     width always exists); the degree only selects which machinery runs.
     This is the dispatch body of :func:`solve_hom`, exposed so the
     executor of :mod:`repro.eval` can run the route its planner chose
-    while reporting the same provenance strings.
+    while reporting the same provenance strings; it runs it once per
+    distinct core.
     """
     effective = profile.core if use_core else pattern
 

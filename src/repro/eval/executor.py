@@ -181,15 +181,21 @@ class _EvaluationContext:
     a cache miss on a fold-collapsible or certificate-rigid pattern
     costs index lookups and propagation, not ``n`` retraction searches.
 
-    Results are memoised at two levels.  :attr:`by_content` is keyed by
+    Results are memoised at three levels.  :attr:`by_content` is keyed by
     the query's content key, its atoms and variables as plain tuples, and
     is probed first, so a repeated query — the same objects, an equal one
     parsed afresh, or a key sent to a pool worker — is answered without
     building its canonical structure.  On a miss the query is
     canonicalised and :attr:`solved`, keyed by (pattern, vocabulary),
     catches queries that differ only in atom order or repeated atoms.
-    Renamed variables give a different canonical structure and are
-    solved separately.
+    A new pattern is classified, and :attr:`by_core` then holds one route
+    decision and one answer per distinct core (Theorem 3.1 classifies a
+    query by its core, and hom(A → B) holds iff hom(core(A) → B) does):
+    a pattern that folds to a core already solved here gets its own
+    result, with its own profile, from the stored degree, solver string
+    and answer, without planning or solving, and leaves no telemetry
+    sample.  Renamed variables give a different canonical structure and
+    core, and are solved separately.
 
     :attr:`classifications` counts the classifier calls this context
     made, whichever profile cache missed; the owner takes the count
@@ -240,6 +246,16 @@ class _EvaluationContext:
         #: before canonicalising.  Every answered query leaves an entry,
         #: whichever level answered it.
         self.by_content: "BoundedLRU[ContentKey, AnySolveResult]" = BoundedLRU(
+            _SOLVED_CACHE_LIMIT
+        )
+        #: The full result of the first solve of each distinct core, keyed
+        #: by the core.  Route and answer depend on the core alone (hom(A →
+        #: B) iff hom(core(A) → B), and the widths are the core's), and
+        #: the core carries the pattern's vocabulary, so with the database
+        #: and planner config fixed it fixes the target too: a pattern that
+        #: folds to a core solved here is answered without planning or
+        #: solving.
+        self.by_core: "BoundedLRU[Structure, SolveResult]" = BoundedLRU(
             _SOLVED_CACHE_LIMIT
         )
         self.classifications = 0
@@ -354,19 +370,27 @@ class _EvaluationContext:
             if shared is not None:
                 self.solved.put(key, shared)
                 return shared
-        target = self.target_for(vocabulary)
         profile = self.profile_for(pattern, deadline)
-        plan = plan_query_cached(profile, self.config)
-        if self.timed:
-            from repro.service.store import SolveSample
-
-            start = time.perf_counter()
-            result = solve_with_degree(pattern, target, plan.degree, profile)
-            self.telemetry_buffer.append(
-                SolveSample(plan.degree.value, time.perf_counter() - start)
-            )
+        first = self.by_core.get(profile.core)
+        if first is not None:
+            # Another pattern with this core was solved here: its route
+            # and answer are this pattern's too, and so are its widths.
+            profile.adopt_widths(first.profile)
+            result = SolveResult(first.answer, first.solver, first.degree, profile)
         else:
-            result = solve_with_degree(pattern, target, plan.degree, profile)
+            target = self.target_for(vocabulary)
+            plan = plan_query_cached(profile, self.config)
+            if self.timed:
+                from repro.service.store import SolveSample
+
+                start = time.perf_counter()
+                result = solve_with_degree(pattern, target, plan.degree, profile)
+                self.telemetry_buffer.append(
+                    SolveSample(plan.degree.value, time.perf_counter() - start)
+                )
+            else:
+                result = solve_with_degree(pattern, target, plan.degree, profile)
+            self.by_core.put(profile.core, result)
         if self.slim:
             result = result.slim()
         self.solved.put(key, result)

@@ -36,13 +36,14 @@ vertex's candidate values from the target's hash indexes
 (:func:`~repro.structures.indexes.structure_index`): of the atoms attached
 there, the one with the fewest rows matching the already-assigned
 positions supplies the values, and the others are checked by membership.
-Only a vertex with no attached atom ranges over the whole universe, sorted
-once per call.  A vertex whose boundary is a strict subset of its
-ancestors memoises its subtree's result on the boundary's values for the
-rest of the call, so a subtree is solved once per boundary assignment
-rather than once per root-path assignment (the bag-keyed tables of
-tree-decomposition dynamic programming).  A vertex whose boundary is all
-of its ancestors keeps no entry: its key cannot repeat within one search.
+Only a vertex with no attached atom ranges over the whole universe, in
+the order the target's index sorts once and keeps.  A vertex whose
+boundary is a strict subset of its ancestors memoises its subtree's
+result on the boundary's values for the rest of the call, so a subtree
+is solved once per boundary assignment rather than once per root-path
+assignment (the bag-keyed tables of tree-decomposition dynamic
+programming).  A vertex whose boundary is all of its ancestors keeps no
+entry: its key cannot repeat within one search.
 The recursion runs on an explicit stack, so a forest of any height is
 answered within the interpreter's default recursion limit.
 
@@ -220,11 +221,14 @@ class TreeDepthSolver:
         return self._forest
 
     # -- binding to a target ---------------------------------------------------
-    def _resolve(self, target: Structure) -> Tuple[List[Tuple[_Lookup, ...]], List[Element]]:
+    def _resolve(
+        self, target: Structure
+    ) -> Tuple[List[Tuple[_Lookup, ...]], Sequence[Element]]:
         """Resolve every attached atom against ``target``'s hash indexes.
 
         Also returns the values of a vertex with no attached atom: the
-        sorted universe, or nothing when every vertex has an atom.
+        sorted universe, which the target's index keeps for every solve,
+        or nothing when every vertex has an atom.
         """
         for symbol in self._source.vocabulary:
             # A target that does not interpret a source symbol is an error,
@@ -245,8 +249,8 @@ class TreeDepthSolver:
                 )
             lookups.append(tuple(resolved))
         if all(lookups):
-            return lookups, []
-        return lookups, stable_sorted(target.universe)
+            return lookups, ()
+        return lookups, index.sorted_universe
 
     # -- solving -------------------------------------------------------------
     def exists(self, target: Structure) -> bool:
@@ -288,7 +292,7 @@ class TreeDepthSolver:
         root: int,
         values: Values,
         lookups: List[Tuple[_Lookup, ...]],
-        universe: List[Element],
+        universe: Sequence[Element],
         memos: List[Dict[RelationTuple, int]],
         first: bool,
     ) -> int:
@@ -381,7 +385,7 @@ def _candidates(
     vertex: int,
     lookups: Tuple[_Lookup, ...],
     values: Values,
-    universe: List[Element],
+    universe: Sequence[Element],
 ) -> Iterator[Element]:
     """Yield each value of ``vertex`` that satisfies its attached atoms.
 

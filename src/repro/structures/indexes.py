@@ -27,6 +27,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
@@ -154,10 +155,11 @@ class StructureIndex:
     shared by every solver run against that target.
     """
 
-    __slots__ = ("_structure", "_relations")
+    __slots__ = ("_structure", "_relations", "_sorted_universe")
 
     def __init__(self, structure: Structure) -> None:
         self._structure = structure
+        self._sorted_universe: Optional[Tuple[Element, ...]] = None
         self._relations: Dict[str, RelationIndex] = {
             symbol.name: RelationIndex(
                 symbol.name, symbol.arity, structure.relation(symbol.name)
@@ -174,6 +176,17 @@ class StructureIndex:
     def universe(self) -> FrozenSet[Element]:
         """The indexed structure's universe."""
         return self._structure.universe
+
+    @property
+    def sorted_universe(self) -> Tuple[Element, ...]:
+        """The universe in :func:`stable_sorted` order, sorted on first read.
+
+        A tuple, so no caller can reorder the copy every other caller reads.
+        """
+        ordered = self._sorted_universe
+        if ordered is None:
+            ordered = self._sorted_universe = tuple(stable_sorted(self._structure.universe))
+        return ordered
 
     def relation(self, name: str) -> RelationIndex:
         """Return the index of the named relation."""

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.classification import PlannerConfig
+from repro.classification import PlannerConfig, classify_structure
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     SlimSolveResult,
@@ -23,10 +23,13 @@ from repro.cq import (
     evaluate_query_set_stream,
     parse_query,
 )
+from repro.cq.evaluation import clear_profile_cache
+from repro.decomposition.treedepth_engine import TreedepthEngine
+from repro.decomposition.width_engine import PathwidthEngine, TreewidthEngine
 from repro.eval import EvalService, ExecutorConfig
 from repro.eval.executor import POOL_STARTUP_PRIOR_SECONDS, _chunks
 from repro.exceptions import DeadlineExceededError
-from repro.service import DeadlineBudget, ServiceStores, TelemetrySink
+from repro.service import DeadlineBudget, ServiceStores, SharedStore, TelemetrySink
 from repro.workloads import scenario_by_name
 
 
@@ -856,16 +859,31 @@ def parsed(query):
     return parse_query(str(query))
 
 
+class CallCount:
+    """A call count that processes forked after it was made add to as well."""
+
+    def __init__(self):
+        self._value = multiprocessing.Value("i", 0)
+
+    def add(self):
+        with self._value.get_lock():
+            self._value.value += 1
+
+    def __len__(self):
+        return self._value.value
+
+
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Counts the executor's ``solve_with_degree`` calls."""
+    """Counts the executor's ``solve_with_degree`` calls, in this process
+    and in pool workers forked while the fixture is active."""
     import repro.eval.executor as executor_module
 
-    calls = []
+    calls = CallCount()
     original = executor_module.solve_with_degree
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.add()
         return original(*args, **kwargs)
 
     monkeypatch.setattr(executor_module, "solve_with_degree", counting)
@@ -1149,3 +1167,150 @@ class TestResultNumbers:
                 third = service.evaluate(batch, mode="parallel")
         assert triples(second) == triples(reference)
         assert triples(third) == triples(reference)
+
+
+def outcomes(results):
+    """``(answer, solver, degree)`` per result."""
+    return [(result.answer, result.solver, result.degree) for _, result in results]
+
+
+def core_of(query):
+    return classify_structure(query.canonical_structure()).core
+
+
+def result_values(result):
+    """A full result's answer, route and every profile value; a forest
+    compares by its parent map and roots."""
+    profile = result.profile
+    forest = profile.core_elimination_forest
+    return (
+        result.answer,
+        result.solver,
+        result.degree,
+        profile.structure,
+        profile.core,
+        profile.core_treewidth,
+        profile.core_pathwidth,
+        profile.core_treedepth,
+        profile.core_treewidth_exact,
+        profile.core_pathwidth_exact,
+        profile.core_treedepth_exact,
+        forest.parent,
+        forest.roots,
+        profile.core_certificate,
+    )
+
+
+@pytest.fixture(scope="module")
+def core_sharing(scenario):
+    """The scenario's distinct patterns and the number of distinct cores
+    they fold to: fewer, so some distinct patterns share a core."""
+    patterns = one_per_pattern(scenario.queries)
+    cores = len({core_of(query) for query in patterns})
+    assert cores < len(patterns)
+    return patterns, cores
+
+
+@pytest.fixture(scope="module")
+def core_pair(scenario):
+    """The first two distinct patterns of the scenario with equal cores."""
+    first_of = {}
+    for query in one_per_pattern(scenario.queries):
+        core = core_of(query)
+        if core in first_of:
+            return first_of[core], query
+        first_of[core] = query
+    raise AssertionError("no two patterns of the scenario share a core")
+
+
+class TestCoreTable:
+    """One route decision and one solve per distinct core in a context."""
+
+    def test_in_process_solves_once_per_core(self, scenario, core_sharing, solve_calls):
+        patterns, cores = core_sharing
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            results = service.evaluate(patterns)
+        assert len(solve_calls) == cores
+        assert outcomes(results) == outcomes(
+            evaluate_query_set_sequential(patterns, scenario.database)
+        )
+
+    @fork_only
+    @pytest.mark.parametrize("slim", [False, True])
+    def test_a_worker_solves_once_per_core(self, scenario, core_sharing, solve_calls, slim):
+        patterns, cores = core_sharing
+        # One chunk, so one worker sees every pattern.
+        config = ExecutorConfig(
+            workers=2, chunk_size=len(patterns), min_parallel_batch=1, slim_results=slim
+        )
+        with EvalService(scenario.database, executor=config) as service:
+            results = service.evaluate(patterns, mode="parallel")
+            assert service.last_mode == "parallel"
+        assert len(solve_calls) == cores
+        expected = SlimSolveResult if slim else SolveResult
+        assert all(type(result) is expected for _, result in results)
+        assert outcomes(results) == outcomes(
+            evaluate_query_set_sequential(patterns, scenario.database)
+        )
+
+    def test_without_the_cache_cores_are_shared_within_a_batch_only(
+        self, scenario, core_sharing, solve_calls
+    ):
+        patterns, cores = core_sharing
+        reference = outcomes(evaluate_query_set_sequential(patterns, scenario.database))
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            first = service.evaluate(patterns, use_cache=False)
+            assert len(solve_calls) == cores
+            second = service.evaluate(patterns, use_cache=False)
+        assert len(solve_calls) == 2 * cores
+        assert outcomes(first) == outcomes(second) == reference
+
+    def test_a_hit_classifies_compares_and_pickles_like_the_reference(
+        self, scenario, core_pair, monkeypatch
+    ):
+        first, second = core_pair
+        clear_profile_cache()
+        ((_, expected),) = evaluate_query_set_sequential([second], scenario.database)
+        clear_profile_cache()
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            (_, solved), (_, hit) = service.evaluate([first, second])
+        assert hit.profile is not expected.profile
+        assert hit.profile.structure == second.canonical_structure()
+        assert hit.profile.structure != solved.profile.structure
+        assert hit.profile.core == solved.profile.core
+        # The hit's profile took the widths the solved one computed, so
+        # classifying it builds no more width engines than the reference.
+        built = []
+        for engine in (TreedepthEngine, TreewidthEngine, PathwidthEngine):
+            original = engine.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(engine, "__init__", counting)
+        degree = hit.classification()
+        by_hit = list(built)
+        built.clear()
+        assert degree == expected.classification() == hit.degree == expected.degree
+        assert by_hit == built
+        # A pickled hit carries the reference's values.
+        assert result_values(pickle.loads(pickle.dumps(hit))) == result_values(expected)
+        # The reference evaluator reads the profile the service cached for
+        # the pattern: the hit's own, with which the results compare equal.
+        ((_, shared),) = evaluate_query_set_sequential([second], scenario.database)
+        assert shared.profile is hit.profile
+        assert hit == shared
+
+    def test_a_hit_writes_the_shared_answer_store(self, scenario, core_pair, solve_calls):
+        first, second = core_pair
+        stores = ServiceStores(answers=SharedStore.local())
+        with EvalService(
+            scenario.database, executor=ExecutorConfig(workers=1), stores=stores
+        ) as service:
+            (_, solved), (_, hit) = service.evaluate([first, second])
+        assert len(solve_calls) == 1
+        assert len(stores.answers) == 2
+        for query, result in ((first, solved), (second, hit)):
+            pattern = query.canonical_structure()
+            assert stores.answers.peek((pattern, pattern.vocabulary)) is result

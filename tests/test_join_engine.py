@@ -113,6 +113,17 @@ class TestStructureIndex:
         assert index.relation("E").matching({0: 1}) == ()
         assert index.relation("E").column(0) == frozenset()
 
+    def test_sorted_universe_is_the_stable_order_sorted_once(self):
+        elements = [3, "b", 1, "a", (0, 1), _RedToken(), _BlueToken()]
+        structure = Structure(GRAPH_VOCABULARY, elements, {"E": [(1, 3)]})
+        index = StructureIndex(structure)
+        ordered = index.sorted_universe
+        assert list(ordered) == stable_sorted(structure.universe)
+        # Every solve against the target reads this one copy, which no
+        # caller can reorder.
+        assert isinstance(ordered, tuple)
+        assert index.sorted_universe is ordered
+
 
 # ---------------------------------------------------------------------------
 # Stable sort keys (regression for the repr-only canonical sort)

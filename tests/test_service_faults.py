@@ -14,6 +14,7 @@ import multiprocessing
 import pytest
 
 import faultinject
+from repro.classification import classify_structure
 from repro.cq import evaluate_query_set_sequential
 from repro.eval import ExecutorConfig
 from repro.service import QueryService, ServiceMonitor
@@ -147,11 +148,16 @@ class TestTelemetryFlood:
         """A telemetry flood beyond the sink bound drops oldest batches;
         later batches must keep serving, and the front-end must keep
         counting every new solve once the full sink drops a batch per
-        record."""
-        seen = {(q.canonical_structure(), q.vocabulary()) for q in scenario.queries[:16]}
+        record.  A query counts as new when its core is: patterns that
+        fold to a core solved before share its solve."""
+
+        def core(query):
+            return classify_structure(query.canonical_structure()).core
+
+        seen = {core(q) for q in scenario.queries[:16]}
         unseen = []
         for query in scenario.queries[16:]:
-            key = (query.canonical_structure(), query.vocabulary())
+            key = core(query)
             if key not in seen:
                 seen.add(key)
                 unseen.append(query)
