@@ -95,18 +95,20 @@ class Database:
         When a vocabulary is supplied the database is restricted to that
         schema: tables missing from the database are interpreted as empty
         and tables absent from the vocabulary are dropped (a query only
-        sees the relations it mentions).  A table present in both with a
-        different arity is an error.
+        sees the relations it mentions).  A table without rows has no
+        width of its own, so it takes the vocabulary's arity and reads as
+        empty, like a missing one; a table with rows present in both with
+        a different arity is an error.
         """
         if vocabulary is None:
             vocabulary = self.vocabulary()
         relations: Dict[str, Sequence[Row]] = {}
-        for name in self._tables:
-            if name not in vocabulary:
+        for name, rows in self._tables.items():
+            if not rows or name not in vocabulary:
                 continue
             if vocabulary.arity(name) != self._arities[name]:
                 raise VocabularyError(f"table {name!r} has the wrong arity for the vocabulary")
-            relations[name] = self._tables[name]
+            relations[name] = rows
         return Structure(vocabulary, self._domain, relations)
 
     @classmethod

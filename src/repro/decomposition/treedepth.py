@@ -57,6 +57,16 @@ class EliminationForest:
         self._parent, self._roots = state
         self._children = None
 
+    def __eq__(self, other: object) -> bool:
+        # Two forests are the same forest when every vertex has the same
+        # parent and the same vertices are roots, in whatever order.
+        if not isinstance(other, EliminationForest):
+            return NotImplemented
+        return self._parent == other._parent and set(self._roots) == set(other._roots)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self._parent.items()), frozenset(self._roots)))
+
     @property
     def parent(self) -> Dict[Vertex, Vertex]:
         """Copy of the parent map (roots absent)."""

@@ -14,11 +14,12 @@ service able to chew through very large query batches:
   :meth:`~repro.cq.query.ConjunctiveQuery.content_key` values (strings
   in tuples, no query objects), and a worker rebuilds a query only for a
   key its memo lacks.  Each worker process receives the database once
-  (at pool initialisation) and keeps its own per-vocabulary target
-  structures and classification-profile cache, so a chunk never
-  re-ships or re-derives the database side.  A batch starts
-  in-process and moves to the pool only once the seconds it has measured
-  say the pool finishes the rest sooner.
+  (at pool initialisation), converts it to one structure on its first
+  solve and keeps that structure, its hash indexes and its
+  classification-profile cache, so a chunk never re-ships or re-derives
+  the database side.  A batch starts in-process and moves to the pool
+  only once the seconds it has measured say the pool finishes the rest
+  sooner.
 * **determinism** — chunks are indexed at submission and results are
   yielded strictly in submission order, so the output of the parallel
   path is the same *list* the sequential path produces, regardless of
@@ -171,15 +172,21 @@ class ExecutorConfig:
 class _EvaluationContext:
     """Per-process evaluation state shared across the queries it sees.
 
-    One context lives in the parent for sequential evaluation (fresh per
-    batch, mirroring the reference path) and one in every worker process
-    for the lifetime of the pool.  It memoises the database→structure
-    conversion and the database statistics per vocabulary, and the
-    classification profile per canonical structure — the two sharing
-    levers that make batched EVAL(Φ) cheap.  Profiles come from the
-    rigidity-certified core engine (via :func:`classify_structure`), so
-    a cache miss on a fold-collapsible or certificate-rigid pattern
-    costs index lookups and propagation, not ``n`` retraction searches.
+    The parent keeps one for in-process evaluation (for the service's
+    lifetime, or fresh per batch under ``use_cache=False``), one more for
+    introspection (:meth:`EvalService.context`), and every worker process
+    keeps one for the lifetime of its pool.  It solves against one
+    structure of the whole database, converted on its first solve, so
+    the structure index, the sorted universe and each hash table are
+    built once per context whatever vocabularies the queries use
+    (:meth:`solve_target`).  A per-vocabulary target (:meth:`target_for`)
+    is built only for statistics (:meth:`stats_for`) and for a pattern
+    that names a table the database lacks or contradicts a table's
+    arity.  The context also memoises the classification profile per
+    canonical structure.  Profiles come from the rigidity-certified core
+    engine (via :func:`classify_structure`), so a cache miss on a
+    fold-collapsible or certificate-rigid pattern costs index lookups
+    and propagation, not ``n`` retraction searches.
 
     Results are memoised at three levels.  :attr:`by_content` is keyed by
     the query's content key, its atoms and variables as plain tuples, and
@@ -228,6 +235,9 @@ class _EvaluationContext:
         #: hand-off: a worker returns them with each chunk's results,
         #: the parent records them into its sink once per batch.
         self.telemetry_buffer: List[object] = []
+        #: The whole database as one structure, converted on the first
+        #: solve (see :meth:`solve_target`).
+        self.whole: Optional[Structure] = None
         self.targets: Dict[Vocabulary, Structure] = {}
         self.stats: Dict[Vocabulary, DatabaseStatistics] = {}
         self.local_profiles: Dict[Structure, StructureProfile] = {}
@@ -286,6 +296,30 @@ class _EvaluationContext:
             )
             self.targets[vocabulary] = target
         return target
+
+    def solve_target(self, vocabulary: Vocabulary) -> Structure:
+        """The structure a pattern over ``vocabulary`` is solved against.
+
+        A homomorphism preserves only its pattern's own relations, so
+        hom(A → B|τ(A)) = hom(A → B).  A pattern whose every symbol is a
+        database table of the same arity is therefore solved against the
+        whole database, converted once per context: one structure index,
+        one sorted universe and one hash table per ``(relation,
+        positions)`` serve every vocabulary.  A pattern that names a
+        table the database lacks, or contradicts a table's arity, gets
+        its vocabulary's target (:meth:`target_for`), which reads the
+        missing table as empty or raises the reference's
+        :class:`~repro.exceptions.VocabularyError`.
+        """
+        whole = self.whole
+        if whole is None:
+            database = self.database
+            whole = self.whole = (
+                database.to_structure() if isinstance(database, Database) else database
+            )
+        if whole.vocabulary.includes(vocabulary):
+            return whole
+        return self.target_for(vocabulary)
 
     def stats_for(self, vocabulary: Vocabulary) -> DatabaseStatistics:
         stats = self.stats.get(vocabulary)
@@ -378,7 +412,7 @@ class _EvaluationContext:
             profile.adopt_widths(first.profile)
             result = SolveResult(first.answer, first.solver, first.degree, profile)
         else:
-            target = self.target_for(vocabulary)
+            target = self.solve_target(vocabulary)
             plan = plan_query_cached(profile, self.config)
             if self.timed:
                 from repro.service.store import SolveSample
@@ -589,7 +623,7 @@ class EvalService:
 
     The service owns (lazily) a worker pool whose processes hold the
     database, so repeated :meth:`evaluate` calls amortise both the pool
-    start-up and the per-vocabulary target/index builds.  Use it as a
+    start-up and the database's conversion and index builds.  Use it as a
     context manager, or call :meth:`close` when done; with ``workers<=1``
     no pool is ever created and everything runs in-process.
     """
@@ -618,7 +652,7 @@ class EvalService:
         self._pool_key: Optional[Tuple[bool, bool]] = None
         #: Parent-side contexts for plan()/statistics(), keyed by the
         #: use_cache flag — kept so repeated introspection amortises the
-        #: database→structure conversions and statistics like a batch does.
+        #: per-vocabulary targets, statistics and profiles.
         self._introspection: Dict[bool, _EvaluationContext] = {}
         #: The persistent in-process evaluation context (see
         #: :meth:`_evaluate_sequential`); created on first use.
@@ -715,11 +749,16 @@ class EvalService:
         return context
 
     def context(self, use_cache: bool = True) -> _EvaluationContext:
-        """The parent-side evaluation context (targets, stats, profiles).
+        """The parent-side introspection context (targets, stats, profiles).
 
-        It sees the same targets and shared profile store as the workers,
-        so a caller can warm them or plan against them without building
-        its own copies.
+        :meth:`plan` and :meth:`statistics` read it.  It is not the
+        context that evaluates: batches run in the in-process context and
+        in the pool workers, which solve against their own structure of
+        the whole database.  Warming this one builds per-vocabulary
+        targets, their indexes and statistics, and never the whole
+        database.  With ``use_cache`` the profiles it computes reach the
+        evaluating contexts through the module cache or the shared
+        profile store.
         """
         return self._introspection_context(use_cache)
 
@@ -923,14 +962,14 @@ class EvalService:
 
     def _batch_context(self, use_cache: bool) -> _EvaluationContext:
         # With the cross-call cache enabled the service context persists
-        # across batches, exactly like a worker process does: targets,
-        # their hash indexes and database statistics are built once per
-        # vocabulary for the service's lifetime (this is what lets the
-        # in-process path beat the batch-scoped reference evaluator on
-        # repeated calls).  ``use_cache=False`` keeps the batch-scoped
-        # context so profile sharing stays per batch, as that flag
-        # promises.  Slim projection applies here too, so an in-process
-        # batch returns the same result shape the pool would have.
+        # across batches, exactly like a worker process does: the
+        # database structure and its hash indexes are built once for the
+        # service's lifetime (this is what lets the in-process path beat
+        # the batch-scoped reference evaluator on repeated calls).
+        # ``use_cache=False`` keeps the batch-scoped context so profile
+        # sharing stays per batch, as that flag promises.  Slim
+        # projection applies here too, so an in-process batch returns the
+        # same result shape the pool would have.
         if use_cache:
             return self._sequential_context(True)
         return _EvaluationContext(

@@ -142,6 +142,12 @@ class Vocabulary:
             raise VocabularyError(f"cannot restrict to unknown symbols {unknown!r}")
         return Vocabulary({name: self._symbols[name].arity for name in keep})
 
+    def includes(self, other: "Vocabulary") -> bool:
+        """Return True when every symbol of ``other`` is declared here with
+        the same arity."""
+        symbols = self._symbols
+        return all(symbols.get(name) == symbol for name, symbol in other._symbols.items())
+
     def __contains__(self, name: object) -> bool:
         return name in self._symbols
 

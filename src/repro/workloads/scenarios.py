@@ -22,7 +22,7 @@ scenario               what it stresses
 ``acyclic_random``     random tree-shaped (acyclic) queries — guaranteed
                        easy cores, exercises the treedepth route
 ``mixed_vocabulary``   random queries over five tables and three distinct
-                       vocabularies — per-vocabulary target/index sharing
+                       vocabularies — one database structure serves them all
 ``folded_cores``       large symmetric trees / undirected paths / even
                        cycles (10–18 variables) with single-edge cores —
                        trees and paths fold away, even cycles need one

@@ -190,10 +190,11 @@ def mixed_vocabulary_database(
 
     Tables: a symmetric binary ``E`` (graph edges), an asymmetric binary
     ``L`` (links), a ternary ``R``, and two unary colours ``C1``/``C2``.
-    Query batches over different subsets of these tables force the
-    evaluator to maintain one target structure (and one index set) per
-    vocabulary — the sharing behaviour the execution service is built
-    around.  ``skew > 0`` draws values Zipf-style instead of uniformly.
+    Query batches over different subsets of these tables span several
+    vocabularies: the reference evaluator builds one target structure
+    (and one index set) per vocabulary, the execution service one for
+    the whole database.  ``skew > 0`` draws values Zipf-style instead
+    of uniformly.
     """
     rng = random.Random(seed)
     domain = list(range(n))

@@ -1,5 +1,7 @@
 """Tests for the Classification Theorem machinery (Theorem 3.1 as an API)."""
 
+import pickle
+
 import pytest
 
 from repro.classification import (
@@ -53,6 +55,17 @@ class TestStructureProfiles:
         profile = classify_structure(star_expansion(path(5)))
         assert profile.core_size == 5
         assert profile.core_treedepth == 3
+
+    def test_profiles_compare_by_value(self):
+        profile = classify_structure(cycle(5))
+        again = classify_structure(cycle(5))
+        assert again is not profile
+        assert again.core_elimination_forest is not profile.core_elimination_forest
+        assert again == profile
+        assert pickle.loads(pickle.dumps(profile)) == profile
+        assert profile != classify_structure(cycle(7))
+        result = solve_hom(cycle(5), cycle(5), profile=profile)
+        assert pickle.loads(pickle.dumps(result)) == result == solve_hom(cycle(5), cycle(5))
 
 
 class TestLooksBounded:

@@ -52,6 +52,13 @@ class TestDatabase:
         with pytest.raises(VocabularyError):
             database.to_structure(Vocabulary({"E": 3}))
 
+    def test_an_empty_table_takes_the_vocabulary_arity(self):
+        database = Database({"E": [(1, 2)], "F": []})
+        structure = database.to_structure(Vocabulary({"E": 2, "F": 2}))
+        assert structure.relation("F") == frozenset()
+        assert structure.vocabulary.arity("F") == 2
+        assert database.to_structure().relation("F") == frozenset()
+
     def test_unknown_table(self):
         with pytest.raises(VocabularyError):
             Database({"E": [(1, 2)]}).table("F")

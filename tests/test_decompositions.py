@@ -257,6 +257,17 @@ class TestEliminationForest:
         assert {v: copy.children(v) for v in copy.vertices()} == children
         assert copy.parent == forest.parent and copy.roots == forest.roots
 
+    def test_forests_compare_and_hash_by_parent_map_and_roots(self):
+        forest = EliminationForest({"a": "r", "b": "r", "c": "s"}, ["r", "s"])
+        same = EliminationForest({"c": "s", "b": "r", "a": "r"}, ["s", "r"])
+        copy = pickle.loads(pickle.dumps(forest))
+        assert forest == same == copy
+        assert hash(forest) == hash(same) == hash(copy)
+        assert len({forest, same, copy}) == 1
+        assert forest != EliminationForest({"a": "r", "b": "a", "c": "s"}, ["r", "s"])
+        assert forest != EliminationForest({"a": "r", "b": "r"}, ["r", "s", "c"])
+        assert forest != {"a": "r", "b": "r", "c": "s"}
+
 
 class TestNiceDecomposition:
     def test_make_nice_preserves_width(self):

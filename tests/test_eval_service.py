@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.classification import PlannerConfig, classify_structure
+from repro.classification import ComplexityDegree, PlannerConfig, classify_structure
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     SlimSolveResult,
@@ -17,6 +17,7 @@ from repro.classification.solver_dispatch import (
 )
 from repro.cq import (
     ConjunctiveQuery,
+    Database,
     QueryAtom,
     evaluate_query_set,
     evaluate_query_set_sequential,
@@ -28,8 +29,10 @@ from repro.decomposition.treedepth_engine import TreedepthEngine
 from repro.decomposition.width_engine import PathwidthEngine, TreewidthEngine
 from repro.eval import EvalService, ExecutorConfig
 from repro.eval.executor import POOL_STARTUP_PRIOR_SECONDS, _chunks
-from repro.exceptions import DeadlineExceededError
+from repro.exceptions import DeadlineExceededError, VocabularyError
 from repro.service import DeadlineBudget, ServiceStores, SharedStore, TelemetrySink
+from repro.structures import clique
+from repro.structures.indexes import RelationIndex, structure_index
 from repro.workloads import scenario_by_name
 
 
@@ -1178,29 +1181,6 @@ def core_of(query):
     return classify_structure(query.canonical_structure()).core
 
 
-def result_values(result):
-    """A full result's answer, route and every profile value; a forest
-    compares by its parent map and roots."""
-    profile = result.profile
-    forest = profile.core_elimination_forest
-    return (
-        result.answer,
-        result.solver,
-        result.degree,
-        profile.structure,
-        profile.core,
-        profile.core_treewidth,
-        profile.core_pathwidth,
-        profile.core_treedepth,
-        profile.core_treewidth_exact,
-        profile.core_pathwidth_exact,
-        profile.core_treedepth_exact,
-        forest.parent,
-        forest.roots,
-        profile.core_certificate,
-    )
-
-
 @pytest.fixture(scope="module")
 def core_sharing(scenario):
     """The scenario's distinct patterns and the number of distinct cores
@@ -1295,7 +1275,7 @@ class TestCoreTable:
         assert degree == expected.classification() == hit.degree == expected.degree
         assert by_hit == built
         # A pickled hit carries the reference's values.
-        assert result_values(pickle.loads(pickle.dumps(hit))) == result_values(expected)
+        assert pickle.loads(pickle.dumps(hit)) == expected
         # The reference evaluator reads the profile the service cached for
         # the pattern: the hit's own, with which the results compare equal.
         ((_, shared),) = evaluate_query_set_sequential([second], scenario.database)
@@ -1314,3 +1294,183 @@ class TestCoreTable:
         for query, result in ((first, solved), (second, hit)):
             pattern = query.canonical_structure()
             assert stores.answers.peek((pattern, pattern.vocabulary)) is result
+
+
+#: The three ways a batch reaches an evaluation context: in-process with
+#: the service-lifetime context, forced onto the pool, and in-process
+#: with a batch-scoped context.
+RUNS = {
+    "in-process": (ExecutorConfig(workers=1), {}),
+    "parallel": (
+        ExecutorConfig(workers=2, chunk_size=3, min_parallel_batch=1),
+        {"mode": "parallel"},
+    ),
+    "uncached": (ExecutorConfig(workers=1), {"use_cache": False}),
+}
+
+
+def served(queries, database, run):
+    config, options = RUNS[run]
+    with EvalService(database, executor=config) as service:
+        results = service.evaluate(queries, **options)
+        assert service.last_mode == ("parallel" if run == "parallel" else "sequential")
+    return results
+
+
+def atoms(*pairs):
+    """A query from ``(relation, variables)`` pairs; nullary atoms allowed."""
+    return ConjunctiveQuery([QueryAtom(relation, variables) for relation, variables in pairs])
+
+
+def colourful_cliques():
+    """A database whose clique queries route to W[1] backtracking, and
+    those queries: K6 (true), K6 with a coloured vertex (true), and K6
+    with a link whose one row starts at a value in no K6 (false)."""
+    edges = [(a, b) for a in range(6) for b in range(6) if a != b]
+    edges += [(6, 0), (0, 6), (6, 1), (1, 6)]
+    database = Database({"E": edges, "L": [(6, 0)], "C1": [(0,), (6,)]})
+    k6 = ConjunctiveQuery.from_structure(clique(6))
+    first, second = k6.variables[:2]
+    coloured = ConjunctiveQuery(list(k6.atoms) + [QueryAtom("C1", (first,))])
+    linked = ConjunctiveQuery(list(k6.atoms) + [QueryAtom("L", (first, second))])
+    return database, [k6, coloured, linked]
+
+
+def nullary_case():
+    """A database with a nullary table holding its one row, an empty table,
+    and queries over both, over a nullary symbol it lacks and over the
+    empty table at arity 2."""
+    database = Database({"E": [(1, 2), (2, 3), (3, 1)], "T": [()], "F": []})
+    queries = [
+        atoms(("E", ("x", "y")), ("T", ())),
+        atoms(("E", ("x", "y")), ("U", ())),
+        atoms(("E", ("x", "y")), ("F", ())),
+        ConjunctiveQuery([QueryAtom("T", ())], extra_variables=["x"]),
+        atoms(("E", ("x", "y")), ("F", ("y", "z"))),
+    ]
+    return database, queries
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts ``Database.to_structure`` calls of the whole database and of
+    one vocabulary, in this process and in pool workers forked while the
+    fixture is active."""
+    counts = SimpleNamespace(whole=CallCount(), restricted=CallCount())
+    original = Database.to_structure
+
+    def counting(database, vocabulary=None):
+        (counts.whole if vocabulary is None else counts.restricted).add()
+        return original(database, vocabulary)
+
+    monkeypatch.setattr(Database, "to_structure", counting)
+    return counts
+
+
+class TestWholeDatabaseTarget:
+    """Patterns whose tables the database holds are solved against one
+    structure of the whole database per context; the rest against their
+    vocabulary's target.  Answers and solver strings stay the reference's."""
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_mixed_vocabularies_answer_like_the_reference(self, scenario, run):
+        assert len({query.vocabulary() for query in scenario.queries}) >= 3
+        assert triples(served(scenario.queries, scenario.database, run)) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_a_table_the_database_lacks_reads_as_empty(self, scenario, run):
+        lacking = [
+            parse_query("E(x, y), Z(y, z)"),
+            parse_query("L(x, y), C1(y), Q(y, z, w)"),
+            parse_query("Z(x)"),
+        ]
+        batch = list(scenario.queries[:6]) + lacking
+        reference = evaluate_query_set_sequential(batch, scenario.database)
+        assert [result.answer for _, result in reference[-3:]] == [False] * 3
+        assert triples(served(batch, scenario.database, run)) == triples(reference)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_an_arity_clash_raises_the_reference_error(self, scenario, run):
+        batch = list(scenario.queries[:4]) + [parse_query("E(x, y, z)")]
+        with pytest.raises(Exception) as reference:
+            evaluate_query_set_sequential(batch, scenario.database)
+        with pytest.raises(Exception) as service:
+            served(batch, scenario.database, run)
+        assert type(service.value) is type(reference.value) is VocabularyError
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_nullary_atoms_answer_like_the_reference(self, run):
+        database, queries = nullary_case()
+        reference = evaluate_query_set_sequential(queries, database)
+        assert [result.answer for _, result in reference] == [True, False, False, True, False]
+        assert triples(served(queries, database, run)) == triples(reference)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_w1_patterns_backtrack_on_the_whole_database(self, run):
+        database, queries = colourful_cliques()
+        reference = evaluate_query_set_sequential(queries, database)
+        assert all(result.degree is ComplexityDegree.W1_HARD for _, result in reference)
+        assert [result.answer for _, result in reference] == [True, True, False]
+        assert triples(served(queries, database, run)) == triples(reference)
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_a_structure_database_is_its_own_target(self, scenario, run):
+        structure = scenario.database.to_structure()
+        assert triples(served(scenario.queries, structure, run)) == triples(
+            evaluate_query_set_sequential(scenario.queries, structure)
+        )
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_an_empty_table_answers_like_a_missing_one(self, run):
+        database = Database({"E": [(1, 2)], "F": []})
+        queries = [parse_query("E(x, y), F(y, z)"), parse_query("E(x, y), G(y, z)")]
+        reference = evaluate_query_set_sequential(queries, database)
+        assert [result.answer for _, result in reference] == [False, False]
+        assert triples(served(queries, database, run)) == triples(reference)
+
+    def test_a_context_converts_the_database_once(self, scenario, conversions):
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries[:20])
+            service.evaluate(scenario.queries[20:])
+        assert len(conversions.whole) == 1
+        assert len(conversions.restricted) == 0
+
+    @fork_only
+    def test_a_worker_converts_the_database_once(self, scenario, conversions):
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(scenario.queries, mode="parallel")
+            service.evaluate(scenario.queries[::-1], mode="parallel")
+        assert 1 <= len(conversions.whole) <= 2
+        assert len(conversions.restricted) == 0
+
+    def test_each_relation_table_is_built_once(self, scenario, monkeypatch):
+        structure_index.cache_clear()
+        tables = {}
+        original = RelationIndex.table
+
+        def recording(index, positions):
+            table = original(index, positions)
+            tables.setdefault((index.name, positions), []).append(table)
+            return table
+
+        monkeypatch.setattr(RelationIndex, "table", recording)
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(scenario.queries)
+        assert len(tables) > 1
+        assert all(table is built[0] for built in tables.values() for table in built)
+
+    def test_building_and_warming_a_context_builds_no_whole_database(
+        self, scenario, conversions
+    ):
+        vocabularies = {query.vocabulary() for query in scenario.queries}
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            context = service.context()
+            for vocabulary in vocabularies:
+                context.stats_for(vocabulary)
+            service.plan(scenario.queries[0])
+            service.statistics(scenario.queries[0])
+        assert len(conversions.whole) == 0
+        assert len(conversions.restricted) == len(vocabularies)

@@ -40,6 +40,16 @@ class TestVocabulary:
         with pytest.raises(VocabularyError):
             extended.restrict(["missing"])
 
+    def test_includes_needs_every_symbol_at_its_arity(self):
+        vocabulary = Vocabulary({"E": 2, "C": 1, "T": 0})
+        assert vocabulary.includes(GRAPH_VOCABULARY)
+        assert vocabulary.includes(Vocabulary({"C": 1, "T": 0}))
+        assert vocabulary.includes(Vocabulary())
+        assert vocabulary.includes(vocabulary)
+        assert not vocabulary.includes(Vocabulary({"E": 3}))
+        assert not vocabulary.includes(Vocabulary({"E": 2, "F": 2}))
+        assert not GRAPH_VOCABULARY.includes(vocabulary)
+
     def test_equality_and_hash(self):
         assert Vocabulary({"E": 2}) == GRAPH_VOCABULARY
         assert hash(Vocabulary({"E": 2})) == hash(GRAPH_VOCABULARY)
