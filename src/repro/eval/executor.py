@@ -17,8 +17,12 @@ service able to chew through very large query batches:
   (at pool initialisation), converts it to one structure on its first
   solve and keeps that structure, its hash indexes and its
   classification-profile cache, so a chunk never re-ships or re-derives
-  the database side.  A batch starts in-process and moves to the pool
-  only once the seconds it has measured say the pool finishes the rest
+  the database side.  With the cross-call cache the parent keeps every
+  answer it has, its own and what the pool returned, in one content
+  memo, and a chunk whose every query that memo holds is answered in
+  the parent and never submitted; the pool starts only when a chunk
+  must go out.  A batch starts in-process and moves to the pool only
+  once the seconds it has measured say the pool finishes the rest
   sooner.
 * **determinism** — chunks are indexed at submission and results are
   yielded strictly in submission order, so the output of the parallel
@@ -68,6 +72,7 @@ from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery, ContentKey
 from repro.eval.planner import QueryPlan, plan_query_cached
 from repro.eval.stats import DatabaseStatistics
+from repro.structures.indexes import structure_index
 from repro.structures.structure import Structure
 from repro.structures.vocabulary import Vocabulary
 
@@ -113,7 +118,8 @@ class ExecutorConfig:
     tuples rather than query objects (:func:`_evaluate_chunk`).
     ``inflight_factor`` bounds the submission window to
     ``workers · inflight_factor`` chunks, which is what keeps streaming
-    over huge batches memory-bounded.
+    over huge batches memory-bounded; a chunk the parent answers from
+    its own memo takes a place in the window like a submitted one.
 
     Whether a batch that could go either way runs in-process or on the
     pool is not configured: :class:`EvalService` decides it from seconds
@@ -133,8 +139,9 @@ class ExecutorConfig:
     the next in-order chunk the service gives up once the chunk has
     been in flight that long, declares the pool wedged, and recycles it
     — a fresh pool, every unfinished chunk re-submitted, the old
-    processes terminated.  The deadline covers every chunk, including
-    one answered wholly from a worker's memo, which stamps no heartbeat.
+    processes terminated.  The deadline covers every submitted chunk,
+    including one answered wholly from a worker's memo, which stamps no
+    heartbeat.
     A broken pool (worker killed) recycles the same way regardless of
     the deadline.  ``None`` (the default) keeps the historical blocking
     wait.  ``max_recycles`` bounds consecutive recycle attempts per
@@ -192,17 +199,19 @@ class _EvaluationContext:
     the query's content key, its atoms and variables as plain tuples, and
     is probed first, so a repeated query — the same objects, an equal one
     parsed afresh, or a key sent to a pool worker — is answered without
-    building its canonical structure.  On a miss the query is
-    canonicalised and :attr:`solved`, keyed by (pattern, vocabulary),
-    catches queries that differ only in atom order or repeated atoms.
-    A new pattern is classified, and :attr:`by_core` then holds one route
-    decision and one answer per distinct core (Theorem 3.1 classifies a
-    query by its core, and hom(A → B) holds iff hom(core(A) → B) does):
-    a pattern that folds to a core already solved here gets its own
-    result, with its own profile, from the stored degree, solver string
-    and answer, without planning or solving, and leaves no telemetry
-    sample.  Renamed variables give a different canonical structure and
-    core, and are solved separately.
+    building its canonical structure.  The parent's in-process context
+    (``use_cache=True``) also holds there every result the pool sent back,
+    and a parallel batch probes it before it submits a chunk.  On a miss
+    the query is canonicalised and :attr:`solved`, keyed by (pattern,
+    vocabulary), catches queries that differ only in atom order or
+    repeated atoms.  A new pattern is classified, and :attr:`by_core` then
+    holds one route decision and one answer per distinct core (Theorem 3.1
+    classifies a query by its core, and hom(A → B) holds iff hom(core(A) →
+    B) does): a pattern that folds to a core already solved here gets its
+    own result, with its own profile, from the stored degree, solver
+    string and answer, without planning or solving, and leaves no
+    telemetry sample.  Renamed variables give a different canonical
+    structure and core, and are solved separately.
 
     :attr:`classifications` counts the classifier calls this context
     made, whichever profile cache missed; the owner takes the count
@@ -310,13 +319,20 @@ class _EvaluationContext:
         its vocabulary's target (:meth:`target_for`), which reads the
         missing table as empty or raises the reference's
         :class:`~repro.exceptions.VocabularyError`.
+
+        The solvers find a target's index by value
+        (:func:`~repro.structures.indexes.structure_index`), so the
+        context keeps the cached index's own structure: each later lookup
+        is an identity hit, not a full comparison with an equal structure
+        another context cached first.
         """
         whole = self.whole
         if whole is None:
             database = self.database
-            whole = self.whole = (
+            whole = (
                 database.to_structure() if isinstance(database, Database) else database
             )
+            whole = self.whole = structure_index(whole).structure
         if whole.vocabulary.includes(vocabulary):
             return whole
         return self.target_for(vocabulary)
@@ -618,6 +634,20 @@ def _chunks(
         yield tuple(chunk)
 
 
+def _held_results(
+    memo: "BoundedLRU[ContentKey, AnySolveResult]",
+    chunk: Tuple[ConjunctiveQuery, ...],
+) -> Optional[List[AnySolveResult]]:
+    """The chunk's results if ``memo`` holds every one of them, else None."""
+    results = []
+    for query in chunk:
+        result = memo.get(query.content_key())
+        if result is None:
+            return None
+        results.append(result)
+    return results
+
+
 class EvalService:
     """A reusable EVAL(Φ) evaluator bound to one database.
 
@@ -668,9 +698,10 @@ class EvalService:
         #: chunk's worker busy seconds; the decision prices it at no less
         #: than the prior.  Chunk overhead: after a parallel batch on an
         #: already running pool, (batch wall − the least wall its chunks'
-        #: busy seconds allow) / chunks, where the batch wall leaves out
-        #: the consumer's time between results and the least wall is the
-        #: larger of the busy seconds per worker and the slowest chunk.
+        #: busy seconds allow) / chunks submitted, where the batch wall
+        #: leaves out the consumer's time between results and the least
+        #: wall is the larger of the busy seconds per worker and the
+        #: slowest chunk.
         self.pool_startup_seconds: Optional[float] = None
         self.chunk_overhead_seconds: Optional[float] = None
         #: Pools started so far; each worker's token pairs the number of
@@ -812,7 +843,13 @@ class EvalService:
 
         The input may be an arbitrary (even unbounded) iterable; at most
         ``workers · inflight_factor`` chunks are in flight at any moment,
-        so memory stays proportional to the window, not the batch.
+        so memory stays proportional to the window, not the batch.  With
+        ``use_cache`` (the default) a chunk whose every query the parent
+        has answered before, in-process or through the pool, is answered
+        from the parent's content memo with the objects it holds and is
+        not sent to the pool; it still takes its place in the window.
+        ``use_cache=False`` submits every chunk and keeps nothing between
+        calls.
 
         With more than one worker and more than one visible CPU the batch
         starts in-process and hands the rest to the pool once that pays
@@ -999,15 +1036,23 @@ class EvalService:
         use_cache: bool,
         budget: "Optional[DeadlineBudget]" = None,
     ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
-        running = self._pool
-        pool = self._ensure_pool(use_cache)
-        fresh = pool is not running
-        # A replaced pool's numbers can no longer arrive.
+        # With the cross-call cache, the in-process context's content memo
+        # holds every answer the parent has, its own and the pool's: a
+        # chunk it holds whole is answered here.
+        memo = self._sequential_context(True).by_content if use_cache else None
+        # No running pool for these options: one starts, fresh, when the
+        # first chunk must be submitted.
+        key = (use_cache, self._executor.slim_results)
+        pool = self._pool if self._pool_key == key else None
+        # Only a running pool's numbers can still arrive.
+        live = self._generation if self._pool is not None else None
         self._shipped = {
             worker: table
             for worker, table in self._shipped.items()
-            if worker[0] == self._generation
+            if worker[0] == live
         }
+        # The first chunk sent to a pool this call started, if any.
+        fresh: Optional[int] = None
         started = time.perf_counter()
         busy_total = 0.0
         busy_max = 0.0
@@ -1017,25 +1062,43 @@ class EvalService:
         window = workers * self._executor.inflight_factor
         deadline = self._executor.chunk_deadline_seconds
         chunk_iterator = _chunks(queries, self._executor.chunk_size)
+        held: Dict[int, Tuple[Tuple[ConjunctiveQuery, ...], List[AnySolveResult]]] = {}
         pending: Dict[int, Future] = {}
         submitted: Dict[int, Tuple[ConjunctiveQuery, ...]] = {}
         submit_times: Dict[int, float] = {}
         recycles = 0
+        sent = 0
         next_submit = 0
         next_yield = 0
         exhausted = False
         while True:
-            while not exhausted and len(pending) < window:
+            while not exhausted and len(held) + len(pending) < window:
                 chunk = next(chunk_iterator, None)
                 if chunk is None:
                     exhausted = True
                     break
+                answers = None if memo is None else _held_results(memo, chunk)
+                if answers is not None:
+                    held[next_submit] = (chunk, answers)
+                    next_submit += 1
+                    continue
+                if pool is None:
+                    pool = self._ensure_pool(use_cache)
+                    fresh = next_submit
                 submitted[next_submit] = chunk
                 submit_times[next_submit] = time.monotonic()
                 pending[next_submit] = _submit_chunk(pool, chunk, budget)
+                sent += 1
                 next_submit += 1
-            if next_yield not in pending:
+            if next_yield == next_submit:
                 break
+            answered = held.pop(next_yield, None)
+            if answered is not None:
+                next_yield += 1
+                handed = time.perf_counter()
+                yield from zip(*answered)
+                paused += time.perf_counter() - handed
+                continue
             future = pending[next_yield]
             try:
                 # The parent-side wait composes both clocks: the
@@ -1099,7 +1162,7 @@ class EvalService:
             chunk = submitted.pop(next_yield)
             submitted_at = submit_times.pop(next_yield)
             busy = payload.busy
-            if next_yield == 0 and fresh:
+            if next_yield == fresh:
                 self.pool_startup_seconds = max(
                     0.0, time.monotonic() - submitted_at - busy
                 )
@@ -1112,15 +1175,18 @@ class EvalService:
                 sink.record(payload.samples)
             self._classifications += payload.classifications
             results = self._receive(payload, chunk, use_cache, budget)
+            if memo is not None:
+                for query, result in zip(chunk, results):
+                    memo.put(query.content_key(), result)
             handed = time.perf_counter()
             yield from zip(chunk, results)
             paused += time.perf_counter() - handed
-        if next_yield and not fresh and not recycles:
+        if sent and fresh is None and not recycles:
             # Neither the consumer's time between results nor a worker
             # idling behind one slow chunk is overhead of the pool.
             wall = time.perf_counter() - started - paused
             least = max(busy_total / workers, busy_max)
-            self.chunk_overhead_seconds = max(0.0, (wall - least) / next_yield)
+            self.chunk_overhead_seconds = max(0.0, (wall - least) / sent)
 
     def _receive(
         self,

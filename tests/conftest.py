@@ -9,6 +9,7 @@ checkout.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import sys
 
@@ -18,6 +19,7 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.cq import ConjunctiveQuery  # noqa: E402  (import after path setup)
 from repro.structures import (  # noqa: E402  (import after path setup)
     GRAPH_VOCABULARY,
     Structure,
@@ -100,6 +102,39 @@ def assert_valid_path_decomposition(graph, decomposition, expected_width=None):
         assert realised == expected_width, (
             f"decomposition width {realised} != reported {expected_width}"
         )
+
+
+def restated(queries, times=1):
+    """Each query with its first atom stated ``times`` more times.
+
+    A copy has a new content key and the same canonical structure: an
+    evaluation service's parent, which answers what it holds by content
+    key, sends it to the pool, and a worker's (pattern, vocabulary) memo
+    answers it with the object it answered the original with.  Tests
+    whose premise is that a repeated batch reaches the pool workers
+    repeat it this way; ``times`` gives each further wave new keys.
+    """
+    return [
+        ConjunctiveQuery(
+            query.atoms + query.atoms[:1] * times, extra_variables=query.variables
+        )
+        for query in queries
+    ]
+
+
+def sent_to_pool(monkeypatch):
+    """Patches the pool's ``submit`` to record each call's pickled arguments."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    sent = []
+    original = ProcessPoolExecutor.submit
+
+    def recording(pool, fn, *args, **kwargs):
+        sent.append(pickle.dumps((fn, args, kwargs)))
+        return original(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    return sent
 
 
 @pytest.fixture

@@ -5,10 +5,12 @@ import multiprocessing
 import os
 import pickle
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import restated, sent_to_pool
 from repro.classification import ComplexityDegree, PlannerConfig, classify_structure
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
@@ -31,7 +33,7 @@ from repro.eval import EvalService, ExecutorConfig
 from repro.eval.executor import POOL_STARTUP_PRIOR_SECONDS, _chunks
 from repro.exceptions import DeadlineExceededError, VocabularyError
 from repro.service import DeadlineBudget, ServiceStores, SharedStore, TelemetrySink
-from repro.structures import clique
+from repro.structures import Structure, clique
 from repro.structures.indexes import RelationIndex, structure_index
 from repro.workloads import scenario_by_name
 
@@ -73,11 +75,17 @@ class TestParallelEquivalence:
         with EvalService(scenario.database, executor=config) as service:
             parallel = service.evaluate(scenario.queries, mode="parallel")
             assert service.last_mode == "parallel"
-            # Pool reuse: a second batch over the same service still matches.
-            again = service.evaluate(scenario.queries[:10], mode="parallel")
+            # Pool reuse: a second batch over the same service still
+            # matches.  Restated, it reaches the running pool rather than
+            # the parent's memo.
+            again = service.evaluate(restated(scenario.queries[:10]), mode="parallel")
             assert service.last_mode == "parallel"
         assert triples(parallel) == triples(sequential)
-        assert triples(again) == triples(sequential[:10])
+        assert triples(again) == triples(
+            evaluate_query_set_sequential(
+                restated(scenario.queries[:10]), scenario.database
+            )
+        )
 
     def test_evaluate_query_set_routes_through_the_service(self, scenario):
         sequential = evaluate_query_set(scenario.queries, scenario.database)
@@ -609,10 +617,11 @@ class TestPoolMeasurements:
             overhead = service.chunk_overhead_seconds
             assert overhead >= 0.0
             # A new pool measures its start-up again and leaves the
-            # per-chunk overhead as the running pool measured it.
+            # per-chunk overhead as the running pool measured it.  The
+            # parent holds the first batch, so it goes restated.
             service.restart_pool()
             service.pool_startup_seconds = None
-            service.evaluate(scenario.queries[:16], mode="parallel")
+            service.evaluate(restated(scenario.queries[:16]), mode="parallel")
             assert service.pool_startup_seconds >= 0.0
             assert service.chunk_overhead_seconds == overhead
 
@@ -694,21 +703,6 @@ class TestPoolMeasurements:
         assert triples(zip(chunk, results)) == triples(
             evaluate_query_set_sequential(list(chunk), scenario.database)
         )
-
-
-def sent_to_pool(monkeypatch):
-    """Patches the pool's ``submit`` to record each call's pickled arguments."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    sent = []
-    original = ProcessPoolExecutor.submit
-
-    def recording(pool, fn, *args, **kwargs):
-        sent.append(pickle.dumps((fn, args, kwargs)))
-        return original(pool, fn, *args, **kwargs)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
-    return sent
 
 
 class TestWireFormat:
@@ -1082,7 +1076,11 @@ def busy_workers(monkeypatch):
 @fork_only
 @pytest.mark.usefixtures("busy_workers")
 class TestResultNumbers:
-    """A worker ships each result object once; repeats cross as numbers."""
+    """A worker ships each result object once; repeats cross as numbers.
+
+    The parent answers a batch it holds from its own content memo, so
+    every wave after the first is restated (new content keys, equal
+    canonical structures) and reaches the workers."""
 
     @pytest.fixture
     def batch(self, scenario):
@@ -1091,12 +1089,16 @@ class TestResultNumbers:
         return one_per_pattern(scenario.queries)[:8] * 8
 
     @pytest.fixture
-    def reference(self, scenario, batch):
-        return evaluate_query_set_sequential(batch, scenario.database)
+    def waves(self, batch):
+        return [batch, restated(batch), restated(batch, 2)]
+
+    @pytest.fixture
+    def references(self, scenario, waves):
+        return [evaluate_query_set_sequential(wave, scenario.database) for wave in waves]
 
     @pytest.mark.parametrize("slim", [False, True])
     def test_a_second_wave_resolves_numbers_to_the_first_waves_objects(
-        self, scenario, batch, reference, payloads, slim
+        self, scenario, waves, references, payloads, slim
     ):
         import pickle
 
@@ -1104,19 +1106,19 @@ class TestResultNumbers:
             workers=2, chunk_size=8, min_parallel_batch=1, slim_results=slim
         )
         with EvalService(scenario.database, executor=config) as service:
-            first = service.evaluate(batch, mode="parallel")
+            first = service.evaluate(waves[0], mode="parallel")
             assert len({payload.worker for payload in payloads}) == 2
             payloads.clear()
-            second = service.evaluate(batch, mode="parallel")
+            second = service.evaluate(waves[1], mode="parallel")
         assert payloads
         assert all(b"SolveResult" not in pickle.dumps(payload) for payload in payloads)
         assert {id(result) for _, result in second} <= {id(result) for _, result in first}
         expected = SlimSolveResult if slim else SolveResult
         assert all(type(result) is expected for _, result in second)
-        assert triples(second) == triples(reference)
+        assert triples(second) == triples(references[1])
 
     def test_numbers_shipped_to_a_closed_stream_are_answered_in_the_parent(
-        self, scenario, batch, reference, monkeypatch
+        self, scenario, waves, references, monkeypatch
     ):
         answered_here = []
         original = EvalService._solve_here
@@ -1128,34 +1130,35 @@ class TestResultNumbers:
         monkeypatch.setattr(EvalService, "_solve_here", counting)
         config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            stream = service.evaluate_stream(batch, mode="parallel")
+            stream = service.evaluate_stream(waves[0], mode="parallel")
             for _ in range(3):
                 next(stream)
             # The chunks still in flight run to the end, and the objects
             # the second worker ships in them never reach the parent.
             stream.close()
-            again = service.evaluate(batch, mode="parallel")
+            again = service.evaluate(waves[1], mode="parallel")
             recorded = len(answered_here)
-            third = service.evaluate(batch, mode="parallel")
+            third = service.evaluate(waves[2], mode="parallel")
         assert recorded >= 1
-        assert triples(again) == triples(reference)
-        assert triples(third) == triples(reference)
+        assert triples(again) == triples(references[1])
+        assert triples(third) == triples(references[2])
 
     def test_a_restarted_pool_ships_under_new_worker_tokens(
-        self, scenario, batch, reference, payloads
+        self, scenario, waves, references, payloads
     ):
         config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
-            service.evaluate(batch, mode="parallel")
+            service.evaluate(waves[0], mode="parallel")
             before = {payload.worker for payload in payloads}
             payloads.clear()
             service.restart_pool()
-            again = service.evaluate(batch, mode="parallel")
+            again = service.evaluate(waves[1], mode="parallel")
+        assert payloads
         assert not before & {payload.worker for payload in payloads}
-        assert triples(again) == triples(reference)
+        assert triples(again) == triples(references[1])
 
     def test_repeats_across_a_killed_worker_match_the_reference(
-        self, scenario, batch, reference
+        self, scenario, waves, references
     ):
         import faultinject
 
@@ -1163,13 +1166,168 @@ class TestResultNumbers:
         with faultinject.chunk_fault(faultinject.kill_worker) as flags:
             flags.pop("armed")
             with EvalService(scenario.database, executor=config) as service:
-                service.evaluate(batch, mode="parallel")
+                service.evaluate(waves[0], mode="parallel")
                 flags["armed"] = True
-                second = service.evaluate(batch, mode="parallel")
+                second = service.evaluate(waves[1], mode="parallel")
                 assert "armed" not in flags, "the kill never fired"
-                third = service.evaluate(batch, mode="parallel")
-        assert triples(second) == triples(reference)
-        assert triples(third) == triples(reference)
+                third = service.evaluate(waves[2], mode="parallel")
+        assert triples(second) == triples(references[1])
+        assert triples(third) == triples(references[2])
+
+
+class TestParentMemo:
+    """With the cross-call cache the parent keeps every answer it has, its
+    own and the pool's, in its content memo, and answers a chunk it holds
+    whole from there instead of submitting it."""
+
+    config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+
+    @pytest.mark.parametrize("warm", ["parallel", "sequential"])
+    def test_a_batch_the_parent_holds_submits_nothing(
+        self, scenario, monkeypatch, warm
+    ):
+        reference = evaluate_query_set_sequential(scenario.queries, scenario.database)
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(scenario.queries, mode=warm)
+            running = service._pool
+            assert (running is None) is (warm == "sequential")
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(scenario.queries, mode="parallel")
+            assert service.last_mode == "parallel"
+            assert service._pool is running
+            # Without a running pool a held batch starts none.
+            service.restart_pool()
+            again = service.evaluate(scenario.queries, mode="parallel")
+            assert service._pool is None
+        assert sent == []
+        assert triples(results) == triples(reference)
+        assert triples(again) == triples(reference)
+
+    @pytest.mark.parametrize("slim", [False, True])
+    def test_held_results_are_the_first_waves_objects(self, scenario, slim):
+        config = replace(self.config, slim_results=slim)
+        with EvalService(scenario.database, executor=config) as service:
+            first = service.evaluate(scenario.queries, mode="parallel")
+            second = service.evaluate(scenario.queries, mode="parallel")
+        assert {id(result) for _, result in second} <= {id(result) for _, result in first}
+        expected = SlimSolveResult if slim else SolveResult
+        assert all(type(result) is expected for _, result in second)
+        assert triples(second) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
+
+    def test_a_chunk_with_one_unseen_query_is_submitted_whole(
+        self, scenario, monkeypatch
+    ):
+        seen = list(scenario.queries[:8])
+        keys = {query.content_key() for query in seen}
+        unseen = next(q for q in scenario.queries if q.content_key() not in keys)
+        batch = seen[:4] + seen[4:7] + [unseen]
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(seen, mode="parallel")
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(batch, mode="parallel")
+        assert len(sent) == 1
+        _, (chunk_keys, _), _ = pickle.loads(sent[0])
+        assert chunk_keys == tuple(query.content_key() for query in batch[4:])
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_without_the_cache_every_chunk_is_submitted(self, scenario, monkeypatch):
+        batch = scenario.queries[:16]
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(batch, mode="parallel")
+            service.evaluate(batch, use_cache=False, mode="parallel")
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(batch, use_cache=False, mode="parallel")
+        assert len(sent) == len(batch) // self.config.chunk_size
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    @fork_only
+    def test_held_chunks_count_toward_the_window(self, scenario, monkeypatch):
+        import repro.eval.executor as executor_module
+
+        config = ExecutorConfig(
+            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1
+        )
+        window = config.workers * config.inflight_factor * config.chunk_size
+        held = list(scenario.queries[:8])
+        keys = {query.content_key() for query in held}
+        unseen = next(q for q in scenario.queries if q.content_key() not in keys)
+        batch = [unseen, unseen] + held * 3
+        pulled = []
+
+        def source():
+            for query in batch:
+                pulled.append(query)
+                yield query
+
+        original = executor_module._EvaluationContext.ship
+
+        def slow(context, results):
+            time.sleep(0.1)
+            return original(context, results)
+
+        # Forked workers inherit the slowed numbering step: the first
+        # chunk, the only one submitted, takes 100 ms to come back.
+        monkeypatch.setattr(executor_module._EvaluationContext, "ship", slow)
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(held, mode="sequential")
+            ahead = []
+            results = []
+            for pair in service.evaluate_stream(source(), mode="parallel"):
+                results.append(pair)
+                ahead.append(len(pulled) - len(results))
+        assert max(ahead) < window
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_startup_is_measured_when_chunk_zero_was_answered_here(self, scenario):
+        head = list(scenario.queries[:4])
+        batch = head + list(scenario.queries[4:12])
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(head, mode="sequential")
+            assert service._pool is None
+            results = service.evaluate(batch, mode="parallel")
+            assert service._pool is not None
+            assert service.pool_startup_seconds >= 0.0
+            assert service.chunk_overhead_seconds is None
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_batch_answered_here_leaves_both_measurements(self, scenario):
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(scenario.queries[:16], mode="parallel")
+            service.evaluate(scenario.queries[16:], mode="parallel")
+            measured = (service.pool_startup_seconds, service.chunk_overhead_seconds)
+            assert None not in measured
+            service.evaluate(scenario.queries, mode="parallel")
+            assert (service.pool_startup_seconds, service.chunk_overhead_seconds) == measured
+            service.restart_pool()
+            service.evaluate(scenario.queries, mode="parallel")
+            assert (service.pool_startup_seconds, service.chunk_overhead_seconds) == measured
+
+    def test_a_repeated_batch_stays_in_process_without_classifying(self, monkeypatch):
+        """A batch the pool served, evaluated again undecided, is all memo
+        hits in the in-process head: it stays there and classifies nothing."""
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        scenario = scenario_by_name("mixed_vocabulary", count=120, seed=1)
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=2)) as service:
+            service.evaluate(scenario.queries, mode="parallel")
+            calls = service.classification_calls
+            results = service.evaluate(scenario.queries)
+            assert service.last_mode == "sequential"
+            assert service.classification_calls == calls
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
+        )
 
 
 def outcomes(results):
@@ -1442,9 +1600,34 @@ class TestWholeDatabaseTarget:
         config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(scenario.queries, mode="parallel")
-            service.evaluate(scenario.queries[::-1], mode="parallel")
+            service.evaluate(restated(scenario.queries[::-1]), mode="parallel")
         assert 1 <= len(conversions.whole) <= 2
         assert len(conversions.restricted) == 0
+
+    @pytest.mark.parametrize(
+        "run, contexts",
+        [("in-process", 1), ("uncached", 1), pytest.param("parallel", 2, marks=fork_only)],
+    )
+    def test_an_equal_target_cached_first_is_compared_once_per_context(
+        self, scenario, monkeypatch, run, contexts
+    ):
+        reference = evaluate_query_set_sequential(scenario.queries, scenario.database)
+        structure_index.cache_clear()
+        # Another holder's structure of the database, indexed first.
+        warmed = scenario.database.to_structure()
+        structure_index(warmed)
+        compared = CallCount()
+        original = Structure.__eq__
+
+        def counting(structure, other):
+            if structure is warmed or other is warmed:
+                compared.add()
+            return original(structure, other)
+
+        monkeypatch.setattr(Structure, "__eq__", counting)
+        results = served(scenario.queries, scenario.database, run)
+        assert 1 <= len(compared) <= contexts
+        assert triples(results) == triples(reference)
 
     def test_each_relation_table_is_built_once(self, scenario, monkeypatch):
         structure_index.cache_clear()

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import restated, sent_to_pool
 from repro.classification import ComplexityDegree, PlannerConfig, classify_structure
 from repro.cq import evaluate_query_set_sequential, parse_query
 from repro.eval import ExecutorConfig
@@ -115,6 +116,24 @@ class TestClassificationDedup:
             stats = service.stats()
         assert stats["shared_stores"] is shared
         assert stats["classification_calls"] == distinct
+
+    def test_a_repeated_parallel_batch_is_answered_in_the_parent(self, monkeypatch):
+        """Without the shared stores only the parent's content memo keeps
+        a repeated forced-parallel batch from being classified again on
+        whichever worker takes each chunk."""
+        scenario = scenario_by_name("mixed_vocabulary", count=60, seed=1)
+        reference = evaluate_query_set_sequential(scenario.queries, scenario.database)
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=2), shared=False
+        ) as service:
+            service.evaluate(scenario.queries, mode="parallel")
+            calls = service.stats()["classification_calls"]
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(scenario.queries, mode="parallel")
+            stats = service.stats()
+        assert sent == []
+        assert stats["classification_calls"] == calls
+        assert triples(results) == triples(reference)
 
     def test_answer_store_shares_solves_across_batches(self, scenario):
         with QueryService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
@@ -278,8 +297,12 @@ class TestContentMemoInWorkers:
                 service.submit(query)
             service.flush(mode="parallel")
             solved = len(service.telemetry_samples())
-            for query in scenario.queries:
-                service.submit(parse_query(str(query)))
+            copies = [parse_query(str(query)) for query in scenario.queries]
+            # The parent answers a chunk of copies by content key; one
+            # restated query per chunk sends each chunk to a worker.
+            copies[::4] = restated(copies[::4])
+            for query in copies:
+                service.submit(query)
             results = service.flush(mode="parallel")
             assert len(service.telemetry_samples()) == solved
         assert [(r.answer, r.solver) for _, r in results] == [

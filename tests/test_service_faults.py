@@ -14,6 +14,7 @@ import multiprocessing
 import pytest
 
 import faultinject
+from conftest import restated
 from repro.classification import classify_structure
 from repro.cq import evaluate_query_set_sequential
 from repro.eval import ExecutorConfig
@@ -64,22 +65,26 @@ class TestKilledWorker:
             '{reason="broken-pool"}': 1.0
         }
 
-    def test_store_dedup_survives_the_recycle(self, scenario, reference):
+    def test_store_dedup_survives_the_recycle(self, scenario):
         """Exactly-once semantics: a re-dispatched chunk must not recompute.
 
         The first (sequential, fault-free) wave warms the shared
         profile store; the killed-worker wave re-dispatches chunks but
         every pattern is already cached, so the global compute counter
         must not move — re-dispatch re-*serves*, it never re-*solves*
-        classifications.
+        classifications.  The parent holds the first wave's answers by
+        content key, so the second wave is restated to reach the pool.
         """
+        again = restated(scenario.queries)
         with faultinject.chunk_fault(faultinject.kill_worker):
             with QueryService(scenario.database, executor=parallel_config()) as service:
                 service.evaluate(scenario.queries, mode="sequential")
                 computes_before = service.stats()["classification_calls"]
-                results = service.evaluate(scenario.queries, mode="parallel")
+                results = service.evaluate(again, mode="parallel")
                 stats = service.stats()
-        assert triples(results) == triples(reference)
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(again, scenario.database)
+        )
         assert stats["monitor"]["recycles"] == 1
         assert stats["classification_calls"] == computes_before
 

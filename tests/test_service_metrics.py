@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from conftest import restated
 from repro.eval import ExecutorConfig
 from repro.service import (
     Counter,
@@ -300,9 +301,10 @@ class TestStatsSchema:
             assert samples["samples"] == {"": None}
         config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         with QueryService(scenario.database, executor=config) as service:
-            # The first batch starts the pool; the second runs on it.
+            # The first batch starts the pool; the second, restated so
+            # that the parent cannot answer it by content, runs on it.
             service.evaluate(scenario.queries, mode="parallel")
-            service.evaluate(scenario.queries, mode="parallel")
+            service.evaluate(restated(scenario.queries), mode="parallel")
             cutover = service.stats()["cutover"]
             gauge = service.metrics.get("spawn_overhead_seconds")
             assert cutover["pool_startup_seconds"] >= 0.0

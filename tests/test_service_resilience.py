@@ -30,8 +30,9 @@ import time
 import pytest
 
 import faultinject
+from conftest import restated
 from repro.classification import PlannerConfig, classify_structure
-from repro.cq import evaluate_query_set_sequential
+from repro.cq import ConjunctiveQuery, QueryAtom, evaluate_query_set_sequential
 from repro.eval import ExecutorConfig, plan_query
 from repro.exceptions import DeadlineExceededError, StoreUnavailableError
 from repro.service import QueryService
@@ -72,6 +73,30 @@ def parallel_config(**overrides):
     defaults = dict(workers=2, chunk_size=4, min_parallel_batch=1)
     defaults.update(overrides)
     return ExecutorConfig(**defaults)
+
+
+@pytest.fixture(scope="module")
+def again(scenario):
+    """The batch restated, with its reference: a second wave the parent
+    cannot answer by content key, so it reaches the pool."""
+    queries = restated(scenario.queries)
+    return queries, evaluate_query_set_sequential(queries, scenario.database)
+
+
+def renamed(queries):
+    """The queries with every variable renamed: patterns no memo or store
+    holds, isomorphic to the originals, so their routes and answers are
+    the originals'."""
+    return [
+        ConjunctiveQuery(
+            [
+                QueryAtom(atom.relation, tuple(f"{v}_r" for v in atom.variables))
+                for atom in query.atoms
+            ],
+            extra_variables=[f"{v}_r" for v in query.variables],
+        )
+        for query in queries
+    ]
 
 
 def fast_store(**overrides):
@@ -647,17 +672,18 @@ class TestServiceFaultMatrix:
 @_FORK_ONLY
 class TestManagerFailover:
     def test_kill_between_batches_fails_over_and_converges(
-        self, scenario, reference
+        self, scenario, reference, again
     ):
+        queries, expected = again
         with QueryService(
             scenario.database, executor=parallel_config()
         ) as service:
             warm = service.evaluate(scenario.queries, mode="parallel")
             assert triples(warm) == triples(reference)
             faultinject.kill_manager(service._store_manager)
-            results = service.evaluate(scenario.queries, mode="parallel")
+            results = service.evaluate(queries, mode="parallel")
             stats = service.stats()
-        assert triples(results) == triples(reference)
+        assert triples(results) == triples(expected)
         monitor = stats["monitor"]
         assert monitor["failovers"] == 1
         assert monitor["failover_events"][0]["generation"] == 1
@@ -667,7 +693,7 @@ class TestManagerFailover:
         breaker_metric = stats["metrics"]["repro_store_breaker_state"]["samples"]
         assert breaker_metric['{store="profiles"}'] == 0.0
 
-    def test_kill_mid_batch_degrades_then_fails_over(self, scenario, reference):
+    def test_kill_mid_batch_degrades_then_fails_over(self, scenario, reference, again):
         """The hardest row of the failure-mode table.
 
         A worker SIGKILLs the manager at a chunk start, so the rest of
@@ -676,6 +702,7 @@ class TestManagerFailover:
         reference.  The next batch boundary detects the corpse, fails
         over, restarts the pool, and matches the reference again.
         """
+        queries, expected = again
         with faultinject.chunk_fault(faultinject.kill_manager_action) as flags:
             with QueryService(
                 scenario.database, executor=parallel_config()
@@ -683,18 +710,20 @@ class TestManagerFailover:
                 flags["manager_pid"] = service._store_manager.manager_pid()
                 mid_kill = service.evaluate(scenario.queries, mode="parallel")
                 assert not service._store_manager.manager_alive()
-                recovered = service.evaluate(scenario.queries, mode="parallel")
+                recovered = service.evaluate(queries, mode="parallel")
                 stats = service.stats()
             assert "armed" not in flags, "the manager kill never fired"
         assert triples(mid_kill) == triples(reference)
-        assert triples(recovered) == triples(reference)
+        assert triples(recovered) == triples(expected)
         assert stats["monitor"]["failovers"] == 1
         assert stats["stores"]["profiles"]["available"] is True
 
     def test_failover_preserves_the_planner_config(self, scenario, reference):
         """The pool a failover restarts routes under the service's own
         planner: a non-default config takes the same routes after the
-        kill as before it."""
+        kill as before it.  The second wave renames every variable, so
+        its patterns are new to every memo and store and must be planned
+        and solved again."""
         strict = PlannerConfig(
             treedepth_threshold=1, pathwidth_threshold=1, treewidth_threshold=1
         )
@@ -709,7 +738,7 @@ class TestManagerFailover:
             before = service.evaluate(scenario.queries, mode="parallel")
             solved = len(service.telemetry_samples())
             faultinject.kill_manager(service._store_manager)
-            after = service.evaluate(scenario.queries, mode="parallel")
+            after = service.evaluate(renamed(scenario.queries), mode="parallel")
             stats = service.stats()
             assert service.planner == strict
             # The restarted workers solved afresh, not from a memo.
