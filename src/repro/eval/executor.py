@@ -20,10 +20,13 @@ service able to chew through very large query batches:
   the database side.  With the cross-call cache the parent keeps every
   answer it has, its own and what the pool returned, in one content
   memo, and a chunk whose every query that memo holds is answered in
-  the parent and never submitted; the pool starts only when a chunk
-  must go out.  A batch starts in-process and moves to the pool only
-  once the seconds it has measured say the pool finishes the rest
-  sooner.
+  the parent and never submitted.  A chunk with a miss sends only the
+  content keys that neither the memo holds nor an earlier chunk of the
+  batch sends, each once, and its other queries take their results
+  from the memo or from the chunk that sends their key; the pool
+  starts only when a chunk must send something.  A batch starts
+  in-process and moves to the pool only once the seconds it has
+  measured say the pool finishes the rest sooner.
 * **determinism** — chunks are indexed at submission and results are
   yielded strictly in submission order, so the output of the parallel
   path is the same *list* the sequential path produces, regardless of
@@ -118,8 +121,11 @@ class ExecutorConfig:
     tuples rather than query objects (:func:`_evaluate_chunk`).
     ``inflight_factor`` bounds the submission window to
     ``workers · inflight_factor`` chunks, which is what keeps streaming
-    over huge batches memory-bounded; a chunk the parent answers from
-    its own memo takes a place in the window like a submitted one.
+    over huge batches memory-bounded; a chunk that sends nothing (the
+    parent answers it from its own memo and from earlier chunks of the
+    batch) takes a place in the window like a submitted one.  A chunk
+    sends only the content keys the parent lacks and no earlier chunk of
+    the batch sends, so one key goes to one worker.
 
     Whether a batch that could go either way runs in-process or on the
     pool is not configured: :class:`EvalService` decides it from seconds
@@ -604,7 +610,10 @@ def _submit_chunk(
     chunk: Tuple[ConjunctiveQuery, ...],
     budget: "Optional[DeadlineBudget]",
 ) -> Future:
-    """Send one chunk to the pool as its queries' content keys.
+    """Send a chunk's queries to the pool as their content keys.
+
+    With the cross-call cache these are only the queries whose keys the
+    chunk sends (:meth:`_InFlight.split`); a recycle re-sends the same.
 
     A pool that broke before the chunk went out (a worker died between
     batches, or while the window was filling) refuses the submission.
@@ -646,6 +655,67 @@ def _held_results(
             return None
         results.append(result)
     return results
+
+
+class _InFlight:
+    """What a parallel batch sends to the pool, once a chunk has a miss.
+
+    Each chunk with a miss keeps its queries and the results the
+    parent's memo held when it was formed, so a later eviction from the
+    memo sends no query to be solved in the parent.  Each content key
+    the pool answers is recorded with the last chunk that takes it, and
+    its result once the chunk that sends it is yielded; a key's result
+    is dropped once its last taker has it.
+    """
+
+    __slots__ = ("formed", "carried", "landed")
+
+    def __init__(self) -> None:
+        self.formed: Dict[
+            int, Tuple[Tuple[ConjunctiveQuery, ...], List[Optional[AnySolveResult]]]
+        ] = {}
+        self.carried: Dict[ContentKey, int] = {}
+        self.landed: Dict[ContentKey, AnySolveResult] = {}
+
+    def split(
+        self,
+        memo: "BoundedLRU[ContentKey, AnySolveResult]",
+        chunk: Tuple[ConjunctiveQuery, ...],
+        index: int,
+    ) -> Tuple[ConjunctiveQuery, ...]:
+        """Record chunk ``index``; return the first query of each content
+        key in it that neither ``memo`` holds nor an earlier chunk sends."""
+        captured: List[Optional[AnySolveResult]] = []
+        sends: List[ConjunctiveQuery] = []
+        for query in chunk:
+            key = query.content_key()
+            result = memo.get(key)
+            if result is None:
+                if key not in self.carried:
+                    sends.append(query)
+                self.carried[key] = index
+            captured.append(result)
+        self.formed[index] = (chunk, captured)
+        return tuple(sends)
+
+    def assemble(
+        self, index: int
+    ) -> Tuple[Tuple[ConjunctiveQuery, ...], List[AnySolveResult]]:
+        """Chunk ``index``'s queries and results, once its turn has come:
+        every key it takes from the pool has landed, from this chunk or
+        an earlier one."""
+        chunk, captured = self.formed.pop(index)
+        results = [
+            self.landed[query.content_key()] if result is None else result
+            for query, result in zip(chunk, captured)
+        ]
+        for query, result in zip(chunk, captured):
+            if result is None:
+                key = query.content_key()
+                if self.carried.get(key) == index:
+                    del self.carried[key]
+                    del self.landed[key]
+        return chunk, results
 
 
 class EvalService:
@@ -1038,7 +1108,9 @@ class EvalService:
     ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
         # With the cross-call cache, the in-process context's content memo
         # holds every answer the parent has, its own and the pool's: a
-        # chunk it holds whole is answered here.
+        # chunk it holds whole is answered here, and a chunk with a miss
+        # sends each key once, only if neither the memo holds it nor an
+        # earlier chunk of this call sends it.
         memo = self._sequential_context(True).by_content if use_cache else None
         # No running pool for these options: one starts, fresh, when the
         # first chunk must be submitted.
@@ -1063,6 +1135,9 @@ class EvalService:
         deadline = self._executor.chunk_deadline_seconds
         chunk_iterator = _chunks(queries, self._executor.chunk_size)
         held: Dict[int, Tuple[Tuple[ConjunctiveQuery, ...], List[AnySolveResult]]] = {}
+        # Built by the first chunk with a miss; a batch the parent holds
+        # in full never builds it.
+        inflight: Optional[_InFlight] = None
         pending: Dict[int, Future] = {}
         submitted: Dict[int, Tuple[ConjunctiveQuery, ...]] = {}
         submit_times: Dict[int, float] = {}
@@ -1072,27 +1147,39 @@ class EvalService:
         next_yield = 0
         exhausted = False
         while True:
-            while not exhausted and len(held) + len(pending) < window:
+            # Every chunk formed and not yet yielded takes a place in the
+            # window, whether it went out or not.
+            while not exhausted and next_submit - next_yield < window:
                 chunk = next(chunk_iterator, None)
                 if chunk is None:
                     exhausted = True
                     break
-                answers = None if memo is None else _held_results(memo, chunk)
-                if answers is not None:
-                    held[next_submit] = (chunk, answers)
-                    next_submit += 1
-                    continue
+                index = next_submit
+                next_submit += 1
+                sends = chunk
+                if memo is not None:
+                    answers = _held_results(memo, chunk)
+                    if answers is not None:
+                        held[index] = (chunk, answers)
+                        continue
+                    if inflight is None:
+                        inflight = _InFlight()
+                    sends = inflight.split(memo, chunk, index)
+                    if not sends:  # every miss rides on an earlier chunk
+                        continue
                 if pool is None:
                     pool = self._ensure_pool(use_cache)
-                    fresh = next_submit
-                submitted[next_submit] = chunk
-                submit_times[next_submit] = time.monotonic()
-                pending[next_submit] = _submit_chunk(pool, chunk, budget)
+                    fresh = index
+                submitted[index] = sends
+                submit_times[index] = time.monotonic()
+                pending[index] = _submit_chunk(pool, sends, budget)
                 sent += 1
-                next_submit += 1
             if next_yield == next_submit:
                 break
             answered = held.pop(next_yield, None)
+            if answered is None and next_yield not in pending:
+                # Nothing left to send: answered here, in its turn.
+                answered = inflight.assemble(next_yield)
             if answered is not None:
                 next_yield += 1
                 handed = time.perf_counter()
@@ -1168,16 +1255,19 @@ class EvalService:
                 )
             busy_total += busy
             busy_max = max(busy_max, busy)
-            next_yield += 1
             # Recorded here, where each chunk index passes exactly once,
             # so a recycle's re-dispatch never records a chunk twice.
             if payload.samples and sink is not None:
                 sink.record(payload.samples)
             self._classifications += payload.classifications
             results = self._receive(payload, chunk, use_cache, budget)
-            if memo is not None:
+            if inflight is not None:  # with the cross-call cache
                 for query, result in zip(chunk, results):
-                    memo.put(query.content_key(), result)
+                    content = query.content_key()
+                    memo.put(content, result)
+                    inflight.landed[content] = result
+                chunk, results = inflight.assemble(next_yield)
+            next_yield += 1
             handed = time.perf_counter()
             yield from zip(chunk, results)
             paused += time.perf_counter() - handed

@@ -167,7 +167,8 @@ class ServiceMonitor:
             return {}
 
         def _snapshot_raw() -> Dict[int, Any]:
-            return dict(self._heartbeats)
+            # One call on a proxy; dict(proxy) makes one per entry.
+            return self._heartbeats.copy()
 
         try:
             return DEFAULT_FAULT_POLICY.run(_snapshot_raw, op_name="heartbeat-board")

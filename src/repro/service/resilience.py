@@ -174,7 +174,12 @@ class CircuitBreaker:
 
     Thread-safe; pool workers each hold their own breaker (the state is
     process-local by design — one process's view of the manager's
-    health is not another's).
+    health is not another's).  The common case, closed with no failure
+    counted, is mirrored in a second lock, held exactly while the
+    breaker is anywhere else, whose ``locked()`` :meth:`allow` and
+    :meth:`record_success` read without taking ``_lock``: in that state
+    neither changes anything, and every operation through a store pays
+    both.
     """
 
     def __init__(
@@ -195,6 +200,9 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at: Optional[float] = None
         self._probe_in_flight = False
+        #: Held exactly while the breaker is not closed with no failure
+        #: counted; taken and released under ``_lock`` only.
+        self._unhealthy = threading.Lock()
         self._counts: Dict[str, int] = {
             "opens": 0,
             "closes": 0,
@@ -219,6 +227,8 @@ class CircuitBreaker:
         half-open probe (exactly one — concurrent callers keep getting
         False until the probe reports).
         """
+        if not self._unhealthy.locked():
+            return True
         with self._lock:
             if self._state == BREAKER_CLOSED:
                 return True
@@ -240,6 +250,8 @@ class CircuitBreaker:
             return False
 
     def record_success(self) -> None:
+        if not self._unhealthy.locked():
+            return
         with self._lock:
             if self._state == BREAKER_HALF_OPEN:
                 self._state = BREAKER_CLOSED
@@ -247,9 +259,13 @@ class CircuitBreaker:
                 self._probe_in_flight = False
                 self._opened_at = None
             self._consecutive_failures = 0
+            if self._state == BREAKER_CLOSED and self._unhealthy.locked():
+                self._unhealthy.release()
 
     def record_failure(self) -> None:
         with self._lock:
+            if not self._unhealthy.locked():
+                self._unhealthy.acquire()
             if self._state == BREAKER_HALF_OPEN:
                 self._state = BREAKER_OPEN
                 self._opened_at = self._clock()
@@ -275,6 +291,8 @@ class CircuitBreaker:
             self._consecutive_failures = 0
             self._opened_at = None
             self._probe_in_flight = False
+            if self._unhealthy.locked():
+                self._unhealthy.release()
 
     def info(self) -> Dict[str, Any]:
         with self._lock:
@@ -354,31 +372,53 @@ class FaultPolicy:
             raise StoreUnavailableError(
                 f"{op_name}: circuit breaker is {breaker.state}"
             )
-        last_error: Optional[BaseException] = None
+        # The first attempt runs outside the retry loop: it is nearly
+        # every attempt, and a store operation pays this per proxy call.
+        try:
+            value = operation()
+        except self.transient_errors as exc:
+            error: BaseException = exc
+        else:
+            if breaker is not None:
+                breaker.record_success()
+            return value
+        return self._retry(operation, error, op_name, breaker, deadline, on_retry)
+
+    def _retry(
+        self,
+        operation: Callable[[], Any],
+        error: BaseException,
+        op_name: str,
+        breaker: Optional[CircuitBreaker],
+        deadline: Optional[DeadlineBudget],
+        on_retry: Optional[Callable[[], None]],
+    ) -> Any:
+        """The attempts after the first failed with ``error`` (see :meth:`run`)."""
+        last_error = error
         for attempt in range(1, self.max_attempts + 1):
+            if breaker is not None:
+                breaker.record_failure()
+            if attempt >= self.max_attempts:
+                break
+            if breaker is not None and not breaker.allow():
+                # Our own failures (or a sibling thread's) tripped the
+                # breaker mid-loop: stop burning retries.
+                break
+            delay = self.backoff_seconds(attempt)
+            if deadline is not None:
+                left = deadline.remaining()
+                if left is not None:
+                    if left <= 0.0:
+                        deadline.check(op_name)
+                    delay = min(delay, left)
+            if on_retry is not None:
+                on_retry()
+            if delay > 0.0:
+                time.sleep(delay)
             try:
                 value = operation()
             except self.transient_errors as exc:
                 last_error = exc
-                if breaker is not None:
-                    breaker.record_failure()
-                if attempt >= self.max_attempts:
-                    break
-                if breaker is not None and not breaker.allow():
-                    # Our own failures (or a sibling thread's) tripped
-                    # the breaker mid-loop: stop burning retries.
-                    break
-                delay = self.backoff_seconds(attempt)
-                if deadline is not None:
-                    left = deadline.remaining()
-                    if left is not None:
-                        if left <= 0.0:
-                            deadline.check(op_name)
-                        delay = min(delay, left)
-                if on_retry is not None:
-                    on_retry()
-                if delay > 0.0:
-                    time.sleep(delay)
             else:
                 if breaker is not None:
                     breaker.record_success()

@@ -13,7 +13,12 @@ level:
   process-local **L1** :class:`~repro.caching.BoundedLRU` sits in front
   so the steady state costs a local dict hit, not an IPC round trip.
   For single-process services the same class runs over a plain dict and
-  a ``threading.Lock`` — identical semantics, zero IPC.
+  a ``threading.Lock`` — identical semantics, zero IPC.  Each manager
+  round trip is one proxy call, so the store spends as few as it can: a
+  counter bump is one write of this process's own running total, a
+  publish is one assignment and one size read, and the manager lock is
+  taken only to release a claim or to evict a batch past capacity.  A
+  fresh ``get_or_compute`` costs five calls and a ``put`` two.
 * **compute-once protocol** — :meth:`SharedStore.get_or_compute` claims
   a missing key atomically (``DictProxy.setdefault`` executes in the
   manager process) before computing; losers of the race *wait* for the
@@ -45,11 +50,11 @@ through :meth:`SharedStore._guard` — the convention the ``API004``
 analysis rule enforces across ``service/``.
 
 Pickling a :class:`SharedStore` (to ship it to a pool worker) carries
-the shared-level proxies but **not** the L1, breaker, or degraded-mode
-state — every process starts with a cold private L1 (and its own view
-of the manager's health) over the same warm shared level, which is
-exactly the fork-vs-spawn-agnostic behaviour the concurrency tests pin
-down.
+the shared-level proxies but **not** the L1, breaker, degraded-mode
+state or counter totals — every process starts with a cold private L1
+(its own view of the manager's health, and its own counter entries)
+over the same warm shared level, which is exactly the
+fork-vs-spawn-agnostic behaviour the concurrency tests pin down.
 """
 
 from __future__ import annotations
@@ -96,6 +101,35 @@ def _counter_seed() -> Dict[str, int]:
     return {"hits": 0, "misses": 0, "computes": 0, "evictions": 0, "waits": 0}
 
 
+def _summed_counters(entries: Dict[Any, int]) -> Dict[str, int]:
+    """The counters by name: the seed's entries plus every writer's totals."""
+    totals = _counter_seed()
+    for entry, count in entries.items():
+        name = entry if isinstance(entry, str) else entry[1]
+        totals[name] = totals.get(name, 0) + count
+    return totals
+
+
+class _Tally(NamedTuple):
+    """One process's running counter totals for one store object."""
+
+    pid: int
+    #: Prefix of this tally's entries in the shared counters.  The pid
+    #: alone could repeat: a recycled worker may get a dead worker's pid,
+    #: and must not overwrite that worker's counts.
+    token: Tuple[int, int]
+    totals: Dict[str, int]
+    #: Orders this process's threads' writes, so that the last value
+    #: written is the newest total.
+    lock: Any
+
+
+def _start_tally() -> _Tally:
+    pid = os.getpid()
+    nonce = int.from_bytes(os.urandom(8), "little")
+    return _Tally(pid, (pid, nonce), {}, threading.Lock())
+
+
 def _fallback_seed() -> Dict[str, int]:
     """The process-local resilience counter block (see ``info()``)."""
     return {
@@ -136,16 +170,28 @@ class _TimedLock:
 class SharedStore:
     """A two-level (shared + process-local L1) key/value store.
 
+    Counters are per-process entries: each process keeps its own running
+    total of each counter and writes it, in one assignment, to an entry
+    of ``counters`` that only it writes, keyed by a token unique to that
+    process's copy of the store.  :meth:`info` reads the dict once and
+    sums the entries by name.  A publish is one assignment, which
+    replaces the key's own claim, and one size read; only a publish that
+    finds the shared level past capacity takes the lock and evicts.
+
     Parameters
     ----------
     data, counters:
         Mapping objects for entries and global counters — manager dict
         proxies for cross-process stores, plain dicts for local ones.
     lock:
-        A lock guarding eviction and counter read-modify-write cycles
-        (manager lock or ``threading.Lock`` to match ``data``).
+        A lock guarding claim release and eviction (manager lock or
+        ``threading.Lock`` to match ``data``).
     capacity:
-        Bound of the shared level (FIFO eviction of the oldest entry).
+        Bound of the shared level.  A publish that takes the level past
+        it evicts the oldest published values in one batch, down to
+        ``capacity - capacity // 8`` entries (one entry below capacity
+        8), so one full scan of the level pays for an eighth of its
+        capacity in publishes.
     l1_capacity:
         Bound of the per-process L1.
     claim_timeout:
@@ -203,6 +249,8 @@ class SharedStore:
         )
         self._fallbacks: Dict[str, int] = _fallback_seed()
         self._pending_reconcile: Dict[Any, Any] = {}
+        #: This process's counter totals, started by its first bump.
+        self._tally: Optional[_Tally] = None
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -256,6 +304,7 @@ class SharedStore:
         del state["_breaker"]
         del state["_fallbacks"]
         del state["_pending_reconcile"]
+        del state["_tally"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -268,6 +317,7 @@ class SharedStore:
         )
         self._fallbacks = _fallback_seed()
         self._pending_reconcile = {}
+        self._tally = None
 
     def _new_claim(self) -> tuple:
         """A claim marker unique to this call.
@@ -323,25 +373,42 @@ class SharedStore:
         shared level is empty (cache semantics, safe to lose), and
         everything this process computed locally flows back into it on
         the next :meth:`get_or_compute`.  The breaker force-closes: the
-        new backend is presumed healthy until it proves otherwise.
+        new backend is presumed healthy until it proves otherwise.  This
+        process's counter totals start again from zero, as the new
+        backend's counters do.
         """
         self._data = data
         self._lock = _TimedLock(lock)
         self._counters = counters
+        self._tally = None
         self._breaker.reset()
 
     # -- counters -----------------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:
-        def _bump_raw() -> None:
-            with self._lock:
-                self._counters[name] = self._counters.get(name, 0) + amount
+        """Add to this process's total of ``name`` and write the total.
 
-        try:
-            self._guard("counter-update", _bump_raw)
-        except StoreUnavailableError:
-            # Counters are observability, not correctness: never let a
-            # dead manager turn a bookkeeping bump into a failed solve.
-            self._fallbacks["dropped_counter_updates"] += 1
+        One assignment to this process's own entry, so no manager lock:
+        no other process writes it.  The pid is read per call, as in
+        :meth:`_new_claim`: a forked worker inherits the parent's tally
+        by memory and must start its own.
+        """
+        tally = self._tally
+        if tally is None or tally.pid != os.getpid():
+            tally = self._tally = _start_tally()
+        with tally.lock:
+            total = tally.totals[name] = tally.totals.get(name, 0) + amount
+            entry = (tally.token, name)
+
+            def _bump_raw() -> None:
+                self._counters[entry] = total
+
+            try:
+                self._guard("counter-update", _bump_raw)
+            except StoreUnavailableError:
+                # Counters are observability, not correctness: never let
+                # a dead manager turn a bookkeeping bump into a failed
+                # solve.  The next write of the total carries this bump.
+                self._fallbacks["dropped_counter_updates"] += 1
 
     # -- the store protocol -------------------------------------------------
     def get_or_compute(
@@ -481,33 +548,54 @@ class SharedStore:
         return None
 
     def _publish(self, key: Any, value: Any) -> None:
-        def _publish_raw() -> None:
-            with self._lock:
-                # The key's own claim (if any) is replaced, not added, so
-                # the projected size only grows when the key is new.
-                projected = len(self._data) + (0 if key in self._data else 1)
-                while projected > self._capacity:
-                    evicted = False
-                    for candidate, entry in self._data.items():
-                        # Only published values are evictable: deleting a
-                        # live *claim* would make its waiters recompute,
-                        # breaking the exactly-once guarantee.
-                        if candidate != key and entry[0] == _VALUE_TAG:
-                            del self._data[candidate]
-                            self._counters["evictions"] = (
-                                self._counters.get("evictions", 0) + 1
-                            )
-                            projected -= 1
-                            evicted = True
-                            break
-                    if not evicted:
-                        # Everything else is an in-flight claim; exceed
-                        # the bound transiently rather than break the
-                        # protocol.
-                        break
-                self._data[key] = (_VALUE_TAG, value)
+        def _publish_raw() -> int:
+            # One assignment replaces the key's own claim, if any, so the
+            # level only grows when the key is new.
+            self._data[key] = (_VALUE_TAG, value)
+            return len(self._data)
 
-        self._guard("publish", _publish_raw)
+        # The unlocked size only decides whether to take the lock.
+        if self._guard("publish", _publish_raw) > self._capacity:
+            self._evict(key)
+
+    def _evict(self, key: Any) -> None:
+        """Evict the oldest published values, in one batch, under the lock.
+
+        The size is read again under the lock, so of the processes that
+        found the level past capacity only the first evicts.  It evicts
+        down to ``capacity - capacity // 8`` entries with one scan of the
+        level and one deletion per victim.
+        """
+        target = self._capacity - self._capacity // 8
+
+        def _evict_raw() -> int:
+            with self._lock:
+                size = len(self._data)
+                if size <= self._capacity:
+                    return 0
+                victims = []
+                for candidate, entry in self._data.copy().items():
+                    if size - len(victims) <= target:
+                        break
+                    # Only published values are evictable: deleting a
+                    # live *claim* would make its waiters recompute,
+                    # breaking the exactly-once guarantee.  If the rest
+                    # are claims, the level exceeds its bound transiently
+                    # rather than break the protocol.
+                    if candidate != key and entry[0] == _VALUE_TAG:
+                        victims.append(candidate)
+                for candidate in victims:
+                    del self._data[candidate]
+                return len(victims)
+
+        try:
+            evicted = self._guard("evict", _evict_raw)
+        except StoreUnavailableError:
+            # The value is published; the level stays past its bound
+            # until the next publish past capacity evicts.
+            return
+        if evicted:
+            self._bump("evictions", evicted)
 
     # -- degraded local mode -------------------------------------------------
     def _degraded_compute(self, key: Any, compute: Callable[[], Any]) -> Any:
@@ -593,11 +681,14 @@ class SharedStore:
         return out
 
     def info(self) -> Dict[str, Any]:
-        """Global shared-level counters plus this process's local state."""
+        """Global shared-level counters plus this process's local state.
+
+        The counters are every process's totals, read in one copy of the
+        counters dict and summed by name.
+        """
 
         def _info_raw() -> Dict[str, Any]:
-            with self._lock:
-                shared = dict(self._counters.items())
+            shared: Dict[str, Any] = _summed_counters(self._counters.copy())
             shared["size"] = len(self._data)
             return shared
 
@@ -688,7 +779,7 @@ def _board_size(board: Any) -> int:
     """Entry count of the heartbeat board; 0 when it is unreachable."""
 
     def _size_raw() -> int:
-        return len(dict(board))
+        return len(board)
 
     try:
         return DEFAULT_FAULT_POLICY.run(_size_raw, op_name="heartbeat-size")

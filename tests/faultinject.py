@@ -178,6 +178,9 @@ class FlakyMapping:
     def items(self):
         return self._inner.items()
 
+    def copy(self):
+        return self._inner.copy()
+
 
 class FaultyData:
     """A scripted-fault wrapper around a store's backing mapping.
@@ -253,6 +256,10 @@ class FaultyData:
     def values(self):
         self._gate()
         return self.inner.values()
+
+    def copy(self):
+        self._gate()
+        return self.inner.copy()
 
     def __getitem__(self, key: Any) -> Any:
         self._gate()

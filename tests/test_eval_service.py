@@ -1083,14 +1083,20 @@ class TestResultNumbers:
     canonical structures) and reaches the workers."""
 
     @pytest.fixture
-    def batch(self, scenario):
+    def waves(self, scenario):
         # Every chunk holds every pattern once, so any worker that runs a
-        # chunk has shipped them all.
-        return one_per_pattern(scenario.queries)[:8] * 8
-
-    @pytest.fixture
-    def waves(self, batch):
-        return [batch, restated(batch), restated(batch, 2)]
+        # chunk has shipped them all.  Each chunk of each wave holds its
+        # own restated copy (new keys, equal canonical structures), since
+        # a batch sends each content key to the pool only once.
+        patterns = one_per_pattern(scenario.queries)[:8]
+        return [
+            [
+                query
+                for chunk in range(8)
+                for query in restated(patterns, 8 * wave + chunk)
+            ]
+            for wave in range(3)
+        ]
 
     @pytest.fixture
     def references(self, scenario, waves):
@@ -1216,7 +1222,7 @@ class TestParentMemo:
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
 
-    def test_a_chunk_with_one_unseen_query_is_submitted_whole(
+    def test_a_chunk_with_one_unseen_query_sends_only_that_key(
         self, scenario, monkeypatch
     ):
         seen = list(scenario.queries[:8])
@@ -1229,7 +1235,7 @@ class TestParentMemo:
             results = service.evaluate(batch, mode="parallel")
         assert len(sent) == 1
         _, (chunk_keys, _), _ = pickle.loads(sent[0])
-        assert chunk_keys == tuple(query.content_key() for query in batch[4:])
+        assert chunk_keys == (unseen.content_key(),)
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
         )
@@ -1328,6 +1334,97 @@ class TestParentMemo:
         assert triples(results) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
+
+
+def sent_keys(sent):
+    """The content-key tuple of each recorded submission, in order."""
+    return [pickle.loads(arguments)[1][0] for arguments in sent]
+
+
+class TestEachKeySentOnce:
+    """A forced-parallel batch sends each content key to the pool once: a
+    chunk with a miss sends only the keys neither the parent's memo holds
+    nor an earlier chunk of the batch sends."""
+
+    config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+
+    @pytest.fixture
+    def batch(self, scenario):
+        import random
+
+        patterns = one_per_pattern(scenario.queries)[:10]
+        draws = random.Random(28)
+        return patterns + [draws.choice(patterns) for _ in range(54)]
+
+    @pytest.fixture
+    def reference(self, scenario, batch):
+        return evaluate_query_set_sequential(batch, scenario.database)
+
+    @staticmethod
+    def assert_repeats_share_objects(results):
+        first = {}
+        for query, result in results:
+            assert first.setdefault(query.content_key(), result) is result
+
+    def test_each_key_goes_out_once(self, scenario, batch, reference, monkeypatch):
+        sent = sent_to_pool(monkeypatch)
+        with EvalService(scenario.database, executor=self.config) as service:
+            results = service.evaluate(batch, mode="parallel")
+            assert service.last_mode == "parallel"
+        keys = [key for chunk in sent_keys(sent) for key in chunk]
+        assert sorted(keys) == sorted({query.content_key() for query in batch})
+        assert len(batch) == 64 and len(keys) == 10
+        assert triples(results) == triples(reference)
+        self.assert_repeats_share_objects(results)
+
+    @fork_only
+    def test_a_key_still_in_flight_is_not_sent_again(
+        self, scenario, batch, reference, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+
+        slow_key = batch[0].content_key()
+        original = executor_module._EvaluationContext.solve
+
+        def slow(context, query, *args, **kwargs):
+            if query.content_key() == slow_key:
+                time.sleep(0.2)
+            return original(context, query, *args, **kwargs)
+
+        # Forked workers inherit the slowed solve: the first chunk comes
+        # back after every later chunk of the window was formed.
+        monkeypatch.setattr(executor_module._EvaluationContext, "solve", slow)
+        repeats = [query for query in batch[4:] if query.content_key() == slow_key]
+        assert repeats, "the slowed key must repeat in a later chunk"
+        sent = sent_to_pool(monkeypatch)
+        with EvalService(scenario.database, executor=self.config) as service:
+            results = service.evaluate(batch, mode="parallel")
+        keys = [key for chunk in sent_keys(sent) for key in chunk]
+        assert keys.count(slow_key) == 1
+        assert slow_key in sent_keys(sent)[0]
+        assert triples(results) == triples(reference)
+        self.assert_repeats_share_objects(results)
+
+    @fork_only
+    def test_a_recycle_redispatches_exactly_the_keys_sent(
+        self, scenario, batch, reference, monkeypatch
+    ):
+        import faultinject
+
+        distinct = {query.content_key() for query in batch}
+        with faultinject.chunk_fault(faultinject.kill_worker) as flags:
+            sent = sent_to_pool(monkeypatch)
+            with EvalService(scenario.database, executor=self.config) as service:
+                results = service.evaluate(batch, mode="parallel")
+            assert "armed" not in flags, "the kill never fired"
+        chunks = sent_keys(sent)
+        first = list(dict.fromkeys(chunks))
+        # Every submission after a first dispatch repeats one exactly, and
+        # the first dispatches carry each key once.
+        assert len(chunks) > len(first)
+        assert sorted(key for chunk in first for key in chunk) == sorted(distinct)
+        assert triples(results) == triples(reference)
+        self.assert_repeats_share_objects(results)
 
 
 def outcomes(results):

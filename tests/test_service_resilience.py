@@ -533,7 +533,7 @@ class TestClaimWait:
         finally:
             thread.join()
         assert value == 7
-        assert store._counters.get("waits") == 1
+        assert store.info()["waits"] == 1
 
     def test_claim_wait_respects_the_deadline_budget(self):
         store = fast_store(claim_timeout=30.0, poll_interval=0.001)

@@ -7,12 +7,16 @@ protocol must deliver exactly-once computes either way (the fork path is
 exactly where a construction-time claim token would break).
 """
 
+import multiprocessing
 import pickle
 import threading
 import time
+from collections import Counter
 
 import pytest
 
+from repro.service import ServiceMonitor
+from repro.service.monitor import beat
 from repro.service.store import (
     ServiceStores,
     SharedStore,
@@ -42,6 +46,12 @@ def _slow_value(key, delay):
 
     time.sleep(delay)
     return (key, os.getpid())
+
+
+def _fixed_sequence(store, keys):
+    """Child body: get or compute each key in turn, one process, no race."""
+    for key in keys:
+        store.get_or_compute(key, lambda key=key: key.upper())
 
 
 def _run_pool(method, store, keys, tasks=4, workers=2, delay=0.01):
@@ -97,6 +107,23 @@ class TestLocalStore:
         store.get_or_compute("b", lambda: 2)  # over capacity: must evict a value
         assert store._data.get("claimed") == claim
         assert store.info()["evictions"] >= 1
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_a_batch_eviction_keeps_live_claims_and_fifo_order(self, shared):
+        with StoreManager(shared=shared, profile_capacity=16) as manager:
+            store = manager.stores.profiles
+            claim = store._new_claim()
+            store._data.setdefault("claimed", claim)  # the oldest entry, in flight
+            for key in range(16):
+                store.put(key, key)
+            # The 17th entry takes the level past 16: one batch evicts the
+            # three oldest values, down to 16 - 16 // 8 = 14 entries.
+            assert list(store._data.keys()) == ["claimed"] + list(range(3, 16))
+            assert store._data["claimed"] == claim
+            assert store.info()["evictions"] == 3
+            store.put(16, 16)
+            assert store.info()["evictions"] == 3
+            assert list(store._data.keys()) == ["claimed"] + list(range(3, 17))
 
     def test_eviction_tolerates_all_claim_contents(self):
         store = SharedStore.local(capacity=1, l1_capacity=1)
@@ -318,6 +345,118 @@ class TestTelemetrySink:
         assert info["answers"] is None
         assert info["profiles"]["computes"] == 0
         assert info["telemetry_samples"] == 0
+
+
+# ---------------------------------------------------------------------------
+# counters and manager round trips
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def proxy_calls(monkeypatch):
+    """Every manager proxy call this process makes, counted by method."""
+    from multiprocessing.managers import BaseProxy
+
+    calls = Counter()
+    original = BaseProxy._callmethod
+
+    def counting(proxy, methodname, args=(), kwds={}):
+        calls[methodname] += 1
+        return original(proxy, methodname, args, kwds)
+
+    monkeypatch.setattr(BaseProxy, "_callmethod", counting)
+    return calls
+
+
+def counts(store):
+    info = store.info()
+    return {name: info[name] for name in ("hits", "misses", "computes", "waits")}
+
+
+class TestRoundTrips:
+    def test_a_fresh_compute_makes_five_calls_and_a_put_two(self, proxy_calls):
+        with StoreManager(shared=True) as manager:
+            store = manager.stores.profiles
+            assert store.get_or_compute("k", lambda: "v") == "v"
+            # A claim, two counter writes, and a publish's write and size.
+            assert sum(proxy_calls.values()) <= 5, proxy_calls
+            proxy_calls.clear()
+            store.put("p", 1)
+            assert sum(proxy_calls.values()) <= 2, proxy_calls
+            proxy_calls.clear()
+            store._l1 = type(store._l1)(4)
+            assert store.get_or_compute("k", lambda: "recomputed") == "v"
+            assert sum(proxy_calls.values()) <= 2, proxy_calls
+
+    def test_stats_read_the_board_and_each_store_in_one_call(self, proxy_calls):
+        with StoreManager(shared=True) as manager:
+            stores = manager.stores
+            for worker in range(6):
+                beat(stores.heartbeats, worker, "chunk-done")
+            monitor = ServiceMonitor(heartbeats=stores.heartbeats)
+            proxy_calls.clear()
+            info = stores.info()
+            assert info["heartbeats"] == 6
+            # A counters copy and a size per store, and the board's size.
+            assert sum(proxy_calls.values()) == 5, proxy_calls
+            proxy_calls.clear()
+            assert sorted(monitor.board_snapshot()) == list(range(6))
+            assert sum(proxy_calls.values()) == 1, proxy_calls
+
+
+class TestCounters:
+    def test_copies_of_a_store_in_one_process_sum(self):
+        with StoreManager(shared=True) as manager:
+            store = manager.stores.profiles
+            for key in "abc":
+                store.get_or_compute(key, lambda: key)
+            clone = pickle.loads(pickle.dumps(store))
+            for key in "ab":
+                clone.get_or_compute(key, lambda: pytest.fail("recomputed"))
+            clone.get_or_compute("d", lambda: "d")
+            assert counts(store) == {"hits": 2, "misses": 4, "computes": 4, "waits": 0}
+            assert counts(clone) == counts(store)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the workers inherit the parent's store by fork",
+    )
+    def test_forked_workers_add_their_own_totals(self):
+        context = multiprocessing.get_context("fork")
+
+        def run(keys):
+            child = context.Process(target=_fixed_sequence, args=(store, keys))
+            child.start()
+            return child
+
+        with StoreManager(shared=True) as manager:
+            store = manager.stores.profiles
+            # The parent has a tally before the fork; the workers inherit
+            # it by memory and must not write over its entries.
+            store.get_or_compute("a", lambda: "A")
+            for keys in (["x", "y"], ["x", "y", "z"]):
+                child = run(keys)
+                child.join(30)
+                assert child.exitcode == 0
+            store._data["w"] = store._new_claim()
+            child = run(["w"])
+            limit = time.monotonic() + 30
+            while counts(store)["waits"] == 0 and time.monotonic() < limit:
+                time.sleep(0.005)
+            store.put("w", "published")
+            child.join(30)
+            assert child.exitcode == 0
+            assert counts(store) == {"hits": 3, "misses": 4, "computes": 4, "waits": 1}
+
+    def test_a_failed_over_backend_counts_from_zero(self):
+        with StoreManager(shared=True) as manager:
+            store = manager.stores.profiles
+            store.get_or_compute("a", lambda: 1)
+            store.get_or_compute("b", lambda: 2)
+            assert counts(store)["computes"] == 2
+            manager.failover()
+            assert counts(store)["computes"] == 0
+            store.get_or_compute("c", lambda: 3)
+            assert counts(store) == {"hits": 0, "misses": 1, "computes": 1, "waits": 0}
 
 
 # ---------------------------------------------------------------------------
