@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Iterator, Optional, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, TypeVar
 
 Key = TypeVar("Key")
 Value = TypeVar("Value")
@@ -22,9 +22,10 @@ Value = TypeVar("Value")
 class BoundedLRU(Generic[Key, Value]):
     """A mapping with least-recently-used eviction at a fixed capacity.
 
-    ``get`` refreshes recency; ``put`` inserts (evicting the coldest
-    entry when full) and refreshes recency on overwrite.  Both count
-    into ``hits``/``misses`` via ``get`` only, so the counters reflect
+    ``get`` refreshes recency (``get_many`` does so for a whole batch of
+    keys under one lock acquisition); ``put`` inserts (evicting the
+    coldest entry when full) and refreshes recency on overwrite.  Only
+    the lookups count into ``hits``/``misses``, so the counters reflect
     lookup traffic, not insertions.
 
     All operations are thread-safe: the query-service front-end, its
@@ -53,6 +54,27 @@ class BoundedLRU(Generic[Key, Value]):
             self._entries.move_to_end(key)
             self.hits += 1
             return value
+
+    def get_many(self, keys: Sequence[Key]) -> List[Optional[Value]]:
+        """``[self.get(key) for key in keys]`` under one lock acquisition.
+
+        Each key refreshes recency and counts exactly as ``get`` would,
+        in order.
+        """
+        with self._mutex:
+            lookup = self._entries.get
+            refresh = self._entries.move_to_end
+            values = []
+            hits = 0
+            for key in keys:
+                value = lookup(key)
+                if value is not None:
+                    refresh(key)
+                    hits += 1
+                values.append(value)
+            self.hits += hits
+            self.misses += len(values) - hits
+            return values
 
     def peek(self, key: Key) -> Optional[Value]:
         """Return the cached value without touching recency or counters."""

@@ -126,6 +126,10 @@ def evaluate_query_set_stream(
     The lazy sibling of :func:`evaluate_query_set`: accepts an arbitrary
     query iterable and never materialises the whole result list, so
     EVAL(Φ) runs over million-query workloads in bounded memory.  The
+    input is read a chunk at a time (``ExecutorConfig.chunk_size``
+    queries, 16 by default, in-process), so a query is answered only
+    once its chunk has been read (see
+    :meth:`~repro.eval.executor.EvalService.evaluate_stream`).  The
     worker pool (if any) is shut down when the iterator is exhausted or
     closed.
     """

@@ -36,7 +36,7 @@ from repro.classification.solver_dispatch import PlannerConfig
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
 from repro.eval.executor import AnySolveResult, EvalService, ExecutorConfig
-from repro.exceptions import DeadlineExceededError
+from repro.exceptions import DeadlineExceededError, StoreUnavailableError
 from repro.service.metrics import MetricsRegistry, register_store_metrics
 from repro.service.monitor import ServiceMonitor
 from repro.service.resilience import DeadlineBudget
@@ -49,6 +49,11 @@ DatabaseLike = Union[Database, Structure]
 #: in ``mode_history``.  A long-lived service serves batches without end,
 #: and ``stats()`` copies the history on every call.
 MODE_HISTORY_LIMIT = 256
+
+#: Errors that say the service could not serve a batch right now, not
+#: that the batch cannot be served: a batch that raises one stays queued
+#: for one retry at the next :meth:`QueryService.flush`.
+RETRYABLE_ERRORS = (DeadlineExceededError, StoreUnavailableError)
 
 
 def _json_safe(value: Any) -> Any:
@@ -154,6 +159,7 @@ class QueryService:
         self._batch_size = batch_size
         self._batch_deadline_seconds = batch_deadline_seconds
         self._pending: List[ConjunctiveQuery] = []
+        self._retrying = False  # the head batch raised a retryable error
         self._mode_history: Deque[Dict[str, Any]] = deque(maxlen=MODE_HISTORY_LIMIT)
         self._queries_served = 0
         self._batches_served = 0
@@ -233,18 +239,43 @@ class QueryService:
         Pending queries are cut into batches of at most ``batch_size``;
         each batch gets its own executor decision (or the forced
         ``mode``) and is timed.
+
+        A batch leaves the queue once it has been answered.  A batch
+        that raises one of :data:`RETRYABLE_ERRORS` (a blown deadline,
+        an unreachable store) stays queued with every later batch, and
+        the next flush retries it.  A batch whose retry raises too, or
+        that raises anything else (a malformed query, a failed solve),
+        leaves the queue, and its queries go with the exception as its
+        ``failed_batch`` list, to be resubmitted or dropped; every later
+        batch stays queued, so no batch holds up the ones behind it for
+        more than one retry.  Either way, the results of the batches this
+        flush answered before it are served (and counted) but go with the
+        exception, not to the caller.
         """
         out: List[Tuple[ConjunctiveQuery, AnySolveResult]] = []
         while self._pending:
             batch = self._pending[: self._batch_size]
+            try:
+                out.extend(self._run_batch(batch, mode))
+            except Exception as error:
+                if isinstance(error, RETRYABLE_ERRORS) and not self._retrying:
+                    self._retrying = True
+                    raise
+                self._retrying = False
+                del self._pending[: len(batch)]
+                error.failed_batch = batch
+                raise
+            self._retrying = False
             del self._pending[: len(batch)]
-            out.extend(self._run_batch(batch, mode))
         return out
 
     def evaluate(
         self, queries: Sequence[ConjunctiveQuery], mode: Optional[str] = None
     ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
-        """Submit a whole batch and flush it (the one-call convenience)."""
+        """Submit a whole batch and flush it (the one-call convenience).
+
+        A batch that raises is kept or handed back as in :meth:`flush`.
+        """
         self._pending.extend(queries)
         return self.flush(mode)
 

@@ -29,6 +29,8 @@ callback gauges and the front-end's per-batch accounting
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -231,8 +233,21 @@ class Gauge(_Metric):
         return lines
 
 
+def _bounds(buckets: Sequence[float]) -> Tuple[float, ...]:
+    """A histogram's bucket bounds as it stores them: floats, ascending."""
+    return tuple(sorted(float(bound) for bound in buckets))
+
+
 class Histogram(_Metric):
-    """A distribution with cumulative buckets plus sum and count."""
+    """A distribution with cumulative buckets plus sum and count.
+
+    :meth:`observe` bisects the value into the count of the first bucket
+    whose bound is at least the value, so an observation costs the same
+    whatever the number of buckets; :meth:`collect` and :meth:`render`
+    add those counts up into the cumulative buckets the exposition
+    format reports.  A value above the last bound, and a NaN, counts in
+    no finite bucket, only in ``+Inf``, the count and the sum.
+    """
 
     kind = "histogram"
 
@@ -244,24 +259,27 @@ class Histogram(_Metric):
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> None:
         super().__init__(name, documentation, labelnames)
-        bounds = tuple(sorted(float(b) for b in buckets))
+        bounds = _bounds(buckets)
         if not bounds:
             raise ValueError("a histogram needs at least one bucket")
         self.buckets = bounds
+        #: Per series, the observations of each bucket alone (not
+        #: cumulative): index ``i`` counts the values in
+        #: ``(buckets[i - 1], buckets[i]]``.
         self._counts: Dict[LabelValues, List[int]] = {}
         self._sums: Dict[LabelValues, float] = {}
         self._totals: Dict[LabelValues, int] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
         key = self._key(labels)
+        # ``bisect_left`` places a NaN at index 0; it belongs in no bucket.
+        index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             counts = self._counts.get(key)
             if counts is None:
-                counts = [0] * len(self.buckets)
-                self._counts[key] = counts
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
+                counts = self._counts[key] = [0] * len(self.buckets)
+            if index < len(counts):
+                counts[index] += 1
             self._sums[key] = self._sums.get(key, 0.0) + value
             self._totals[key] = self._totals.get(key, 0) + 1
 
@@ -274,8 +292,8 @@ class Histogram(_Metric):
                     "count": self._totals.get(key, 0),
                     "sum": self._sums.get(key, 0.0),
                     "buckets": {
-                        _format(bound): counts[i]
-                        for i, bound in enumerate(self.buckets)
+                        _format(bound): count
+                        for bound, count in zip(self.buckets, accumulate(counts))
                     },
                 }
             return out
@@ -288,14 +306,12 @@ class Histogram(_Metric):
         with self._lock:
             keys = sorted(self._counts)
             for key in keys:
-                counts = self._counts[key]
-                for i, bound in enumerate(self.buckets):
-                    labels = dict(zip(self.labelnames, key))
+                for bound, count in zip(self.buckets, accumulate(self._counts[key])):
                     rendered = _render_labels(
                         tuple(self.labelnames) + ("le",),
                         tuple(key) + (_format(bound),),
                     )
-                    lines.append(f"{self.name}_bucket{rendered} {counts[i]}")
+                    lines.append(f"{self.name}_bucket{rendered} {count}")
                 rendered = _render_labels(
                     tuple(self.labelnames) + ("le",), tuple(key) + ("+Inf",)
                 )
@@ -321,11 +337,11 @@ class MetricsRegistry:
     """Creates, owns and exports the service's metrics.
 
     Metric constructors are idempotent per name: asking for an existing
-    name with the same kind and labels returns the existing metric, so
-    independent components (front-end, monitor, store registration) can
-    share series without coordination.  Asking for an existing name with
-    a *different* shape raises — silent divergence is how monitoring
-    lies.
+    name with the same kind and labels (and, for a histogram, the same
+    buckets) returns the existing metric, so independent components
+    (front-end, monitor, store registration) can share series without
+    coordination.  Asking for an existing name with a *different* shape
+    raises — silent divergence is how monitoring lies.
     """
 
     def __init__(self, namespace: str = "repro") -> None:
@@ -367,9 +383,15 @@ class MetricsRegistry:
         labelnames: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        return self._get_or_create(
+        histogram = self._get_or_create(
             Histogram, name, documentation, labelnames, buckets=buckets
         )
+        if histogram.buckets != _bounds(buckets):
+            raise ValueError(
+                f"metric {histogram.name!r} already registered with buckets "
+                f"{histogram.buckets}"
+            )
+        return histogram
 
     def get(self, name: str) -> Optional[_Metric]:
         """The metric registered under ``name`` (namespaced), or None."""

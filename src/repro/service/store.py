@@ -24,8 +24,9 @@ level:
   manager process) before computing; losers of the race *wait* for the
   winner's published value instead of recomputing.  A service therefore
   pays **at most one** compute per distinct key — the guarantee the
-  classification-dedup benchmark gates on — with a timeout fallback so
-  a crashed claimant can never wedge the store.
+  classification-dedup benchmark gates on.  A waiter computes the value
+  itself once the claimant's process no longer runs, or after a
+  timeout, so a crashed claimant can never wedge the store.
 * :class:`TelemetrySink` — the parent-side buffer of
   :class:`SolveSample` records, one ``(route, seconds)`` pair per solve
   that ran (behind the front-end's ``route_solves_total`` counter).  It
@@ -130,6 +131,34 @@ def _start_tally() -> _Tally:
     return _Tally(pid, (pid, nonce), {}, threading.Lock())
 
 
+def _process_gone(pid: int) -> bool:
+    """Whether no running process has ``pid``: none exists, or a zombie.
+
+    A claim marker carries its owner's pid.  A pool worker terminated
+    while its pool broke stays a zombie until the pool joins it, and
+    signal 0 still reaches a zombie, so where ``/proc`` exists the
+    process's state letter decides.  A pid that a new process reuses
+    reads as alive.  Off POSIX nothing is probed (signal 0 would end the
+    process there) and every owner reads as alive.
+    """
+    if os.name != "posix":
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except PermissionError:  # another user's process: it exists
+        pass
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            # The state letter follows the parenthesised command name,
+            # which may itself hold spaces and parentheses.
+            state = stat.read().rpartition(b")")[2].split()[:1]
+    except OSError:  # no procfs, or the process exited since the signal
+        return False
+    return state in ([b"Z"], [b"X"])
+
+
 def _fallback_seed() -> Dict[str, int]:
     """The process-local resilience counter block (see ``info()``)."""
     return {
@@ -196,11 +225,14 @@ class SharedStore:
         Bound of the per-process L1.
     claim_timeout:
         How long a loser of the compute race waits for the winner's
-        value before giving up and computing locally.  The fallback
-        keeps a crashed claimant from wedging every other process; it
-        and capacity eviction (a key evicted and later re-requested)
-        are the only paths on which a key can be computed twice —
-        eviction never touches in-flight claims.
+        value before giving up and computing locally.  A waiter stops
+        waiting sooner, and computes, once the process that holds the
+        claim no longer runs (a pool worker terminated mid-compute), so
+        the timeout bounds only a claimant that runs on without
+        publishing.  These fallbacks and capacity eviction (a key
+        evicted and later re-requested) are the only paths on which a
+        key can be computed twice — eviction never touches in-flight
+        claims.
     poll_interval:
         Initial sleep between polls while waiting on another process's
         claim; each waiter's interval grows and is jittered per process
@@ -513,6 +545,9 @@ class SharedStore:
     ) -> Optional[Any]:
         """Wait (jittered, growing backoff) for another process's value.
 
+        Returns None, for the caller to compute, when the claim is gone,
+        when its owner no longer runs, or after ``claim_timeout``.
+
         Each waiter starts at ``poll_interval`` and backs off
         geometrically to :data:`_MAX_CLAIM_POLL_SECONDS`, with every
         sleep scaled by a per-process random factor in ``[0.5, 1.5)`` —
@@ -537,6 +572,8 @@ class SharedStore:
                 self._bump("hits")
                 return entry[1]
             if entry is None:  # claim evicted or claimant gave up
+                return None
+            if _process_gone(entry[1]):  # the claimant died holding it
                 return None
             now = time.monotonic()
             if now >= wait_until:
@@ -757,9 +794,12 @@ class TelemetrySink:
         ``cursor`` is a batch count this method returned before (0 for
         the start).  Batches recorded after it but already dropped by
         the bound are gone; everything still retained comes back once.
+        A cursor at the count returns at once, with nothing copied.
         """
         with self._lock:
             recorded = self._recorded
+            if recorded == cursor:
+                return [], cursor
             fresh = min(recorded - cursor, len(self._batches))
             batches = list(itertools.islice(reversed(self._batches), fresh))
         return [sample for batch in reversed(batches) for sample in batch], recorded

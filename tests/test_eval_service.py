@@ -275,6 +275,28 @@ class TestMeasuredCutover:
             assert service._pool is None
         assert yielded == len(queries)
 
+    def test_a_single_worker_stream_is_pulled_less_than_a_chunk_ahead(
+        self, scenario
+    ):
+        from repro.cq.evaluation import evaluate_query_set_stream
+
+        chunk_size = ExecutorConfig().chunk_size
+        queries = list(scenario.queries[:3]) * 20
+        pulled = []
+
+        def tracking():
+            for query in queries:
+                pulled.append(query)
+                yield query
+
+        results = []
+        for pair in evaluate_query_set_stream(tracking(), scenario.database):
+            results.append(pair)
+            assert len(pulled) - len(results) < chunk_size
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(queries, scenario.database)
+        )
+
     def test_small_batches_record_sequential_mode(self, scenario):
         config = ExecutorConfig(workers=2, min_parallel_batch=1000)
         with EvalService(scenario.database, executor=config) as service:
@@ -637,13 +659,20 @@ class TestPoolMeasurements:
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
         batch = list(scenario.queries)
         slow = str(batch[16])
-        original = executor_module._EvaluationContext.solve
 
-        def solve(context, query, deadline=None):
-            time.sleep(0.165 if str(query) == slow else 0.004)
-            return original(context, query, deadline)
+        def slowed(name):
+            original = getattr(executor_module._EvaluationContext, name)
 
-        monkeypatch.setattr(executor_module._EvaluationContext, "solve", solve)
+            def solve(context, query, deadline=None):
+                time.sleep(0.165 if str(query) == slow else 0.004)
+                return original(context, query, deadline)
+
+            monkeypatch.setattr(executor_module._EvaluationContext, name, solve)
+
+        # The in-process head times ``solve`` per query; a worker solves
+        # each miss through ``solve_miss`` (forked workers inherit both).
+        slowed("solve")
+        slowed("solve_miss")
         config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
         later = [query for query in batch[:16] + batch[32:] if str(query) != slow]
         with EvalService(scenario.database, executor=config) as service:
@@ -1384,16 +1413,16 @@ class TestEachKeySentOnce:
         import repro.eval.executor as executor_module
 
         slow_key = batch[0].content_key()
-        original = executor_module._EvaluationContext.solve
+        original = executor_module._EvaluationContext.solve_miss
 
         def slow(context, query, *args, **kwargs):
             if query.content_key() == slow_key:
                 time.sleep(0.2)
             return original(context, query, *args, **kwargs)
 
-        # Forked workers inherit the slowed solve: the first chunk comes
-        # back after every later chunk of the window was formed.
-        monkeypatch.setattr(executor_module._EvaluationContext, "solve", slow)
+        # Forked workers inherit the slowed solve of a miss: the first
+        # chunk comes back after every later chunk of the window was formed.
+        monkeypatch.setattr(executor_module._EvaluationContext, "solve_miss", slow)
         repeats = [query for query in batch[4:] if query.content_key() == slow_key]
         assert repeats, "the slowed key must repeat in a later chunk"
         sent = sent_to_pool(monkeypatch)
@@ -1425,6 +1454,155 @@ class TestEachKeySentOnce:
         assert sorted(key for chunk in first for key in chunk) == sorted(distinct)
         assert triples(results) == triples(reference)
         self.assert_repeats_share_objects(results)
+
+
+@pytest.fixture
+def memo_probes(monkeypatch):
+    """Records every ``BoundedLRU.get`` and ``get_many`` call made in this
+    process as ``(cache, method, keys)``."""
+    from repro.caching import BoundedLRU
+
+    calls = []
+    get, get_many = BoundedLRU.get, BoundedLRU.get_many
+
+    def counting_get(cache, key):
+        calls.append((cache, "get", (key,)))
+        return get(cache, key)
+
+    def counting_get_many(cache, keys):
+        calls.append((cache, "get_many", tuple(keys)))
+        return get_many(cache, keys)
+
+    monkeypatch.setattr(BoundedLRU, "get", counting_get)
+    monkeypatch.setattr(BoundedLRU, "get_many", counting_get_many)
+    return calls
+
+
+def probes_of(calls, memo):
+    """The recorded lookups of one cache, as ``(method, keys)``."""
+    return [(method, keys) for cache, method, keys in calls if cache is memo]
+
+
+def keys_of(queries):
+    return tuple(query.content_key() for query in queries)
+
+
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    calls = []
+    original = ConjunctiveQuery.canonical_structure
+
+    def counting(query):
+        calls.append(query.content_key())
+        return original(query)
+
+    monkeypatch.setattr(ConjunctiveQuery, "canonical_structure", counting)
+    return calls
+
+
+class TestOneProbePerChunk:
+    """A chunk's content keys are probed in the content memo at once, a
+    miss is not probed again, and each distinct miss is solved once."""
+
+    def test_a_held_batch_makes_one_probe(self, scenario, memo_probes):
+        batch = scenario.queries[:16]
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(batch)
+            memo_probes.clear()
+            results = service.evaluate(batch)
+            memo = service._sequential_context(True).by_content
+        assert probes_of(memo_probes, memo) == [("get_many", keys_of(batch))]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_misses_are_probed_once_and_solved_once(
+        self, scenario, memo_probes, monkeypatch
+    ):
+        import repro.eval.executor as executor_module
+
+        a, b, c, d = one_per_pattern(scenario.queries)[:4]
+        batch = [a, b, a, c, b, d, a, c, parsed(d), b]
+        solved = []
+        original = executor_module._EvaluationContext.solve_miss
+
+        def counting(context, query, deadline=None):
+            solved.append(query.content_key())
+            return original(context, query, deadline)
+
+        monkeypatch.setattr(executor_module._EvaluationContext, "solve_miss", counting)
+        config = ExecutorConfig(workers=1, chunk_size=4)
+        with EvalService(scenario.database, executor=config) as service:
+            results = service.evaluate(batch)
+            memo = service._sequential_context(True).by_content
+        assert probes_of(memo_probes, memo) == [
+            ("get_many", keys_of(batch[:4])),
+            ("get_many", keys_of(batch[4:8])),
+            ("get_many", keys_of(batch[8:])),
+        ]
+        assert solved == list(keys_of([a, b, c, d]))
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_repeat_of_a_miss_in_its_chunk_builds_no_canonical_structure(
+        self, scenario, canonical_calls
+    ):
+        a, b = one_per_pattern(scenario.queries)[:2]
+        batch = [a, b, a, parsed(a), b]
+        canonical_calls.clear()
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            results = service.evaluate(batch)
+        assert canonical_calls == list(keys_of([a, b]))
+        assert results[2][1] is results[0][1] and results[3][1] is results[0][1]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_worker_solves_a_repeat_in_its_chunk_once(
+        self, scenario, monkeypatch, memo_probes, canonical_calls
+    ):
+        import repro.eval.executor as executor_module
+
+        a, b = one_per_pattern(scenario.queries)[:2]
+        chunk = [a, b, a, b, a]
+        monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
+        executor_module._initialize_worker(
+            scenario.database, DEFAULT_PLANNER_CONFIG, True, False
+        )
+        context = executor_module._WORKER_CONTEXT
+        canonical_calls.clear()
+        payload = executor_module._evaluate_chunk(keys_of(chunk))
+        assert probes_of(memo_probes, context.by_content) == [("get_many", keys_of(chunk))]
+        assert canonical_calls == list(keys_of([a, b]))
+        numbers = payload.numbers
+        assert numbers[0] == numbers[2] == numbers[4] and numbers[1] == numbers[3]
+        assert sorted(payload.fresh) == sorted(set(numbers))
+        results = [payload.fresh[number] for number in numbers]
+        assert triples(zip(chunk, results)) == triples(
+            evaluate_query_set_sequential(chunk, scenario.database)
+        )
+
+    def test_a_parallel_chunk_with_a_miss_probes_the_parent_memo_once(
+        self, scenario, memo_probes, monkeypatch
+    ):
+        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        seen = list(scenario.queries[:8])
+        held = {query.content_key() for query in seen}
+        unseen = next(q for q in scenario.queries if q.content_key() not in held)
+        batch = seen[:3] + [unseen]
+        with EvalService(scenario.database, executor=config) as service:
+            service.evaluate(seen, mode="sequential")
+            memo_probes.clear()
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(batch, mode="parallel")
+            assert service.last_mode == "parallel"
+            memo = service._sequential_context(True).by_content
+        assert probes_of(memo_probes, memo) == [("get_many", keys_of(batch))]
+        assert sent_keys(sent) == [(unseen.content_key(),)]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
 
 
 def outcomes(results):

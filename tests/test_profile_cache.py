@@ -152,6 +152,42 @@ class TestBoundedLRU:
         assert cache.info() == {"hits": 0, "misses": 0, "size": 0}
 
 
+class TestGetMany:
+    @staticmethod
+    def filled(order):
+        from repro.caching import BoundedLRU
+
+        cache = BoundedLRU(8)
+        for key in order:
+            cache.put(key, key.upper())
+        return cache
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ["a", "b", "c"],
+            ["c", "x", "a", "c", "y", "a"],
+            ["x", "y"],
+            [],
+        ],
+    )
+    def test_equals_a_loop_of_get(self, keys):
+        looped = self.filled("abcd")
+        batched = self.filled("abcd")
+        expected = [looped.get(key) for key in keys]
+        assert batched.get_many(keys) == expected
+        assert batched.keys() == looped.keys()
+        assert batched.info() == looped.info()
+
+    def test_refreshes_recency_for_eviction(self):
+        cache = self.filled("abcdefgh")
+        assert cache.get_many(["a", "z", "b"]) == ["A", None, "B"]
+        cache.put("i", "I")  # evicts the coldest: "c"
+        assert "c" not in cache and "a" in cache and "b" in cache
+        assert cache.keys()[-3:] == ["a", "b", "i"]
+        assert cache.info() == {"hits": 2, "misses": 1, "size": 8}
+
+
 class TestGetOrPut:
     def test_computes_once_then_serves_from_cache(self):
         from repro.caching import BoundedLRU

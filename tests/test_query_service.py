@@ -80,6 +80,128 @@ class TestServing:
             QueryService(scenario.database, batch_size=0)
 
 
+class TestFailedFlush:
+    """A batch that raises a retryable error stays queued with every later
+    batch for one retry; one whose retry raises too, or that raises
+    anything else, leaves the queue and goes with the exception, and the
+    next flush serves the batches behind it."""
+
+    def test_a_blown_deadline_is_retried_once_then_handed_back(self, scenario):
+        from repro.exceptions import DeadlineExceededError
+
+        with QueryService(
+            scenario.database,
+            executor=ExecutorConfig(workers=1),
+            batch_size=7,
+            batch_deadline_seconds=1e-9,
+        ) as service:
+            for query in scenario.queries:
+                service.submit(query)
+            with pytest.raises(DeadlineExceededError) as raised:
+                service.flush()
+            assert not hasattr(raised.value, "failed_batch")
+            stats = service.stats()
+            assert (stats["pending"], stats["queries_served"]) == (30, 0)
+            # The retry raises too: the batch goes with the exception.
+            with pytest.raises(DeadlineExceededError) as raised:
+                service.flush()
+            assert raised.value.failed_batch == list(scenario.queries[:7])
+            assert service.stats()["pending"] == 23
+            # The next batch gets its own retry.
+            with pytest.raises(DeadlineExceededError) as raised:
+                service.flush()
+            assert not hasattr(raised.value, "failed_batch")
+            stats = service.stats()
+            assert (stats["pending"], stats["queries_served"]) == (23, 0)
+            blown = stats["metrics"]["repro_deadline_exceeded_total"]["samples"]
+            assert blown[""] == 3
+
+    @pytest.mark.parametrize("retryable", ["deadline", "store"])
+    def test_a_retryable_second_batch_stays_queued(
+        self, scenario, reference, monkeypatch, retryable
+    ):
+        from repro.eval import EvalService
+        from repro.exceptions import DeadlineExceededError, StoreUnavailableError
+
+        error = {"deadline": DeadlineExceededError, "store": StoreUnavailableError}
+        original = EvalService.evaluate
+        calls = []
+
+        def failing_second_and_third(service, *args, **kwargs):
+            calls.append(1)
+            if len(calls) in (2, 4):  # batch 2, then batch 3 after batch 2's retry
+                raise error[retryable]("batch failed")
+            return original(service, *args, **kwargs)
+
+        monkeypatch.setattr(EvalService, "evaluate", failing_second_and_third)
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), batch_size=7
+        ) as service:
+            for query in scenario.queries:
+                service.submit(query)
+            with pytest.raises(error[retryable], match="batch failed") as raised:
+                service.flush()
+            assert not hasattr(raised.value, "failed_batch")
+            stats = service.stats()
+            assert (stats["pending"], stats["queries_served"]) == (23, 7)
+            # Batch 2's retry is answered; batch 3 gets a retry of its own.
+            with pytest.raises(error[retryable], match="batch failed") as raised:
+                service.flush()
+            assert not hasattr(raised.value, "failed_batch")
+            stats = service.stats()
+            assert (stats["pending"], stats["queries_served"]) == (16, 14)
+            results = service.flush()
+            assert service.stats()["pending"] == 0
+        assert triples(results) == triples(reference[14:])
+
+    def test_a_failed_second_batch_goes_with_the_exception(
+        self, scenario, reference, monkeypatch
+    ):
+        from repro.eval import EvalService
+
+        original = EvalService.evaluate
+        calls = []
+
+        def failing_second(service, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("batch failed")
+            return original(service, *args, **kwargs)
+
+        monkeypatch.setattr(EvalService, "evaluate", failing_second)
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), batch_size=7
+        ) as service:
+            for query in scenario.queries:
+                service.submit(query)
+            with pytest.raises(RuntimeError, match="batch failed") as raised:
+                service.flush()
+            assert raised.value.failed_batch == list(scenario.queries[7:14])
+            stats = service.stats()
+            assert (stats["pending"], stats["queries_served"]) == (16, 7)
+            later = service.flush()
+            resubmitted = service.evaluate(raised.value.failed_batch)
+        assert triples(later) == triples(reference[14:])
+        assert triples(resubmitted) == triples(reference[7:14])
+
+    def test_a_malformed_query_does_not_block_the_queue(self, scenario, reference):
+        from repro.exceptions import VocabularyError
+
+        malformed = parse_query("E(x, y, z)")  # E is binary in the database
+        with QueryService(
+            scenario.database, executor=ExecutorConfig(workers=1), batch_size=1
+        ) as service:
+            service.submit(malformed)
+            service.submit(scenario.queries[0])
+            with pytest.raises(VocabularyError) as raised:
+                service.flush()
+            assert raised.value.failed_batch == [malformed]
+            assert service.stats()["pending"] == 1
+            results = service.flush()
+            assert service.stats()["pending"] == 0
+        assert triples(results) == triples(reference[:1])
+
+
 class TestClassificationDedup:
     def test_one_classification_per_distinct_pattern_sequential(self, scenario):
         duplicated = list(scenario.queries) * 3

@@ -51,7 +51,7 @@ class TestBoundedLRUThreadStress:
             rng = random.Random(1000 + index)
             for op in range(self.OPS):
                 key = rng.randrange(64)
-                choice = rng.randrange(5)
+                choice = rng.randrange(6)
                 if choice == 0:
                     cache.put(key, (index, op))
                 elif choice == 1:
@@ -61,6 +61,9 @@ class TestBoundedLRUThreadStress:
                 elif choice == 3:
                     value = cache.get_or_put(key, lambda: (index, op))
                     assert value is not None
+                elif choice == 4:
+                    keys = [key] + [rng.randrange(64) for _ in range(rng.randrange(8))]
+                    assert len(cache.get_many(keys)) == len(keys)
                 else:
                     key in cache  # noqa: B015 — exercising __contains__
 

@@ -124,6 +124,78 @@ class TestHistogram:
         assert 'latency_bucket{le="+Inf"} 1' in lines
         assert "latency_count 1" in lines
 
+    def test_bisected_buckets_collect_and_render_cumulatively(self):
+        """A value on a bound counts in that bucket; one between bounds in
+        the next bound's; one above the last bound, and a NaN, in no
+        finite bucket, only in +Inf, the count and the sum."""
+        histogram = Histogram(
+            "latency", "seconds", labelnames=("route",), buckets=(0.1, 1.0, 10.0)
+        )
+        for value in (0.1, 0.5, 100.0, float("nan")):
+            histogram.observe(value, route="a")
+        histogram.observe(1.0, route="b")
+        collected = histogram.collect()
+        assert collected['{route="b"}'] == {
+            "count": 1,
+            "sum": 1.0,
+            "buckets": {"0.1": 0, "1": 1, "10": 1},
+        }
+        series = collected['{route="a"}']
+        assert series["buckets"] == {"0.1": 1, "1": 2, "10": 2}
+        assert series["count"] == 4
+        assert math.isnan(series["sum"])
+        assert histogram.render() == [
+            "# HELP latency seconds",
+            "# TYPE latency histogram",
+            'latency_bucket{route="a",le="0.1"} 1',
+            'latency_bucket{route="a",le="1"} 2',
+            'latency_bucket{route="a",le="10"} 2',
+            'latency_bucket{route="a",le="+Inf"} 4',
+            'latency_sum{route="a"} NaN',
+            'latency_count{route="a"} 4',
+            'latency_bucket{route="b",le="0.1"} 0',
+            'latency_bucket{route="b",le="1"} 1',
+            'latency_bucket{route="b",le="10"} 1',
+            'latency_bucket{route="b",le="+Inf"} 1',
+            'latency_sum{route="b"} 1',
+            'latency_count{route="b"} 1',
+        ]
+
+    def test_an_observation_bisects_the_buckets(self):
+        """An observation compares the value with a logarithmic number of
+        bounds, not with every bucket."""
+        comparisons = []
+
+        class Counted(float):
+            def _counted(name):
+                def compare(self, other):
+                    comparisons.append(name)
+                    return getattr(float, name)(self, other)
+
+                return compare
+
+            __lt__ = _counted("__lt__")
+            __le__ = _counted("__le__")
+            __gt__ = _counted("__gt__")
+            __ge__ = _counted("__ge__")
+
+        histogram = Histogram("latency", "seconds")
+        assert len(histogram.buckets) == 14
+        histogram.observe(Counted(0.003))
+        assert 0 < len(comparisons) <= 4
+        buckets = histogram.collect()[""]["buckets"]
+        assert (buckets["0.0025"], buckets["0.005"], buckets["10"]) == (0, 1, 1)
+
+    def test_mismatched_labels_rejected(self):
+        histogram = Histogram("latency", "seconds", labelnames=("route",))
+        with pytest.raises(ValueError):
+            histogram.observe(1.0)
+        with pytest.raises(ValueError):
+            histogram.observe(1.0, mode="x")
+        with pytest.raises(ValueError):
+            histogram.observe(1.0, route="a", mode="x")
+        assert histogram.collect() == {}
+
     def test_buckets_are_sorted_on_construction(self):
         histogram = Histogram("latency", "seconds", buckets=(5.0, 1.0))
         assert histogram.buckets == (1.0, 5.0)
@@ -153,6 +225,16 @@ class TestMetricsRegistry:
             registry.counter("jobs_total", "jobs", labelnames=("other",))
         with pytest.raises(ValueError):
             registry.gauge("jobs_total", "jobs", labelnames=("kind",))
+
+    def test_a_histogram_with_other_buckets_is_a_different_shape(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("latency", "seconds", buckets=(0.1, 1.0))
+        with pytest.raises(ValueError):
+            registry.histogram("latency", "seconds", buckets=(5.0,))
+        assert registry.histogram("latency", "seconds", buckets=(0.1, 1.0)) is first
+        # The same bounds given in another order are the same buckets.
+        assert registry.histogram("latency", "seconds", buckets=(1, 0.1)) is first
+        assert registry.get("latency").buckets == (0.1, 1.0)
 
     def test_collect_shape(self):
         registry = MetricsRegistry()

@@ -24,6 +24,8 @@ Structure:
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import threading
 import time
 
@@ -516,11 +518,26 @@ class TestDegradedMode:
         assert len(store) == 0
 
 
+def live_claim():
+    """A claim marker this store never made, owned by a running process.
+
+    The waiter compares whole markers, so this process's pid stands for
+    another live claimant.
+    """
+    return ("__repro_claim__", os.getpid(), 0, 0)
+
+
+def reaped_pid():
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
 class TestClaimWait:
     def test_waiter_gets_anothers_published_value_with_backoff(self):
         store = fast_store(poll_interval=0.001)
-        claim = ("__repro_claim__", os.getpid() + 1, 0, 0)
-        store._data["k"] = claim  # another process holds the claim
+        store._data["k"] = live_claim()  # another process holds the claim
 
         def publish_later():
             time.sleep(0.03)
@@ -537,13 +554,56 @@ class TestClaimWait:
 
     def test_claim_wait_respects_the_deadline_budget(self):
         store = fast_store(claim_timeout=30.0, poll_interval=0.001)
-        claim = ("__repro_claim__", os.getpid() + 1, 0, 0)
-        store._data["k"] = claim  # never released
+        store._data["k"] = live_claim()  # never released
         start = time.monotonic()
         with pytest.raises(DeadlineExceededError):
             store.get_or_compute("k", lambda: 0, deadline=DeadlineBudget(0.05))
         # The 30s claim timeout was clamped by the 50ms budget.
         assert time.monotonic() - start < 5.0
+
+    def test_a_dead_owners_claim_is_not_waited_on(self):
+        store = fast_store(claim_timeout=5.0, poll_interval=0.001)
+        store._data["k"] = ("__repro_claim__", reaped_pid(), 0, 0)
+        start = time.monotonic()
+        value = store.get_or_compute("k", lambda: 7)
+        assert time.monotonic() - start < 1.0
+        assert value == 7
+        info = store.info()
+        assert (info["waits"], info["computes"]) == (1, 1)
+        # The value replaced the dead claim.
+        assert store._data["k"] == (_VALUE_TAG, 7)
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/stat"), reason="needs /proc"
+    )
+    def test_a_zombie_owners_claim_is_not_waited_on(self):
+        """A worker its broken pool terminated is a zombie until the pool
+        joins it; signal 0 still reaches it, but it will never publish."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        try:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                with open(f"/proc/{child.pid}/stat", "rb") as stat:
+                    if stat.read().rpartition(b")")[2].split()[0] == b"Z":
+                        break
+                time.sleep(0.01)
+            store = fast_store(claim_timeout=5.0, poll_interval=0.001)
+            store._data["k"] = ("__repro_claim__", child.pid, 0, 0)
+            start = time.monotonic()
+            assert store.get_or_compute("k", lambda: 7) == 7
+            assert time.monotonic() - start < 1.0
+        finally:
+            child.wait()
+
+    def test_a_live_owners_claim_is_still_waited_on(self):
+        store = fast_store(claim_timeout=0.3, poll_interval=0.001)
+        store._data["k"] = live_claim()
+        start = time.monotonic()
+        value = store.get_or_compute("k", lambda: 7)
+        # Only the timeout ended the wait.
+        assert time.monotonic() - start >= 0.3
+        assert value == 7
+        assert store.info()["waits"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import multiprocessing
 import pickle
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -288,6 +288,27 @@ class TestTelemetrySink:
         assert new == ["h", "i", "j"]
         assert sink.since(cursor) == ([], cursor)
         assert len(sink) == 3
+
+    def test_since_at_the_cursor_returns_at_once(self):
+        sink = TelemetrySink(max_batches=4)
+        sink.record(["a"])
+        _, cursor = sink.since(0)
+        reads = []
+
+        class Watched(deque):
+            def __reversed__(self):
+                reads.append(1)
+                return super().__reversed__()
+
+        sink._batches = Watched(sink._batches, maxlen=4)
+        assert sink.since(cursor) == ([], cursor)
+        assert reads == []
+        # A batch recorded later is still returned, once.
+        sink.record(["b", "c"])
+        new, cursor = sink.since(cursor)
+        assert new == ["b", "c"]
+        assert sink.since(cursor) == ([], cursor)
+        assert reads == [1]
 
     def test_invalid_bound_rejected(self):
         with pytest.raises(ValueError):
