@@ -14,7 +14,7 @@ seed cores on every instance, and writes a machine-readable
 Run as a script for the full demonstration (the seed needs ~15 s on the
 acceptance pair — that slowness is the point)::
 
-    PYTHONPATH=src python benchmarks/bench_core.py
+    PYTHONPATH=src:tests python benchmarks/bench_core.py
 
 or with ``--quick`` for the CI smoke run (scaled-down instances, same
 isomorphism checks and a softer speedup gate), or under pytest for the
@@ -32,8 +32,8 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from oracles.seeds import legacy_core
 from repro.homomorphism.core_engine import compute_core
-from repro.homomorphism.cores import legacy_core
 from repro.structures import are_isomorphic, grid
 from repro.structures.builders import cycle, directed_path
 from repro.structures.random_gen import random_graph_structure, random_tree_graph

@@ -1,19 +1,17 @@
 """E10 — Theorem 6.1 / Lemma 6.2: the counting classification.
 
-Benchmarks the three counting routes (brute force, decomposition DP,
-tree-depth recursion) and the inclusion–exclusion Turing reduction; asserts
-all counts coincide.
+Benchmarks brute force, the tree-depth recursion, ``count_hom`` (which
+runs that recursion over the pattern's min-fill elimination tree), the
+decomposition DP the recursion replaced (kept as a test oracle) and the
+inclusion–exclusion Turing reduction; asserts all counts coincide.
 """
 
 import pytest
 
+from oracles.decomposition_solver import count_homomorphisms_td
 from repro.counting import count_hom, count_star_homomorphisms_via_oracle
 from repro.decomposition import good_tree_decomposition
-from repro.homomorphism import (
-    count_homomorphisms,
-    count_homomorphisms_td,
-    count_homomorphisms_treedepth,
-)
+from repro.homomorphism import count_homomorphisms, count_homomorphisms_treedepth
 from repro.structures import cycle, path, random_graph_structure, star, star_expansion
 from repro.structures.random_gen import random_colored_target
 

@@ -1,6 +1,8 @@
 """Benchmark: the semiring join engine vs the seed decomposition DP.
 
-The seed implementation of Lemma 3.4 enumerates every ``|B|^|bag|``
+Both are test oracles (``tests/oracles/``), kept with the tests as the
+references the forest engine is checked against.  The seed
+implementation of Lemma 3.4 enumerates every ``|B|^|bag|``
 candidate assignment per bag; the join engine extends partial maps through
 per-relation hash indexes.  This module quantifies the gap on the
 acceptance scenario — a 4-clique query counted against a 50-element random
@@ -9,7 +11,7 @@ database — and on a spread of pattern shapes.
 Run as a script for the full demonstration (the legacy DP needs a minute
 or two on the 50-element database — that slowness is the point)::
 
-    PYTHONPATH=src python benchmarks/bench_join_engine.py
+    PYTHONPATH=src:tests python benchmarks/bench_join_engine.py
 
 or with ``--quick`` for the CI smoke run (a scaled-down instance with the
 same ≥ 5× assertion), or under pytest for the fixture-based timings::
@@ -24,14 +26,14 @@ import time
 
 import pytest
 
-from repro.decomposition.width import good_tree_decomposition
-from repro.homomorphism.backtracking import count_homomorphisms
-from repro.homomorphism.decomposition_solver import legacy_count_homomorphisms_td
-from repro.homomorphism.join_engine import (
+from oracles.decomposition_solver import legacy_count_homomorphisms_td
+from oracles.join_engine import (
     COUNTING,
     count_homomorphisms_join,
     run_decomposition_dp,
 )
+from repro.decomposition.width import good_tree_decomposition
+from repro.homomorphism.backtracking import count_homomorphisms
 from repro.structures import clique, cycle, path, random_graph_structure
 
 #: The acceptance scenario: 4-clique query, 50-element random database.

@@ -7,8 +7,9 @@ the answer.
 
 import pytest
 
-from repro.homomorphism import has_homomorphism, homomorphism_exists_pd
+from oracles.decomposition_solver import homomorphism_exists_pd
 from repro.decomposition import optimal_path_decomposition
+from repro.homomorphism import has_homomorphism
 from repro.problems import solve_st_path, solve_st_path_guess_and_check
 from repro.reductions import (
     HomInstance,

@@ -1,20 +1,17 @@
 """E8 — Theorems 5.6 / 5.7: TREE-complete problems.
 
 Benchmarks homomorphism and embedding problems on the (directed) B-family
-through the tree-decomposition DP, and the bounded-treewidth embedding
+through the tree-decomposition DP (the test oracle the forest engine is
+checked against), and the bounded-treewidth embedding
 route (connectivization + colour coding), always asserting agreement with
 brute force.
 """
 
 import pytest
 
+from oracles.decomposition_solver import homomorphism_exists_td
 from repro.decomposition import good_tree_decomposition
-from repro.homomorphism import (
-    find_embedding,
-    has_embedding,
-    has_homomorphism,
-    homomorphism_exists_td,
-)
+from repro.homomorphism import find_embedding, has_embedding, has_homomorphism
 from repro.reductions import (
     ColorCodingReduction,
     EmbInstance,

@@ -1,6 +1,6 @@
 """Benchmark: the branch-and-bound treedepth engine vs the seed solver.
 
-The seed ``_exact_treedepth`` recursion is the reason the width facade
+The seed recursion (``tests/oracles/seeds.py``) is the reason the width facade
 gave up on exactness beyond 12 vertices: its memo ranges over every
 connected induced subgraph and every call rebuilds ``Graph`` objects, so
 td(C13) was reported as the trivial DFS bound 13 and big rigid cores got
@@ -28,7 +28,7 @@ is hopeless there — that is the point of the engine).
 
 Run as a script for the full demonstration::
 
-    PYTHONPATH=src python benchmarks/bench_treedepth.py
+    PYTHONPATH=src:tests python benchmarks/bench_treedepth.py
 
 or with ``--quick`` for the CI smoke run, or under pytest for the
 assertion-only entry points::
@@ -43,8 +43,8 @@ import json
 import time
 from typing import Callable, Dict, List, Tuple
 
+from oracles.seeds import legacy_exact_treedepth
 from repro.classification.classifier import classify_structure
-from repro.decomposition.treedepth import legacy_exact_treedepth
 from repro.decomposition.treedepth_engine import compute_treedepth
 from repro.graphlib.graph import Graph
 from repro.structures.builders import (

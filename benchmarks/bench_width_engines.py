@@ -1,7 +1,7 @@
 """Benchmark: the treewidth/pathwidth branch-and-bound engines vs the seed DPs.
 
-The seed subset DPs (`legacy_exact_treewidth` / `legacy_exact_pathwidth`)
-are why the width facade stopped being exact at 12 vertices: their memo
+The seed subset DPs (`legacy_exact_treewidth` / `legacy_exact_pathwidth`,
+kept with the tests in ``tests/oracles/seeds.py``) are why the width facade stopped being exact at 12 vertices: their memo
 ranges over all 2^n vertex subsets with per-state graph traversals, so the
 13–25-element cores the treedepth engine opened up were still routed on
 min-fill/BFS upper bounds.  The engines
@@ -26,7 +26,8 @@ This benchmark answers four questions and writes a machine-readable
    TREE_COMPLETE to PATH_COMPLETE.  Both routes now run the memoised
    forest engine on one min-fill tree, so the flipped route is timed
    against the machinery the heuristic TREE route ran before that engine:
-   the join engine's DP over ``good_tree_decomposition``.  Answers must
+   the join engine's DP over ``good_tree_decomposition`` (now the test
+   oracle ``tests/oracles/join_engine.py``).  Answers must
    agree, and at least one flip scenario must *win* on wall time.
 
 A scale section records engine-only timings at 16–25 elements (the seeds
@@ -34,7 +35,7 @@ are hopeless there — that is the point of the engines).
 
 Run as a script for the full demonstration::
 
-    PYTHONPATH=src python benchmarks/bench_width_engines.py
+    PYTHONPATH=src:tests python benchmarks/bench_width_engines.py
 
 or with ``--quick`` for the CI smoke run, or under pytest for the
 assertion-only entry points::
@@ -51,16 +52,13 @@ import time
 from itertools import combinations
 from typing import Callable, Dict, List, Tuple
 
+from oracles.join_engine import BOOLEAN, run_decomposition_dp
+from oracles.seeds import legacy_exact_pathwidth, legacy_exact_treewidth
 from repro.classification.classifier import StructureProfile, classify_structure
 from repro.classification.solver_dispatch import choose_degree, solve_with_degree
-from repro.decomposition.exact import (
-    legacy_exact_pathwidth,
-    legacy_exact_treewidth,
-)
 from repro.decomposition.width import good_tree_decomposition, width_profile_report
 from repro.decomposition.width_engine import compute_pathwidth, compute_treewidth
 from repro.graphlib.graph import Graph
-from repro.homomorphism.join_engine import BOOLEAN, run_decomposition_dp
 from repro.structures.builders import (
     clique_graph,
     complete_binary_tree_graph,

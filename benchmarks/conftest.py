@@ -14,9 +14,12 @@ import os
 import random
 import sys
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# ``tests`` holds the oracles (``tests/oracles/``) some benchmarks compare
+# the library against.
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro.structures import Structure  # noqa: E402
 

@@ -5,14 +5,11 @@ Run with::
     python examples/quickstart.py
 """
 
+from repro.counting import count_hom
 from repro.cq import Database, evaluate_query_set, parse_query
-from repro.homomorphism import (
-    BOOLEAN,
-    COUNTING,
-    count_homomorphisms_join,
-    run_decomposition_dp,
-)
-from repro.decomposition import good_tree_decomposition
+from repro.decomposition import min_fill_elimination_forest
+from repro.homomorphism import TreeDepthSolver
+from repro.structures import gaifman_graph
 
 
 def main() -> None:
@@ -39,21 +36,21 @@ def main() -> None:
     print("triangle present?", triangle.holds_on(database))
     print("number of triangle matches:", triangle.count_matches(database))
 
-    # The semiring join engine runs the decomposition DP with indexed
-    # candidate lookups; one sweep serves existence (Boolean semiring) and
-    # counting (natural-number semiring).
+    # Counting (Theorem 6.1) classifies the pattern itself, not its core:
+    # count_hom reports the count, the algorithm and the pattern's degree.
     pattern = triangle.canonical_structure()
     target = database.to_structure(triangle.vocabulary())
-    decomposition = good_tree_decomposition(pattern)
-    print(
-        "join engine existence:",
-        bool(run_decomposition_dp(pattern, target, decomposition, BOOLEAN)),
-    )
-    print(
-        "join engine count:",
-        run_decomposition_dp(pattern, target, decomposition, COUNTING),
-    )
-    print("convenience wrapper count:", count_homomorphisms_join(pattern, target))
+    counted = count_hom(pattern, target)
+    print(f"count_hom: {counted.count} [{counted.solver}; {counted.degree.value}]")
+
+    # count_hom, like every bounded decision route, runs on the forest
+    # engine: the Lemma 3.3 recursion along an elimination forest, with
+    # hash-index candidates and each subtree memoised on its boundary.
+    # One compiled solver answers existence and counting on any target.
+    forest = min_fill_elimination_forest(gaifman_graph(pattern))
+    solver = TreeDepthSolver(pattern, forest=forest, use_core=False)
+    print("forest engine existence:", solver.exists(target))
+    print("forest engine count:", solver.count(target))
 
     # Whole query workloads go through the batched evaluator, which caches
     # classification profiles and the database→structure conversion across

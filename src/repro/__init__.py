@@ -13,8 +13,8 @@ This package implements every object and algorithm the paper relies on:
   expansions, Gaifman graphs, products, per-relation hash indexes;
 * :mod:`repro.graphlib`, :mod:`repro.decomposition`, :mod:`repro.minors` —
   graphs, tree/path decompositions, tree depth, minor maps;
-* :mod:`repro.homomorphism` — homomorphism/embedding solvers (backtracking,
-  the semiring join engine, decomposition DP, tree-depth recursion), cores;
+* :mod:`repro.homomorphism` — homomorphism/embedding solvers (backtracking
+  and the memoised elimination-forest recursion), cores;
 * :mod:`repro.logic` — first-order formulas, Chandra–Merlin translations,
   the space-accounted model checker, tree-depth sentences;
 * :mod:`repro.machines` — Turing machines, jump machines, alternating jump
@@ -39,19 +39,19 @@ Quickstart::
     database = Database({"E": [(1, 2), (2, 3), (3, 1)]})
     print(query.holds_on(database))                          # True
 
-The decomposition-based solvers run on the **semiring join engine**
-(:mod:`repro.homomorphism.join_engine`): bag tables are built by indexed
-candidate lookups instead of the ``|B|^|bag|`` product, joined bottom-up
-with an iterative worklist, and parameterized by a semiring so Boolean
-existence and Section-6 counting share one sweep::
+Every bounded decision and count runs on one engine, the **forest
+engine** (:class:`repro.homomorphism.TreeDepthSolver`): the Lemma 3.3
+recursion along an elimination forest, drawing candidates from the
+target's hash indexes and memoising each subtree on its boundary (the
+bag-keyed tables of decomposition DP).  :func:`solve_hom` routes by the
+core's degree; :func:`count_hom` counts on the pattern itself (Theorem
+6.1), over its min-fill elimination tree::
 
-    from repro.homomorphism import (
-        BOOLEAN, COUNTING, run_decomposition_dp,
-        count_homomorphisms_join, homomorphism_exists_join,
-    )
+    from repro.classification import solve_hom
+    from repro.counting import count_hom
 
-    homomorphism_exists_join(pattern, database_structure)   # existence
-    count_homomorphisms_join(pattern, database_structure)   # exact count
+    solve_hom(pattern, database_structure).answer   # existence
+    count_hom(pattern, database_structure).count    # exact count
 
 Whole query workloads go through the batched evaluator, which caches
 classification profiles and database→structure conversions across the
@@ -84,15 +84,10 @@ from repro.eval import (
 )
 from repro.service import QueryService
 from repro.homomorphism import (
-    BOOLEAN,
-    COUNTING,
-    Semiring,
     core,
     count_homomorphisms,
-    count_homomorphisms_join,
     has_embedding,
     has_homomorphism,
-    homomorphism_exists_join,
     is_core,
 )
 from repro.structures import Structure, Vocabulary
@@ -120,11 +115,6 @@ __all__ = [
     "SolveResult",
     "count_hom",
     "CountResult",
-    "Semiring",
-    "BOOLEAN",
-    "COUNTING",
-    "homomorphism_exists_join",
-    "count_homomorphisms_join",
     "evaluate_query_set",
     "EvalService",
     "ExecutorConfig",

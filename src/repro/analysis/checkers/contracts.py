@@ -1,6 +1,6 @@
 """Metrics/API contract rules.
 
-Four layering contracts the repo established and nothing enforced:
+Three layering contracts the repo established and nothing enforced:
 
 * metrics are created through ``MetricsRegistry``'s get-or-create
   methods so re-registration is idempotent and every metric appears in
@@ -9,9 +9,6 @@ Four layering contracts the repo established and nothing enforced:
   itself and the executor's evaluation context may call it — everything
   else goes through ``EvalService`` / ``QueryService`` so the stores and
   telemetry apply;
-* ``legacy_*`` functions are frozen reference implementations for
-  differential tests; production modules must not grow dependencies on
-  another module's legacy path;
 * service-layer code talks to manager proxies only through the
   resilience wrapper (``FaultPolicy.run`` / the store's ``_guard``),
   with the raw proxy operation quarantined in a ``*_raw`` function — a
@@ -94,29 +91,6 @@ class DispatchBypass:
                     self.rule, self.severity, module.rel_path, node.lineno,
                     "direct solve_with_degree call bypasses the service "
                     "dispatch (stores, telemetry)",
-                )
-
-
-@register
-class LegacyCoupling:
-    rule = "API003"
-    severity = "warning"
-    description = (
-        "cross-module call into a legacy_* reference implementation; "
-        "production code must use the current engine"
-    )
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        locally_defined = module.defined_names()
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = (dotted_name(node.func) or "").split(".")[-1]
-            if name.startswith("legacy_") and name not in locally_defined:
-                yield Finding(
-                    self.rule, self.severity, module.rel_path, node.lineno,
-                    f"call to '{name}' couples production code to a frozen "
-                    "reference implementation",
                 )
 
 

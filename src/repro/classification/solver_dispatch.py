@@ -14,8 +14,9 @@ The recursion memoises each subtree on its boundary (the ancestors
 adjacent to it).  That memo is the bag-keyed table of the Theorem 4.6
 sweep and of Lemma 3.4's dynamic programming, and on a min-fill tree no
 boundary exceeds the ordering's width, so one engine serves all three
-bounded degrees.  The path sweep and the tree-decomposition DP stay in
-:mod:`repro.homomorphism.join_engine` for counting and direct callers.
+bounded degrees; counting (:func:`repro.counting.count_hom`) runs it
+too.  The path sweep and the tree-decomposition DP are kept with the
+tests, as the oracle the engine is checked against.
 
 :func:`solve_hom` performs the dispatch per pattern structure and reports
 which route was taken, so the benchmarks can attribute running time to the

@@ -1,9 +1,9 @@
 """Counting homomorphisms (Section 6).
 
-Brute-force and decomposition-based counters live next to the decision
+The brute-force and forest-engine counters live next to the decision
 solvers in :mod:`repro.homomorphism`; this package adds the Lemma 6.2
-inclusion–exclusion Turing reduction and the Theorem 6.1 counting
-classification / dispatcher.
+inclusion–exclusion Turing reduction, the Theorem 6.1 counting
+classification, and :func:`count_hom`, the library's counting entry point.
 """
 
 from repro.counting.classification import (

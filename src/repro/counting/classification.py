@@ -12,21 +12,30 @@ help: counting is not invariant under homomorphic equivalence):
   recursion along an elimination forest).
 
 This module exposes the degree decision (reusing the width machinery, but
-on the structures rather than their cores) and a counting dispatcher
-mirroring :mod:`repro.classification.solver_dispatch`.
+on the structures rather than their cores) and the counting entry point.
+:func:`count_hom` counts on the forest engine
+(:class:`~repro.homomorphism.treedepth_solver.TreeDepthSolver`), whose
+recursion memoises each vertex's subtree on its boundary: run along the
+pattern's min-fill elimination tree it is the sum–product–sum recursion of
+case 3 and, read as a tree decomposition with one bag per vertex and its
+boundary, the counting DP of the other two bounded cases.  A pattern
+whose min-fill tree is wider than :data:`COUNT_TREEWIDTH_THRESHOLD` is
+counted by brute force.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence, Tuple
 
-from repro.classification.degrees import ComplexityDegree, degree_from_width_bounds
 from repro.classification.classifier import looks_bounded
-from repro.decomposition.width import good_tree_decomposition, width_profile
+from repro.classification.degrees import ComplexityDegree, degree_from_width_bounds
+from repro.decomposition.heuristics import min_fill_elimination_forest
+from repro.decomposition.width import width_profile
 from repro.homomorphism.backtracking import count_homomorphisms
-from repro.homomorphism.join_engine import COUNTING, run_decomposition_dp
-from repro.homomorphism.treedepth_solver import count_homomorphisms_treedepth
+from repro.homomorphism.treedepth_solver import TreeDepthSolver
+from repro.structures.gaifman import gaifman_graph
 from repro.structures.structure import Structure
 
 #: Per-structure thresholds standing in for family-level bounds (cf. the
@@ -35,17 +44,56 @@ COUNT_TREEDEPTH_THRESHOLD = 4
 COUNT_PATHWIDTH_THRESHOLD = 3
 COUNT_TREEWIDTH_THRESHOLD = 4
 
+#: ``CountResult.solver`` of a count made by the forest engine.
+FOREST_COUNT_SOLVER = "memoised forest recursion, min-fill elimination tree"
+#: ``CountResult.solver`` of a count made by brute force.
+BRUTE_FORCE_COUNT_SOLVER = (
+    f"brute force (min-fill elimination tree wider than {COUNT_TREEWIDTH_THRESHOLD})"
+)
+
 
 @dataclass
 class CountResult:
-    """A homomorphism count together with the algorithm that produced it."""
+    """A homomorphism count, the algorithm that produced it, and the
+    pattern's Theorem 6.1 degree and widths.
+
+    The degree and the widths are computed from ``pattern`` when one of
+    them is first read, so a caller that reads only ``count`` starts no
+    width engine.
+    """
 
     count: int
     solver: str
-    degree: ComplexityDegree
-    treewidth: int
-    pathwidth: int
-    treedepth: int
+    pattern: Structure = field(repr=False)
+
+    @cached_property
+    def _widths(self) -> Tuple[int, int, int]:
+        return width_profile(self.pattern)
+
+    @property
+    def treewidth(self) -> int:
+        """The pattern's treewidth."""
+        return self._widths[0]
+
+    @property
+    def pathwidth(self) -> int:
+        """The pattern's pathwidth."""
+        return self._widths[1]
+
+    @property
+    def treedepth(self) -> int:
+        """The pattern's tree depth."""
+        return self._widths[2]
+
+    @property
+    def degree(self) -> ComplexityDegree:
+        """The pattern's Theorem 6.1 degree, read off its own widths."""
+        tw, pw, td = self._widths
+        return degree_from_width_bounds(
+            tw <= COUNT_TREEWIDTH_THRESHOLD,
+            pw <= COUNT_PATHWIDTH_THRESHOLD,
+            td <= COUNT_TREEDEPTH_THRESHOLD,
+        )
 
 
 def counting_degree_for_family(
@@ -60,30 +108,16 @@ def counting_degree_for_family(
 
 
 def count_hom(pattern: Structure, target: Structure) -> CountResult:
-    """Count homomorphisms with the degree-appropriate algorithm.
+    """Count the homomorphisms from ``pattern`` to ``target``.
 
-    Unlike the decision dispatcher, the widths of the *pattern itself* are
-    used (Theorem 6.1 classifies by the structures, not their cores).
+    The forest engine counts along the pattern's own min-fill elimination
+    tree — never its core: Theorem 6.1 classifies by the structures, and
+    counts change under homomorphic equivalence — whenever that tree's
+    largest boundary is at most :data:`COUNT_TREEWIDTH_THRESHOLD`;
+    otherwise the count is brute force.
     """
-    tw, pw, td = width_profile(pattern)
-    if tw > COUNT_TREEWIDTH_THRESHOLD:
-        degree = ComplexityDegree.W1_HARD
-        count = count_homomorphisms(pattern, target)
-        solver = "brute force (#W[1]-hard regime)"
-    elif pw > COUNT_PATHWIDTH_THRESHOLD:
-        degree = ComplexityDegree.TREE_COMPLETE
-        count = run_decomposition_dp(
-            pattern, target, good_tree_decomposition(pattern), COUNTING
-        )
-        solver = "semiring join engine, tree-decomposition counting DP"
-    elif td > COUNT_TREEDEPTH_THRESHOLD:
-        degree = ComplexityDegree.PATH_COMPLETE
-        count = run_decomposition_dp(
-            pattern, target, good_tree_decomposition(pattern), COUNTING
-        )
-        solver = "semiring join engine, path/tree-decomposition counting DP"
-    else:
-        degree = ComplexityDegree.PARA_L
-        count = count_homomorphisms_treedepth(pattern, target)
-        solver = "elimination-forest sum-product recursion (Theorem 6.1(3))"
-    return CountResult(count, solver, degree, tw, pw, td)
+    forest = min_fill_elimination_forest(gaifman_graph(pattern))
+    solver = TreeDepthSolver(pattern, forest=forest, use_core=False)
+    if solver.max_boundary <= COUNT_TREEWIDTH_THRESHOLD:
+        return CountResult(solver.count(target), FOREST_COUNT_SOLVER, pattern)
+    return CountResult(count_homomorphisms(pattern, target), BRUTE_FORCE_COUNT_SOLVER, pattern)

@@ -13,7 +13,7 @@ across calls, via a bounded module-level cache) it reuses
   expensive core/width computation that picks the solver, and
 * the database→structure conversion per distinct vocabulary — queries
   over the same schema share one target structure, which also lets the
-  join engine reuse its per-target hash indexes.
+  solvers reuse its hash indexes.
 
 Evaluation routes through the :mod:`repro.eval` execution service:
 ``workers`` fans a batch out to a chunked process pool with deterministic

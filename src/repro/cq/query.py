@@ -175,15 +175,16 @@ class ConjunctiveQuery:
         return has_homomorphism(self.canonical_structure(), target)
 
     def count_matches(self, database: Database | Structure) -> int:
-        """Count the satisfying assignments (homomorphisms) of the query."""
-        from repro.homomorphism.backtracking import count_homomorphisms
+        """Count the satisfying assignments (homomorphisms) of the query
+        with :func:`~repro.counting.count_hom`."""
+        from repro.counting.classification import count_hom
 
         target = (
             database.to_structure(self.vocabulary())
             if isinstance(database, Database)
             else database
         )
-        return count_homomorphisms(self.canonical_structure(), target)
+        return count_hom(self.canonical_structure(), target).count
 
     # -- classification hooks -----------------------------------------------------------
     def classify(self):

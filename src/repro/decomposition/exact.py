@@ -1,58 +1,20 @@
 """Exact treewidth and pathwidth.
 
-The public entry points (:func:`exact_treewidth`, :func:`exact_pathwidth`
-and their ordering/layout variants) delegate to the branch-and-bound
-engines of :mod:`repro.decomposition.width_engine`, which handle the
-13–25-element window the seed subset DPs could not reach.
-
-The seed algorithms are kept verbatim as ``legacy_exact_*`` for
-differential testing (``tests/test_width_engines.py`` and
-``benchmarks/bench_width_engines.py`` gate the engines against them):
-
-* **pathwidth** uses the vertex-separation formulation: a layout is built
-  one vertex at a time and the state is the set of already-placed vertices;
-  the cost of a state is the minimum over extensions of the maximum
-  boundary size.  This is the classical O*(2^n) algorithm.
-* **treewidth** uses the elimination-ordering formulation (treewidth equals
-  the minimum over orderings of the maximum "later neighbourhood" in the
-  fill-in graph), again with a subset DP where ``Q(S, v)`` — the set of
-  vertices reachable from ``v`` through ``S`` — gives the bag size.
+The entry points (:func:`exact_treewidth`, :func:`exact_pathwidth` and
+their ordering/layout variants) delegate to the branch-and-bound engines
+of :mod:`repro.decomposition.width_engine`, which handle the
+13–25-element window the seed subset DPs could not reach.  The seed DPs
+are kept with the tests (``tests/oracles/seeds.py``), which gate the
+engines against them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Tuple
 
-from repro.exceptions import DecompositionError
 from repro.graphlib.graph import Graph
 
 Vertex = Hashable
-
-
-def _reachable_through(
-    graph: Graph, source: Vertex, allowed: FrozenSet[Vertex]
-) -> FrozenSet[Vertex]:
-    """Return vertices outside ``allowed`` adjacent to the component of
-    ``source`` inside ``allowed ∪ {source}``.
-
-    This is the quantity Q(S, v) from the Bodlaender et al. treewidth DP:
-    the neighbours of ``v`` in the fill-in graph after eliminating ``S``.
-    """
-    seen = {source}
-    stack = [source]
-    boundary = set()
-    while stack:
-        current = stack.pop()
-        for neighbour in graph.neighbors(current):
-            if neighbour in seen:
-                continue
-            if neighbour in allowed:
-                seen.add(neighbour)
-                stack.append(neighbour)
-            else:
-                boundary.add(neighbour)
-    return frozenset(boundary)
 
 
 def exact_treewidth(graph: Graph) -> int:
@@ -85,134 +47,3 @@ def exact_pathwidth_layout(graph: Graph) -> Tuple[int, List[Vertex]]:
     from repro.decomposition.width_engine import engine_pathwidth_layout
 
     return engine_pathwidth_layout(graph)
-
-
-def legacy_exact_treewidth(graph: Graph) -> int:
-    """Return the exact treewidth of ``graph`` (O*(2^n) subset DP)."""
-    n = len(graph)
-    if n == 0:
-        raise DecompositionError("treewidth of the empty graph is undefined")
-    if graph.number_of_edges() == 0:
-        return 0
-    vertices = sorted(graph.vertices, key=repr)
-
-    @lru_cache(maxsize=None)
-    def tw(eliminated: FrozenSet[Vertex]) -> int:
-        """Minimum over orderings of S of the max later-neighbourhood size,
-        considering only the vertices in ``eliminated`` as already eliminated."""
-        if len(eliminated) == n:
-            return -1  # no more vertices to place; width contribution vacuous
-        best = n  # upper bound
-        for vertex in vertices:
-            if vertex in eliminated:
-                continue
-            bag_minus_one = len(_reachable_through(graph, vertex, eliminated))
-            rest = tw(eliminated | {vertex})
-            best = min(best, max(bag_minus_one, rest))
-        return best
-
-    result = tw(frozenset())
-    tw.cache_clear()
-    return result
-
-
-def legacy_exact_treewidth_ordering(graph: Graph) -> Tuple[int, List[Vertex]]:
-    """Return ``(treewidth, optimal elimination ordering)`` via the seed DP."""
-    n = len(graph)
-    if n == 0:
-        raise DecompositionError("treewidth of the empty graph is undefined")
-    vertices = sorted(graph.vertices, key=repr)
-
-    memo: Dict[FrozenSet[Vertex], Tuple[int, Optional[Vertex]]] = {}
-
-    def tw(eliminated: FrozenSet[Vertex]) -> Tuple[int, Optional[Vertex]]:
-        if eliminated in memo:
-            return memo[eliminated]
-        if len(eliminated) == n:
-            memo[eliminated] = (-1, None)
-            return memo[eliminated]
-        best = (n, None)
-        for vertex in vertices:
-            if vertex in eliminated:
-                continue
-            bag_minus_one = len(_reachable_through(graph, vertex, eliminated))
-            rest, _ = tw(eliminated | {vertex})
-            candidate = max(bag_minus_one, rest)
-            if candidate < best[0]:
-                best = (candidate, vertex)
-        memo[eliminated] = best
-        return best
-
-    width, _ = tw(frozenset())
-    ordering: List[Vertex] = []
-    eliminated: FrozenSet[Vertex] = frozenset()
-    while len(ordering) < n:
-        _, choice = tw(eliminated)
-        if choice is None:
-            remaining = [v for v in vertices if v not in eliminated]
-            ordering.extend(remaining)
-            break
-        ordering.append(choice)
-        eliminated = eliminated | {choice}
-    return width, ordering
-
-
-def legacy_exact_pathwidth(graph: Graph) -> int:
-    """Return the exact pathwidth of ``graph`` (vertex-separation subset DP)."""
-    width, _ = legacy_exact_pathwidth_layout(graph)
-    return width
-
-
-def legacy_exact_pathwidth_layout(graph: Graph) -> Tuple[int, List[Vertex]]:
-    """Return ``(pathwidth, optimal linear layout)`` via the seed DP."""
-    n = len(graph)
-    if n == 0:
-        raise DecompositionError("pathwidth of the empty graph is undefined")
-    vertices = sorted(graph.vertices, key=repr)
-
-    def boundary_size(placed: FrozenSet[Vertex]) -> int:
-        return sum(
-            1
-            for u in placed
-            if any(w not in placed for w in graph.neighbors(u))
-        )
-
-    memo: Dict[FrozenSet[Vertex], Tuple[int, Optional[Vertex]]] = {}
-
-    def best_cost(placed: FrozenSet[Vertex]) -> Tuple[int, Optional[Vertex]]:
-        """Minimum over completions of the maximum boundary size encountered
-        strictly after the prefix ``placed`` has been laid out."""
-        if placed in memo:
-            return memo[placed]
-        if len(placed) == n:
-            memo[placed] = (0, None)
-            return memo[placed]
-        best = (n + 1, None)
-        for vertex in vertices:
-            if vertex in placed:
-                continue
-            extended = placed | {vertex}
-            here = boundary_size(extended)
-            rest, _ = best_cost(extended)
-            candidate = max(here, rest)
-            if candidate < best[0]:
-                best = (candidate, vertex)
-        memo[placed] = best
-        return best
-
-    best_cost(frozenset())
-    layout: List[Vertex] = []
-    placed: FrozenSet[Vertex] = frozenset()
-    while len(layout) < n:
-        _, choice = best_cost(placed)
-        if choice is None:
-            layout.extend(v for v in vertices if v not in placed)
-            break
-        layout.append(choice)
-        placed = placed | {choice}
-    # The DP optimises the vertex separation number, which equals pathwidth;
-    # report the width realised by the reconstructed layout (they coincide).
-    from repro.decomposition.path_decomposition import path_decomposition_from_ordering
-
-    realised = path_decomposition_from_ordering(graph, layout).width()
-    return realised, layout

@@ -2,7 +2,8 @@
 
 The tree depth ``td(G)`` of a graph is the minimum height ``h`` such that
 every connected component of ``G`` is a subgraph of the closure of a rooted
-tree of height ``h``.  Equivalently (and this is how we compute it):
+tree of height ``h``.  Equivalently (the recursion the branch-and-bound
+engine of :mod:`repro.decomposition.treedepth_engine` searches):
 
 * ``td`` of a single vertex is 1,
 * ``td`` of a disconnected graph is the maximum over its components,
@@ -20,10 +21,9 @@ tree-depth sentence construction of Lemma 3.3 both need it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.exceptions import DecompositionError
-from repro.graphlib.components import connected_components, is_connected
 from repro.graphlib.graph import Graph
 
 Vertex = Hashable
@@ -128,46 +128,13 @@ class EliminationForest:
         return all(self.closure_contains_edge(u, v) for u, v in graph.edge_pairs())
 
 
-def _exact_treedepth(
-    graph: Graph,
-    vertices: FrozenSet[Vertex],
-    memo: Dict[FrozenSet[Vertex], Tuple[int, Optional[Vertex]]],
-    budget: int,
-) -> Tuple[int, Optional[Vertex]]:
-    """Return (td, best root) for the induced subgraph on ``vertices``."""
-    if vertices in memo:
-        return memo[vertices]
-    if len(vertices) == 1:
-        memo[vertices] = (1, next(iter(vertices)))
-        return memo[vertices]
-    subgraph = graph.subgraph(vertices)
-    components = connected_components(subgraph)
-    if len(components) > 1:
-        worst = 0
-        for component in components:
-            value, _ = _exact_treedepth(graph, component, memo, budget)
-            worst = max(worst, value)
-        memo[vertices] = (worst, None)
-        return memo[vertices]
-    best = (len(vertices), None)
-    for vertex in sorted(vertices, key=repr):
-        rest, _ = _exact_treedepth(graph, vertices - {vertex}, memo, budget)
-        candidate = 1 + rest
-        if candidate < best[0]:
-            best = (candidate, vertex)
-        if best[0] == 2:  # cannot do better for a connected graph with an edge
-            break
-    memo[vertices] = best
-    return best
-
-
 def exact_treedepth(graph: Graph) -> int:
     """Return the exact tree depth of ``graph``.
 
     Delegates to the branch-and-bound engine of
-    :mod:`repro.decomposition.treedepth_engine`, which replaces the seed
-    subset recursion (kept as :func:`legacy_exact_treedepth`) as the
-    default solver — same answers, pruned search.
+    :mod:`repro.decomposition.treedepth_engine`, which replaced the seed
+    subset recursion (kept with the tests, ``tests/oracles/seeds.py``) —
+    same answers, pruned search.
     """
     from repro.decomposition.treedepth_engine import engine_treedepth
 
@@ -179,60 +146,10 @@ def exact_elimination_forest(graph: Graph) -> EliminationForest:
 
     Delegates to the branch-and-bound engine; the witness is verified
     against the graph before it is returned (the engine raises otherwise).
-    The seed construction survives as
-    :func:`legacy_exact_elimination_forest`.
     """
     from repro.decomposition.treedepth_engine import engine_elimination_forest
 
     return engine_elimination_forest(graph)
-
-
-def legacy_exact_treedepth(graph: Graph) -> int:
-    """The seed exact tree depth (subset recursion); reference only.
-
-    Exponential in a way the engine is not (it tries every vertex of
-    every connected induced subgraph it meets, rebuilding ``Graph``
-    objects as it goes); kept verbatim as the differential-testing
-    baseline for ``treedepth_engine`` and ``benchmarks/bench_treedepth.py``.
-    """
-    if len(graph) == 0:
-        raise DecompositionError("tree depth of the empty graph is undefined")
-    memo: Dict[FrozenSet[Vertex], Tuple[int, Optional[Vertex]]] = {}
-    value, _ = _exact_treedepth(graph, graph.vertices, memo, len(graph))
-    return value
-
-
-def legacy_exact_elimination_forest(graph: Graph) -> EliminationForest:
-    """The seed optimal elimination forest construction; reference only."""
-    if len(graph) == 0:
-        raise DecompositionError("tree depth of the empty graph is undefined")
-    memo: Dict[FrozenSet[Vertex], Tuple[int, Optional[Vertex]]] = {}
-    parent: Dict[Vertex, Vertex] = {}
-    roots: List[Vertex] = []
-
-    def build(vertices: FrozenSet[Vertex], attach: Optional[Vertex]) -> None:
-        subgraph = graph.subgraph(vertices)
-        components = connected_components(subgraph)
-        if len(components) > 1:
-            for component in components:
-                build(component, attach)
-            return
-        _, root = _exact_treedepth(graph, vertices, memo, len(graph))
-        if root is None:
-            root = min(vertices, key=repr)
-        if attach is None:
-            roots.append(root)
-        else:
-            parent[root] = attach
-        remaining = vertices - {root}
-        if remaining:
-            build(remaining, root)
-
-    build(graph.vertices, None)
-    forest = EliminationForest(parent, roots)
-    if not forest.witnesses(graph):
-        raise DecompositionError("internal error: elimination forest does not witness the graph")
-    return forest
 
 
 def dfs_elimination_forest(graph: Graph) -> EliminationForest:

@@ -1,6 +1,6 @@
 """Branch-and-bound exact treedepth for mid-sized graphs (13–25 elements).
 
-The seed algorithm (:func:`repro.decomposition.treedepth._exact_treedepth`)
+The seed algorithm (kept with the tests in ``tests/oracles/seeds.py``)
 recurses on *every* vertex of every connected induced subgraph it meets,
 memoising on frozensets — an ``O*(2^n)`` subset dynamic program whose
 per-call cost is dominated by rebuilding :class:`~repro.graphlib.graph.Graph`
@@ -47,8 +47,7 @@ optimal elimination forest — the witness
 verifies, and the para-L solver consumes — is reconstructed by walking
 roots, at no extra search cost.
 
-The seed solver remains available as
-:func:`repro.decomposition.treedepth.legacy_exact_treedepth` for
+The seed solver is kept with the tests (``tests/oracles/seeds.py``) for
 differential testing; ``benchmarks/bench_treedepth.py`` gates the engine
 against it.
 """

@@ -1,13 +1,13 @@
 """Branch-and-bound exact treewidth and pathwidth for mid-sized graphs (13–25).
 
-The seed algorithms (:mod:`repro.decomposition.exact`, kept as
-``legacy_exact_treewidth`` / ``legacy_exact_pathwidth``) are ``O*(2^n)``
-subset dynamic programs over frozensets: every call rebuilds Python sets,
-every state is visited regardless of how hopeless it is, and the facade
-therefore abandons exactness beyond 12 vertices — precisely the window the
-treedepth engine of :mod:`repro.decomposition.treedepth_engine` opened for
-the big rigid cores.  These engines push both width measures to the same
-window with the same toolbox:
+The seed algorithms (kept with the tests in ``tests/oracles/seeds.py``)
+are ``O*(2^n)`` subset dynamic programs over frozensets: every call
+rebuilds Python sets, every state is visited regardless of how hopeless
+it is, and the facade therefore abandons exactness beyond 12 vertices —
+precisely the window the treedepth engine of
+:mod:`repro.decomposition.treedepth_engine` opened for the big rigid
+cores.  These engines push both width measures to the same window with
+the same toolbox:
 
 * **bitset subgraphs** — vertices map to bit positions once; components,
   boundaries, degeneracy and fill neighbourhoods are integer arithmetic

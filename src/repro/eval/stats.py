@@ -3,12 +3,12 @@
 Two numbers drive how much work a solver does against a database:
 
 * **relation sizes** — every solver touches each relevant relation at
-  least once, and the join engine's table sizes grow with them, and
-* **index fan-out** — the join engine and the treedepth recursion extend
-  partial maps one variable at a time through the per-relation hash
-  indexes of :mod:`repro.structures.indexes`; the number of candidate
-  extensions per bound prefix is the branching factor of the whole
-  computation.
+  least once, and the treedepth recursion's memo tables grow with them,
+  and
+* **index fan-out** — the treedepth recursion extends partial maps one
+  variable at a time through the per-relation hash indexes of
+  :mod:`repro.structures.indexes`; the number of candidate extensions
+  per bound prefix is the branching factor of the whole computation.
 
 :class:`DatabaseStatistics` condenses a target structure into exactly
 those numbers.  Statistics are cheap (one pass over the tuples via the
@@ -32,8 +32,8 @@ class DatabaseStatistics:
 
     ``fan_out`` maps each relation name to the average number of tuples
     per distinct value in the relation's first position — the expected
-    number of candidate extensions the join engine sees once one endpoint
-    of the relation is bound.  ``max_fan_out`` aggregates that over the
+    number of candidate extensions the treedepth recursion sees once one
+    endpoint of the relation is bound.  ``max_fan_out`` aggregates that over the
     relations (floored at 1.0).
     """
 

@@ -8,7 +8,7 @@ finding a single witness, exhaustive enumeration, and counting, and it
 accepts a pre-assigned partial map.
 
 This is the "ground truth" engine that every specialised algorithm in the
-library (decomposition DP, tree-depth solver, machine pipelines) is tested
+library (tree-depth solver, core engine, machine pipelines) is tested
 against.
 """
 

@@ -1,7 +1,7 @@
 """The rigidity-certified core engine — the fast path behind ``core``.
 
-The seed algorithm of :mod:`repro.homomorphism.cores` looks for a proper
-retraction by restarting a backtracking search ``hom(A, A − {a})`` for
+The seed algorithm (kept with the tests in ``tests/oracles/seeds.py``)
+looks for a proper retraction by restarting a backtracking search ``hom(A, A − {a})`` for
 every element ``a``, after every retraction: proving that a structure
 *is* a core costs ``n`` exhaustive searches (directed path ``P30`` ≈ 3 s,
 odd cycle ``C13`` ≈ 9 s in the seed).  Three observations make it cheap:
@@ -40,9 +40,10 @@ substructure once its result is masked by ``alive`` — or by a domain,
 which always lies inside ``alive``.  Every lookup result is masked so.
 
 :mod:`repro.homomorphism.cores` routes the public ``core`` API through
-:func:`compute_core` (the seed loop survives as ``legacy_*``).  The
-engine before compilation, which rebuilt a structure and its hash index
-on every pass, is the test-only reference ``tests/oracles/core_engine.py``.
+:func:`compute_core`.  The seed loop (``tests/oracles/seeds.py``) and
+the engine before compilation, which rebuilt a structure and its hash
+index on every pass (``tests/oracles/core_engine.py``), are test-only
+references.
 """
 
 from __future__ import annotations

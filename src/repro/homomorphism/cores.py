@@ -12,20 +12,15 @@ engine of :mod:`repro.homomorphism.core_engine`: fold elimination,
 degree/AC rigidity certificates, and a single non-surjective-endomorphism
 search.  The seed algorithm — one fresh backtracking search
 ``hom(A, A − {a})`` per element, restarted after every retraction — is
-kept as the ``legacy_*`` reference implementations (mirroring how the
-PR-1 join engine kept the product DP), and the equivalence fuzz harness
-checks engine cores against legacy cores up to isomorphism.
+kept with the tests (``tests/oracles/seeds.py``), and the equivalence
+fuzz harness checks engine cores against seed cores up to isomorphism.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
-from repro.homomorphism.backtracking import (
-    HomomorphismProblem,
-    find_homomorphism,
-    has_homomorphism,
-)
+from repro.homomorphism.backtracking import HomomorphismProblem, has_homomorphism
 from repro.homomorphism.core_engine import (
     CoreComputation,
     compute_core,
@@ -42,9 +37,7 @@ def find_proper_retraction(structure: Structure) -> Optional[Dict[Element, Eleme
     Engine-backed: a fold (dominated-element elimination) is returned
     without any search; otherwise a rigidity certificate may prove that
     no proper retraction exists; otherwise one backtracking search for a
-    non-surjective endomorphism decides.  See
-    :func:`legacy_find_proper_retraction` for the seed's per-element
-    restart loop.
+    non-surjective endomorphism decides.
     """
     return proper_retraction(structure)
 
@@ -67,61 +60,6 @@ def core_with_witness(structure: Structure) -> tuple[Structure, Dict[Element, El
     """Return ``(core, retraction)`` where ``retraction`` maps the structure onto its core."""
     computation: CoreComputation = compute_core(structure)
     return computation.core, dict(computation.retraction)
-
-
-# ---------------------------------------------------------------------------
-# The seed implementations (reference for the equivalence harness)
-# ---------------------------------------------------------------------------
-
-def legacy_find_proper_retraction(
-    structure: Structure,
-) -> Optional[Dict[Element, Element]]:
-    """The seed retraction search: one ``hom(A, A − {a})`` run per element.
-
-    The search tries, for each element ``a``, to find a homomorphism from
-    the structure into the substructure induced by ``universe − {a}``; any
-    such homomorphism (viewed into the original structure) has a proper
-    image.
-    """
-    if len(structure) == 1:
-        return None
-    for element in sorted(structure.universe, key=repr):
-        smaller = structure.induced_substructure(structure.universe - {element})
-        mapping = find_homomorphism(structure, smaller)
-        if mapping is not None:
-            return mapping
-    return None
-
-
-def legacy_is_core(structure: Structure) -> bool:
-    """The seed core test (per-element retraction searches)."""
-    return legacy_find_proper_retraction(structure) is None
-
-
-def legacy_core(structure: Structure) -> Structure:
-    """The seed core computation: restart the retraction search per round."""
-    current = structure
-    while True:
-        retraction = legacy_find_proper_retraction(current)
-        if retraction is None:
-            return current
-        image = frozenset(retraction.values())
-        current = current.induced_substructure(image)
-
-
-def legacy_core_with_witness(
-    structure: Structure,
-) -> tuple[Structure, Dict[Element, Element]]:
-    """The seed witnessed core computation (per-element retraction searches)."""
-    current = structure
-    composed: Dict[Element, Element] = {a: a for a in structure.universe}
-    while True:
-        retraction = legacy_find_proper_retraction(current)
-        if retraction is None:
-            return current, composed
-        image = frozenset(retraction.values())
-        current = current.induced_substructure(image)
-        composed = {a: retraction[composed[a]] for a in composed}
 
 
 def homomorphically_equivalent(left: Structure, right: Structure) -> bool:

@@ -4,12 +4,12 @@ A homomorphism ``h : A → B`` maps every atom of ``A`` to an atom of
 ``B``.  For a *nullary* relation symbol ``R`` (arity 0) the only possible
 atom is ``R()``, and ``h`` has nothing to say about it: ``R() ∈ A``
 forces ``R() ∈ B`` outright, before any search over element images
-starts.  Element-driven solvers (CSP backtracking, decomposition DP,
-the tree-depth recursion) all build their state from positive-arity
-atoms, so each of them must apply this check separately — the PR-2
-differential fuzzing campaign caught the backtracking solver skipping it
-and disagreeing with the join engine on vocabularies with arity-0
-symbols.  This module is the single shared implementation.
+starts.  Element-driven solvers (CSP backtracking, the tree-depth
+recursion, and the decomposition DP kept with the tests) all build their
+state from positive-arity atoms, so each of them must apply this check
+separately — differential fuzzing once caught the backtracking solver
+skipping it and disagreeing with the join engine on vocabularies with
+arity-0 symbols.  This module is the single shared implementation.
 """
 
 from __future__ import annotations

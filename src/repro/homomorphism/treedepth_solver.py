@@ -11,8 +11,9 @@ recursion over an elimination forest whose live state is one assignment
 of the current root path.  It is the engine of every bounded degree: the
 para-L route runs it on the forest that certified the core's tree depth,
 the PATH and TREE routes on a min-fill elimination tree
-(:func:`~repro.decomposition.heuristics.min_fill_elimination_forest`).
-The constructor compiles the recursion once per (structure, forest):
+(:func:`~repro.decomposition.heuristics.min_fill_elimination_forest`),
+and :func:`~repro.counting.count_hom` on the min-fill tree of the pattern
+itself.  The constructor compiles the recursion once per (structure, forest):
 
 * the forest's vertices are numbered in pre-order (ancestors first), and
   every vertex gets its children;
@@ -209,6 +210,10 @@ class TreeDepthSolver:
             _tuple_getter(sorted(boundary)) if len(boundary) < depth[vertex] - 1 else None
             for vertex, boundary in enumerate(boundaries)
         ]
+        #: The largest boundary: the width of the tree decomposition whose
+        #: bags are each vertex with its boundary, and so the most values
+        #: a memo key holds (on a min-fill tree, the ordering's width).
+        self.max_boundary = max(map(len, boundaries), default=0)
 
     @property
     def source(self) -> Structure:

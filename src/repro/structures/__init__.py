@@ -5,7 +5,7 @@ structure families of Section 2.1 (paths, cycles, binary-tree structures,
 grids, cliques, ...), structural operations (star expansion ``A*``, direct
 products, disjoint unions), Gaifman graphs, isomorphism testing, canonical
 encodings, seeded random generators, and the per-relation hash-index layer
-(:mod:`repro.structures.indexes`) backing the semiring join engine.
+(:mod:`repro.structures.indexes`) backing the solvers.
 """
 
 from repro.structures.builders import (

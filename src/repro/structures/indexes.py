@@ -1,8 +1,8 @@
-"""Per-relation hash indexes over structures — the join engine's storage layer.
+"""Per-relation hash indexes over structures — the solvers' storage layer.
 
-The database-style solvers (the semiring join engine of
-:mod:`repro.homomorphism.join_engine`) never enumerate the full
-``|B|^|bag|`` assignment space of a bag.  Instead they extend partial maps
+The forest engine (:class:`~repro.homomorphism.treedepth_solver.TreeDepthSolver`)
+never ranges a constrained variable over the whole target universe.
+Instead it extends partial maps
 one variable at a time, asking the *target* structure questions of the
 form "which tuples of relation ``R`` have value ``b₂`` in position 1 and
 value ``b₇`` in position 3?".  This module answers those questions in
@@ -134,8 +134,8 @@ class RelationIndex:
         An empty ``bound`` returns every tuple.
         """
         pattern: Positions = tuple(sorted(bound))
-        # The join engine calls this in its innermost loop: a built table
-        # is one dict lookup away, without a method call.
+        # Callers run this in an innermost loop: a built table is one
+        # dict lookup away, without a method call.
         table = self._by_pattern.get(pattern)
         if table is None:
             table = self.table(pattern)

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
-from repro.homomorphism.join_engine import (
+from oracles.join_engine import (
     _bag_order,
     _candidates,
     _closed_atoms_by_level,

@@ -11,9 +11,11 @@ whose live state is a single bag's worth of partial homomorphisms — this is
 exactly the guess-and-check structure that Theorem 4.6 turns into a PATH
 machine.
 
-The public functions now route through the semiring join engine of
-:mod:`repro.homomorphism.join_engine`, which produces bag tables with
-indexed candidate lookups instead of the full ``|B|^|bag|`` product.  The
+A test oracle: the library answers every bounded decision and count with
+the forest engine (:mod:`repro.homomorphism.treedepth_solver`).  The
+``*_td``/``*_pd`` functions route through the semiring join engine of
+:mod:`oracles.join_engine`, which produces bag tables with indexed
+candidate lookups instead of the full ``|B|^|bag|`` product.  The
 original product-based implementations are kept as the ``legacy_*``
 functions: they are the reference the cross-solver equivalence harness
 checks the engine against, and the baseline the benchmarks measure the
@@ -25,16 +27,16 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.decomposition.path_decomposition import PathDecomposition
-from repro.decomposition.tree_decomposition import TreeDecomposition
-from repro.exceptions import DecompositionError
-from repro.homomorphism.backtracking import is_partial_homomorphism
-from repro.homomorphism.join_engine import (
+from oracles.join_engine import (
     BOOLEAN,
     COUNTING,
     run_decomposition_dp,
     run_path_sweep,
 )
+from repro.decomposition.path_decomposition import PathDecomposition
+from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.exceptions import DecompositionError
+from repro.homomorphism.backtracking import is_partial_homomorphism
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.indexes import stable_key
 from repro.structures.structure import Structure

@@ -1,10 +1,13 @@
 """Semiring join engine: database-style DP over tree/path decompositions.
 
-This is the performance core behind Lemma 3.4 and Theorem 4.6.  The naive
-DP enumerates every ``|B|^|bag|`` candidate assignment per bag; realistic
-databases make that slower than plain backtracking, which defeats the
-point of the three-degree classification.  The engine instead treats each
-bag like a relational join:
+The reference for the forest engine
+(:class:`repro.homomorphism.treedepth_solver.TreeDepthSolver`), which
+answers every bounded decision and count the library makes: this is the
+dynamic programming behind Lemma 3.4 and Theorem 4.6 written over
+explicit decompositions, sharing no solver code with it.  The naive
+DP enumerates every ``|B|^|bag|`` candidate assignment per bag
+(:mod:`oracles.decomposition_solver` keeps it); this engine instead
+treats each bag like a relational join:
 
 * bag tables are produced by extending consistent partial maps one
   variable at a time, with candidate values fetched from the per-relation

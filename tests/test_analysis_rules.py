@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src"
 
 ALL_RULES = (
-    "API001", "API002", "API003", "API004",
+    "API001", "API002", "API004",
     "DET001", "DET002", "DET003", "DET004",
     "FRK001", "FRK002", "FRK003",
     "LCK001",
@@ -530,33 +530,6 @@ class TestAPI002:
 
             def solve(pattern, target, degree, profile):
                 return solve_with_degree(pattern, target, degree, profile)
-            """,
-        )
-        assert fired == []
-
-
-class TestAPI003:
-    def test_fires_on_cross_module_legacy_call(self, tmp_path):
-        fired, _ = scan_snippet(
-            tmp_path, "mod.py",
-            """
-            from repro.decomposition import legacy_exact_treedepth
-
-            def width(graph):
-                return legacy_exact_treedepth(graph)
-            """,
-        )
-        assert fired == ["API003"]
-
-    def test_quiet_when_the_module_defines_its_own_legacy(self, tmp_path):
-        fired, _ = scan_snippet(
-            tmp_path, "mod.py",
-            """
-            def legacy_exact_treedepth(graph):
-                return 0
-
-            def width(graph):
-                return legacy_exact_treedepth(graph)
             """,
         )
         assert fired == []

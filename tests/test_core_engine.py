@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles.seeds import legacy_core, legacy_find_proper_retraction, legacy_is_core
 from repro.homomorphism import (
     CoreComputation,
     compute_core,
@@ -27,9 +28,6 @@ from repro.homomorphism import (
     fold_reduce,
     is_core,
     is_homomorphism,
-    legacy_core,
-    legacy_find_proper_retraction,
-    legacy_is_core,
     rigidity_certificate,
 )
 from repro.structures import (

@@ -13,7 +13,7 @@ from repro.cq import (
 )
 from repro.exceptions import FormulaError, StructureError, VocabularyError
 from repro.homomorphism import count_homomorphisms, has_homomorphism
-from repro.structures import Vocabulary, are_isomorphic, cycle, path
+from repro.structures import Structure, Vocabulary, are_isomorphic, cycle, path
 
 
 class TestDatabase:
@@ -88,6 +88,36 @@ class TestConjunctiveQuery:
         query = parse_query("E(x, y)")
         database = Database({"E": [(1, 2), (2, 3), (3, 1)]})
         assert query.count_matches(database) == 3
+
+    # count_matches counts with count_hom, so these queries cover what the
+    # forest engine treats apart from brute force: several forest roots,
+    # unary atoms, nullary atoms (one the database lacks) and an isolated
+    # variable.
+    MATCH_DATABASE = Database(
+        {"P": [()], "C": [(1,), (3,)], "E": [(1, 2), (2, 3), (3, 1), (3, 3)]}
+    )
+
+    @pytest.mark.parametrize(
+        "atoms, extra, expected",
+        [
+            ([("E", ("x", "y")), ("E", ("u", "v"))], (), 16),
+            ([("C", ("x",)), ("E", ("x", "y")), ("E", ("y", "z"))], (), 4),
+            ([("P", ()), ("E", ("x", "y")), ("C", ("y",))], ("w",), 9),
+            ([("Q", ()), ("E", ("x", "y"))], (), 0),
+        ],
+    )
+    def test_count_matches_equals_brute_force(self, atoms, extra, expected):
+        query = ConjunctiveQuery(atoms, extra_variables=extra)
+        target = self.MATCH_DATABASE.to_structure(query.vocabulary())
+        assert count_homomorphisms(query.canonical_structure(), target) == expected
+        assert query.count_matches(self.MATCH_DATABASE) == expected
+        assert query.count_matches(target) == expected
+
+    def test_count_matches_on_a_target_lacking_a_symbol_raises(self):
+        query = ConjunctiveQuery([("C", ("x",)), ("E", ("x", "y"))])
+        target = Structure(Vocabulary({"E": 2}), [1, 2], {"E": [(1, 2)]})
+        with pytest.raises(VocabularyError):
+            query.count_matches(target)
 
     def test_holds_on_structure_directly(self):
         query = parse_query("E(x, y), E(y, z)")

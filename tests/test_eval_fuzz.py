@@ -31,12 +31,12 @@ import pytest
 from repro.cq import evaluate_query_set_sequential, parse_query
 from repro.eval import EvalService, ExecutorConfig
 from repro.exceptions import FormulaError
+from oracles.join_engine import homomorphism_exists_join
+from oracles.seeds import legacy_core
 from repro.homomorphism import (
     core,
     has_homomorphism,
-    homomorphism_exists_join,
     homomorphism_exists_treedepth,
-    legacy_core,
     nullary_obstruction,
 )
 from repro.structures import Structure, Vocabulary, are_isomorphic

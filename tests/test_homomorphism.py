@@ -2,6 +2,12 @@
 
 import pytest
 
+from oracles.decomposition_solver import (
+    count_homomorphisms_pd,
+    count_homomorphisms_td,
+    homomorphism_exists_pd,
+    homomorphism_exists_td,
+)
 from repro.decomposition import (
     optimal_path_decomposition,
     optimal_tree_decomposition,
@@ -16,8 +22,6 @@ from repro.homomorphism import (
     count_automorphisms,
     count_embeddings,
     count_homomorphisms,
-    count_homomorphisms_pd,
-    count_homomorphisms_td,
     count_homomorphisms_treedepth,
     enumerate_homomorphisms,
     find_embedding,
@@ -26,8 +30,6 @@ from repro.homomorphism import (
     has_embedding,
     has_homomorphism,
     homomorphically_equivalent,
-    homomorphism_exists_pd,
-    homomorphism_exists_td,
     homomorphism_exists_treedepth,
     is_core,
     is_homomorphism,
@@ -273,10 +275,9 @@ class TestNullaryAtoms:
 
     def test_all_solvers_reject_obstructed_pair(self):
         source, target = self._pair(target_has_nullary=False)
-        from repro.homomorphism import (
-            homomorphism_exists_join,
-            nullary_obstruction,
-        )
+        from oracles.join_engine import homomorphism_exists_join
+        from repro.counting import count_hom
+        from repro.homomorphism import nullary_obstruction
 
         assert nullary_obstruction(source, target)
         assert not has_homomorphism(source, target)
@@ -286,14 +287,13 @@ class TestNullaryAtoms:
         assert not homomorphism_exists_join(source, target)
         assert not homomorphism_exists_treedepth(source, target)
         assert count_homomorphisms_treedepth(source, target) == 0
+        assert count_hom(source, target).count == 0
 
     def test_all_solvers_agree_when_target_satisfies_nullary(self):
         source, target = self._pair(target_has_nullary=True)
-        from repro.homomorphism import (
-            count_homomorphisms_join,
-            homomorphism_exists_join,
-            nullary_obstruction,
-        )
+        from oracles.join_engine import count_homomorphisms_join, homomorphism_exists_join
+        from repro.counting import count_hom
+        from repro.homomorphism import nullary_obstruction
 
         assert not nullary_obstruction(source, target)
         assert has_homomorphism(source, target)
@@ -303,6 +303,7 @@ class TestNullaryAtoms:
             count_homomorphisms(source, target)
             == count_homomorphisms_join(source, target)
             == count_homomorphisms_treedepth(source, target)
+            == count_hom(source, target).count
         )
 
     def test_empty_source_nullary_relation_is_no_obstruction(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the semiring join engine and its hash-index layer."""
+"""Unit tests for the semiring join engine (a test oracle) and the hash-index layer."""
 
 from __future__ import annotations
 
@@ -6,25 +6,14 @@ import sys
 
 import pytest
 
-from repro.decomposition.path_decomposition import PathDecomposition
-from repro.decomposition.width import (
-    good_path_decomposition,
-    good_tree_decomposition,
-)
-from repro.exceptions import DecompositionError
-from repro.homomorphism.backtracking import (
-    count_homomorphisms,
-    has_homomorphism,
-    is_partial_homomorphism,
-)
-from repro.homomorphism.decomposition_solver import (
+from oracles.decomposition_solver import (
     _bag_homomorphisms,
     count_homomorphisms_pd,
     count_homomorphisms_td,
     homomorphism_exists_td,
     legacy_count_homomorphisms_td,
 )
-from repro.homomorphism.join_engine import (
+from oracles.join_engine import (
     BOOLEAN,
     COUNTING,
     MIN_PLUS,
@@ -35,6 +24,17 @@ from repro.homomorphism.join_engine import (
     pruned_domains,
     run_decomposition_dp,
     run_path_sweep,
+)
+from repro.decomposition.path_decomposition import PathDecomposition
+from repro.decomposition.width import (
+    good_path_decomposition,
+    good_tree_decomposition,
+)
+from repro.exceptions import DecompositionError
+from repro.homomorphism.backtracking import (
+    count_homomorphisms,
+    has_homomorphism,
+    is_partial_homomorphism,
 )
 from repro.structures import (
     GRAPH_VOCABULARY,

@@ -17,13 +17,12 @@ from repro.decomposition import (
     path_decomposition_from_ordering,
 )
 from repro.graphlib import Graph, connected_components
+from oracles.decomposition_solver import count_homomorphisms_td, homomorphism_exists_pd
 from repro.homomorphism import (
     core,
     count_homomorphisms,
-    count_homomorphisms_td,
     has_homomorphism,
     homomorphically_equivalent,
-    homomorphism_exists_pd,
     homomorphism_exists_treedepth,
     is_homomorphism,
 )

@@ -2,9 +2,10 @@
 
 Generates random query/database pairs (via :mod:`repro.structures.random_gen`)
 and asserts that every solver in the library — generic backtracking, the
-legacy product-based decomposition DP, the tree-depth recursion, and the
-semiring join engine — agrees on homomorphism *existence* and on the exact
-*count*.  This is the safety net that lets the hot paths be rewritten
+tree-depth recursion and ``count_hom``, the counting entry point — and the
+two oracles kept with the tests — the legacy product-based decomposition
+DP and the semiring join engine — agree on homomorphism *existence* and on
+the exact *count*.  This is the safety net that lets the hot paths be rewritten
 freely: any divergence between an optimised solver and the ground truth
 shows up here with a reproducible seed.
 """
@@ -15,6 +16,17 @@ import random
 
 import pytest
 
+from oracles.decomposition_solver import (
+    legacy_count_homomorphisms_td,
+    legacy_homomorphism_exists_pd,
+)
+from oracles.join_engine import (
+    BOOLEAN,
+    COUNTING,
+    run_decomposition_dp,
+    run_path_sweep,
+)
+from repro.counting import count_hom
 from repro.decomposition.width import (
     good_path_decomposition,
     good_tree_decomposition,
@@ -22,16 +34,6 @@ from repro.decomposition.width import (
 from repro.homomorphism.backtracking import (
     count_homomorphisms,
     has_homomorphism,
-)
-from repro.homomorphism.decomposition_solver import (
-    legacy_count_homomorphisms_td,
-    legacy_homomorphism_exists_pd,
-)
-from repro.homomorphism.join_engine import (
-    BOOLEAN,
-    COUNTING,
-    run_decomposition_dp,
-    run_path_sweep,
 )
 from repro.homomorphism.treedepth_solver import (
     count_homomorphisms_treedepth,
@@ -72,7 +74,7 @@ def _random_pair(rng: random.Random):
 
 
 def _assert_all_solvers_agree(pattern, target, context: str) -> None:
-    """Assert existence and counts coincide across all four solver families."""
+    """Assert existence and counts coincide across all five solver families."""
     expected_count = count_homomorphisms(pattern, target)
     expected_exists = has_homomorphism(pattern, target)
     assert expected_exists == (expected_count > 0), context
@@ -94,7 +96,11 @@ def _assert_all_solvers_agree(pattern, target, context: str) -> None:
     assert homomorphism_exists_treedepth(pattern, target) == expected_exists, context
     assert count_homomorphisms_treedepth(pattern, target) == expected_count, context
 
-    # 3. Semiring join engine, tree DP and rolling path sweep.
+    # 3. The counting entry point: the forest engine over the pattern's
+    #    min-fill elimination tree, or brute force past the width cap.
+    assert count_hom(pattern, target).count == expected_count, context
+
+    # 4. Semiring join engine, tree DP and rolling path sweep.
     assert (
         run_decomposition_dp(pattern, target, tree_decomposition, COUNTING)
         == expected_count

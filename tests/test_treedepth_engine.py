@@ -25,11 +25,9 @@ import random
 
 import pytest
 
+from oracles.seeds import legacy_exact_treedepth
 from repro.classification.classifier import classify_structure
-from repro.decomposition.treedepth import (
-    dfs_elimination_forest,
-    legacy_exact_treedepth,
-)
+from repro.decomposition.treedepth import dfs_elimination_forest
 from repro.decomposition.treedepth_engine import (
     TreedepthEngine,
     compute_treedepth,

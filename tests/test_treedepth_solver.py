@@ -21,16 +21,18 @@ import sys
 import pytest
 
 from oracles import treedepth_recursion as oracle
+from oracles.join_engine import count_homomorphisms_join
 from repro.classification.classifier import StructureProfile, classify_structure
 from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import solve_with_degree
+from repro.counting import count_hom
+from repro.counting.classification import FOREST_COUNT_SOLVER
 from repro.decomposition.heuristics import min_fill_elimination_forest
 from repro.decomposition.treedepth import dfs_elimination_forest
 from repro.exceptions import VocabularyError
 from repro.homomorphism import (
     TreeDepthSolver,
     count_homomorphisms,
-    count_homomorphisms_join,
     count_homomorphisms_treedepth,
     has_homomorphism,
 )
@@ -218,8 +220,9 @@ def test_mixed_vocabulary_patterns_count(mixed_vocabulary_cases):
 
 def test_long_path_query_count_equals_the_join_engine(mixed_vocabulary_cases):
     # P11 against the mixed_vocabulary database: the memo keys each vertex
-    # of the exact forest on its boundary, which is what makes counting
-    # 6.9 * 10^10 walks take a fraction of a second.
+    # of the forest on its boundary, which is what makes counting
+    # 6.9 * 10^10 walks take a fraction of a second, on the exact forest
+    # and on the min-fill tree count_hom runs on.
     query = path_query(10)
     pattern = query.canonical_structure()
     assert any(pattern == case[0] for case in mixed_vocabulary_cases)
@@ -229,6 +232,8 @@ def test_long_path_query_count_equals_the_join_engine(mixed_vocabulary_cases):
     expected = count_homomorphisms_join(pattern, target)
     assert expected == 68_936_590_884
     assert count_homomorphisms_treedepth(pattern, target) == expected
+    result = count_hom(pattern, target)
+    assert (result.count, result.solver) == (expected, FOREST_COUNT_SOLVER)
 
 
 def test_forest_taller_than_the_recursion_limit():

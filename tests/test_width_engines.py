@@ -29,6 +29,12 @@ from conftest import (
     assert_valid_path_decomposition,
     assert_valid_tree_decomposition,
 )
+from oracles.seeds import (
+    legacy_exact_pathwidth,
+    legacy_exact_pathwidth_layout,
+    legacy_exact_treewidth,
+    legacy_exact_treewidth_ordering,
+)
 from repro.classification.classifier import classify_structure
 from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import (
@@ -36,14 +42,7 @@ from repro.classification.solver_dispatch import (
     choose_degree,
     solve_with_degree,
 )
-from repro.decomposition.exact import (
-    exact_pathwidth,
-    exact_treewidth,
-    legacy_exact_pathwidth,
-    legacy_exact_pathwidth_layout,
-    legacy_exact_treewidth,
-    legacy_exact_treewidth_ordering,
-)
+from repro.decomposition.exact import exact_pathwidth, exact_treewidth
 from repro.decomposition.path_decomposition import path_decomposition_from_ordering
 from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.decomposition.width import (
