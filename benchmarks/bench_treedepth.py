@@ -40,6 +40,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import time
 from typing import Callable, Dict, List, Tuple
 
@@ -188,6 +191,22 @@ def classification_check() -> Dict:
     }
 
 
+def host() -> Dict[str, object]:
+    """The machine and code a report was measured on: CPU count, Python
+    version and the checked-out commit (``unknown`` outside git)."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+        )
+        commit = result.stdout.strip() if result.returncode == 0 else "unknown"
+    except OSError:
+        commit = "unknown"
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "commit": commit}
+
+
 def run(quick: bool, verbose: bool = False) -> Dict:
     headline_cases = QUICK_HEADLINE if quick else FULL_HEADLINE
     headline = []
@@ -223,6 +242,7 @@ def run(quick: bool, verbose: bool = False) -> Dict:
             )
     return {
         "benchmark": "treedepth_engine",
+        "host": host(),
         "quick": quick,
         "required_speedup": QUICK_REQUIRED_SPEEDUP if quick else REQUIRED_SPEEDUP,
         "headline": headline,

@@ -47,7 +47,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
+import subprocess
 import time
 from itertools import combinations
 from typing import Callable, Dict, List, Tuple
@@ -332,6 +335,22 @@ def route_flip_check(quick: bool) -> Dict:
     }
 
 
+def host() -> Dict[str, object]:
+    """The machine and code a report was measured on: CPU count, Python
+    version and the checked-out commit (``unknown`` outside git)."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+        )
+        commit = result.stdout.strip() if result.returncode == 0 else "unknown"
+    except OSError:
+        commit = "unknown"
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "commit": commit}
+
+
 def run(quick: bool, verbose: bool = False) -> Dict:
     headline_cases = QUICK_HEADLINE if quick else FULL_HEADLINE
     headline = []
@@ -376,6 +395,7 @@ def run(quick: bool, verbose: bool = False) -> Dict:
         )
     return {
         "benchmark": "width_engines",
+        "host": host(),
         "quick": quick,
         "required_speedup": QUICK_REQUIRED_SPEEDUP if quick else REQUIRED_SPEEDUP,
         "headline": headline,

@@ -76,10 +76,17 @@ class StructureProfile:
     Widths left out of the constructor (as :func:`classify_structure`
     does for cores of at most :data:`LAZY_WIDTH_LIMIT` elements) are
     computed by the exact engines on first read.  :meth:`threshold_degree`
-    answers its threshold questions with capped searches instead.  A lazy
-    fill computes into locals and stores only finished values, so a
-    concurrent reader may recompute but never sees half a result; no
-    engine, memo or Gaifman graph outlives the call that needed it.
+    stops each threshold question at its cheapest certificate instead.
+    Tree depth and pathwidth are capped searches (the treedepth engine
+    bounds td below by the longest path and cycle a DFS finds); treewidth
+    is settled by the treewidth engine's root bounds, a
+    contraction-degeneracy lower bound and a min-fill incumbent, unless
+    the threshold falls between them.  A width is stored only once it is
+    proven exactly, so a core whose root tw bounds differ gets its tw on
+    first read.  A lazy fill computes into locals and stores only
+    finished values, so a concurrent reader may recompute but never sees
+    half a result; no engine, memo or Gaifman graph outlives the call
+    that needed it.
     """
 
     __slots__ = (
@@ -186,8 +193,11 @@ class StructureProfile:
         compared in the order tw → pw → td.  Otherwise each question is a
         capped search, and tree depth goes first: tw ≤ pw ≤ td − 1, so
         ``td ≤ treedepth_max`` with ``td − 1`` within both other thresholds
-        settles para-L, and the same engine yields the forest.  Then tw,
-        then pw seeded with the exact tw.
+        settles para-L, and the same engine yields the forest.  Then tw:
+        the treewidth engine's root bounds settle it unless
+        ``treewidth_max`` falls between them, and only then does a capped
+        search run.  Then pw, seeded with the tw when it is known and with
+        its lower bound otherwise.
         """
         treedepth = self._treedepth
         if None not in (self._treewidth, self._pathwidth, treedepth):
@@ -208,15 +218,22 @@ class StructureProfile:
         if shallow and treedepth[0] - 1 <= min(pathwidth_max, treewidth_max):
             return ComplexityDegree.PARA_L
         # A capped value past its cap is only a lower bound: never stored.
+        # Nor is a tw the root bounds leave open: it waits for a read.
         treewidth = self._treewidth
         if treewidth is None:
-            treewidth = TreewidthEngine(graph).value(treewidth_max)
-            if treewidth <= treewidth_max:
+            engine = TreewidthEngine(graph)
+            treewidth, upper = engine.root_bounds()
+            if treewidth <= treewidth_max < upper:
+                treewidth = engine.value(treewidth_max)
+                if treewidth <= treewidth_max:
+                    upper = treewidth
+            if treewidth == upper:
                 self._treewidth = treewidth
         if treewidth > treewidth_max:
             return ComplexityDegree.W1_HARD
         pathwidth = self._pathwidth
         if pathwidth is None:
+            # pw ≥ tw: the exact tw, or the root lower bound, seeds the search.
             pathwidth = PathwidthEngine(graph, lower_hint=treewidth).value(pathwidth_max)
             if pathwidth <= pathwidth_max:
                 self._pathwidth = pathwidth

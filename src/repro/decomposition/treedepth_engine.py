@@ -29,8 +29,11 @@ but prunes the subset space hard:
   depth and the memo accumulates certified lower bounds between rounds;
 * **lower bounds** — any DFS-tree root-to-leaf path is a simple path, so
   ``td ≥ ⌈log2(L + 1)⌉`` for the deepest such path found (double-sweep
-  heuristic), and ``td ≥ degeneracy + 1`` (treedepth dominates treewidth);
-  a subproblem whose bound meets the branch budget is cut immediately;
+  heuristic); a back edge of the second sweep closes a cycle, so
+  ``td ≥ td(C_ℓ) = 1 + ⌈log2 ℓ⌉`` for the longest such cycle ``ℓ`` (tree
+  depth never grows on taking a subgraph); and ``td ≥ degeneracy + 1``
+  (treedepth dominates treewidth); a subproblem whose bound meets the
+  branch budget is cut immediately;
 * **greedy upper bounds** — a balanced-separator greedy decomposition
   (pick the vertex minimising the largest remaining component) and a DFS
   forest both witness feasible orderings; the better one seeds the
@@ -63,11 +66,7 @@ from repro.graphlib.graph import Graph
 
 Vertex = Hashable
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover — older interpreters
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
+_popcount = int.bit_count
 
 
 def _log2_ceil(value: int) -> int:
@@ -421,14 +420,56 @@ class TreedepthEngine:
         lb = max(_log2_ceil(depth + 1), 3 if has_cycle else 2)
         return _Entry(lb, depth, start)
 
+    def _dfs_path_and_cycle(self, start: int, mask: int) -> Tuple[int, int]:
+        """Return ``(depth, longest cycle)`` of a DFS tree rooted at ``start``.
+
+        The depth counts the vertices of the deepest root-to-leaf path, a
+        simple path, as in :meth:`_dfs_depth_from`, which walks the same
+        tree.  The cycle is the longest one a back edge closes, 0 when
+        none does.  A DFS of an undirected graph has no cross edges:
+        every neighbour already seen when a vertex is discovered is an
+        ancestor on the stack, and the edge to the one at stack position
+        ``i`` closes a cycle through the ``len(stack) − i`` tree vertices
+        from it down and the new vertex.
+        """
+        adj = self._adj
+        seen = 1 << start
+        stack = [start]
+        depth = 1
+        longest = 0
+        while stack:
+            vertex = stack[-1]
+            candidates = adj[vertex] & mask & ~seen
+            if candidates:
+                bit = candidates & -candidates
+                child = bit.bit_length() - 1
+                back = adj[child] & seen & ~(1 << vertex)
+                if back:
+                    top = next(i for i, a in enumerate(stack) if back >> a & 1)
+                    longest = max(longest, len(stack) - top + 1)
+                seen |= bit
+                stack.append(child)
+                depth = max(depth, len(stack))
+            else:
+                stack.pop()
+        return depth, longest
+
     def _strengthen(self, mask: int, entry: _Entry) -> None:
         """Expensive bounds, run once, just before a subproblem branches:
-        double-sweep path + degeneracy lower bounds, greedy upper bound."""
+        double-sweep path, DFS cycle and degeneracy lower bounds, greedy
+        upper bound.
+
+        The cycle bound is ``td(C_ℓ) = 1 + ⌈log2 ℓ⌉`` for the longest
+        cycle the second sweep's DFS closes with a back edge: tree depth
+        never grows on taking a subgraph.
+        """
         entry.deep = True
         start = (mask & -mask).bit_length() - 1
         _, far = self._dfs_depth_from(start, mask)
-        path_vertices, _ = self._dfs_depth_from(far, mask)
+        path_vertices, cycle = self._dfs_path_and_cycle(far, mask)
         lb = max(entry.lb, _log2_ceil(path_vertices + 1), self._degeneracy(mask) + 1)
+        if cycle:
+            lb = max(lb, 1 + _log2_ceil(cycle))
         ub, root = self._greedy_upper(mask)
         if ub < entry.ub:
             entry.ub = ub

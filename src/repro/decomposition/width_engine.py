@@ -76,11 +76,7 @@ from repro.graphlib.graph import Graph
 
 Vertex = Hashable
 
-try:  # Python >= 3.10
-    _popcount = int.bit_count  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover — older interpreters
-    def _popcount(mask: int) -> int:
-        return bin(mask).count("1")
+_popcount = int.bit_count
 
 
 class _Entry:
@@ -458,6 +454,31 @@ class TreewidthEngine(_MaskEngine):
             subproblems=len(self._memo),
             branched=self.branched,
         )
+
+    def root_bounds(self) -> Tuple[int, int]:
+        """``(lower, upper)`` bounds on the treewidth, with no branching.
+
+        Per component: a recognised shape's exact value, else the
+        contraction-degeneracy lower bound and the min-fill incumbent that
+        :meth:`value` would start its search from (kept in the memo, so a
+        later search starts where these bounds stop).  The treewidth is
+        the maximum over components, so it lies between the maxima of the
+        two bounds, and equals them when they meet.
+        """
+        lower = upper = 0
+        for comp in self._components(self._full):
+            recognised = self._recognise(comp)
+            if recognised is not None:
+                low = high = recognised[0]
+            else:
+                entry = self._memo.get(comp)
+                if entry is None:
+                    entry = self._memo[comp] = self._seed_entry(comp, _popcount(comp))
+                if not entry.deep:
+                    self._strengthen(comp, entry)
+                low, high = entry.lb, entry.ub
+            lower, upper = max(lower, low), max(upper, high)
+        return lower, upper
 
     # -- fill-graph helpers -------------------------------------------------
     def _fill_neighbourhood(self, eliminated: int, vertex: int) -> int:

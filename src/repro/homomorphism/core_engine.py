@@ -204,14 +204,9 @@ class _Program:
             alive &= ~_mask(batch)
 
     # -- phase 2: rigidity certificates ---------------------------------------
-    def degree_certificate(self, alive: int) -> Optional[str]:
-        """Degree proofs of core-ness for loop-free symmetric graph-like structures.
-
-        Every endomorphism of ``K_n`` is injective (merging needs a loop).
-        A connected odd 2-regular graph is an odd cycle: its proper retracts
-        are unions of paths, hence bipartite, and it maps into no bipartite
-        graph.
-        """
+    def undirected_neighbours(self, alive: int) -> Optional[Dict[int, int]]:
+        """Each element's neighbour mask when the substructure induced by
+        ``alive`` is an undirected loop-free graph, else None."""
         if not self.structure.is_graph_like():
             return None
         successors, predecessors = self.table("E", (1,)), self.table("E", (0,))
@@ -223,6 +218,18 @@ class _Program:
             if adjacent != predecessors.get((u,), 0) & alive:
                 return None  # directed: leave to AC propagation / search
             neighbours[u] = adjacent
+        return neighbours
+
+    @staticmethod
+    def degree_certificate(alive: int, neighbours: Dict[int, int]) -> Optional[str]:
+        """Degree proofs of core-ness for an undirected loop-free graph
+        (``neighbours`` as :meth:`undirected_neighbours` returns them).
+
+        Every endomorphism of ``K_n`` is injective (merging needs a loop).
+        A connected odd 2-regular graph is an odd cycle: its proper retracts
+        are unions of paths, hence bipartite, and it maps into no bipartite
+        graph.
+        """
         n = alive.bit_count()
         degrees = {adjacent.bit_count() for adjacent in neighbours.values()}
         if degrees == {n - 1}:
@@ -299,12 +306,22 @@ class _Program:
     def certify(
         self, alive: int, seed: Optional[List[int]] = None
     ) -> Tuple[Optional[str], List[int]]:
-        """Return ``(certificate, [])`` or ``(None, AC domains)`` for the search."""
+        """Return ``(certificate, [])`` or ``(None, AC domains)`` for the search.
+
+        Without a ``seed``, an undirected loop-free graph in which every
+        element has a neighbour needs no propagation: any value ``a`` at
+        either end of an edge is supported by ``a`` and a neighbour of
+        ``a``, so the full domains are already arc consistent.
+        """
         if alive.bit_count() == 1:
             return "singleton", []
-        certificate = self.degree_certificate(alive)
-        if certificate is not None:
-            return certificate, []
+        neighbours = self.undirected_neighbours(alive)
+        if neighbours is not None:
+            certificate = self.degree_certificate(alive, neighbours)
+            if certificate is not None:
+                return certificate, []
+            if seed is None and all(neighbours.values()):
+                return None, [alive if alive >> a & 1 else 0 for a in range(len(self.elements))]
         domains = self.domains(alive, seed)
         if all(domains[a].bit_count() == 1 for a in _bits(alive)):
             return "ac-rigid", []

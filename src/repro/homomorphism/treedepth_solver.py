@@ -73,7 +73,7 @@ from typing import (
 )
 
 from repro.decomposition.treedepth import EliminationForest, exact_elimination_forest
-from repro.exceptions import DecompositionError
+from repro.exceptions import DecompositionError, VocabularyError
 from repro.homomorphism.cores import core as compute_core
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.gaifman import gaifman_graph
@@ -128,7 +128,7 @@ class _Lookup(NamedTuple):
     #: Reads the values at the atom's bound positions.
     bound: TupleGetter
     own_positions: Tuple[int, ...]
-    #: The target relation (empty when the target gives the symbol another arity).
+    #: The target relation.
     relation: FrozenSet[RelationTuple]
     #: Reads the atom's image under the assignment.
     image: TupleGetter
@@ -236,19 +236,20 @@ class TreeDepthSolver:
         or nothing when every vertex has an atom.
         """
         for symbol in self._source.vocabulary:
-            # A target that does not interpret a source symbol is an error,
-            # even when the source relation is empty.
-            target.relation(symbol.name)
+            # A target that does not interpret a source symbol, or gives it
+            # another arity, is an error, even when the source relation is
+            # empty (as in the backtracking solver).
+            if target.vocabulary.arity(symbol.name) != symbol.arity:
+                raise VocabularyError(
+                    f"arity mismatch for {symbol.name!r} between source and target"
+                )
         index = structure_index(target)
         lookups: List[Tuple[_Lookup, ...]] = []
         for atoms in self._attached:
             resolved = []
             for atom in atoms:
-                if target.vocabulary.arity(atom.name) == len(atom.vertices):
-                    rows_by_key = index.relation(atom.name).table(atom.bound_positions)
-                    relation = target.relation(atom.name)
-                else:  # no target tuple can be the atom's image
-                    rows_by_key, relation = {}, frozenset()
+                rows_by_key = index.relation(atom.name).table(atom.bound_positions)
+                relation = target.relation(atom.name)
                 resolved.append(
                     _Lookup(rows_by_key, atom.bound, atom.own_positions, relation, atom.image)
                 )
@@ -278,11 +279,11 @@ class TreeDepthSolver:
 
     def _solve(self, target: Structure, first: bool) -> int:
         """Count homomorphisms into ``target`` (at most 1 when ``first``)."""
+        lookups, universe = self._resolve(target)
         # The recursion walks Gaifman-graph components, so an arity-0 atom
         # (which touches no element) must be checked before it starts.
         if nullary_obstruction(self._source, target):
             return 0
-        lookups, universe = self._resolve(target)
         values: Values = [None] * len(self._children)
         memos: List[Dict[RelationTuple, int]] = [{} for _ in self._children]
         total = 1

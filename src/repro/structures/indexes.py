@@ -61,8 +61,8 @@ class RelationIndex:
 
     A *pattern* is the sorted tuple of positions whose values are bound.
     For each pattern the index keeps a dictionary from the bound values to
-    the list of matching tuples, so :meth:`matching` is a single hash
-    lookup after the first query with that pattern.
+    the list of matching tuples (:meth:`table`), so a lookup is a single
+    hash probe after the first query with that pattern.
     """
 
     __slots__ = ("_name", "_arity", "_tuples", "_by_pattern", "_columns")
@@ -111,9 +111,7 @@ class RelationIndex:
         """Return the hash table for a bound-position pattern (sorted positions).
 
         It maps the values at those positions to the tuples carrying them;
-        it is built on first use and reused afterwards.  Callers that look
-        up one pattern many times fetch its table once instead of going
-        through :meth:`matching` per lookup.
+        it is built on first use and reused afterwards.
         """
         table = self._by_pattern.get(pattern)
         if table is None:
@@ -127,25 +125,6 @@ class RelationIndex:
                 table.setdefault(key, []).append(tup)
             self._by_pattern[pattern] = table
         return table
-
-    def matching(self, bound: Mapping[int, Element]) -> Sequence[RelationTuple]:
-        """Return the tuples agreeing with ``bound`` (position → value).
-
-        An empty ``bound`` returns every tuple.
-        """
-        pattern: Positions = tuple(sorted(bound))
-        # Callers run this in an innermost loop: a built table is one
-        # dict lookup away, without a method call.
-        table = self._by_pattern.get(pattern)
-        if table is None:
-            table = self.table(pattern)
-        return table.get(tuple(bound[i] for i in pattern), ())
-
-    def values(self, position: int, bound: Mapping[int, Element]) -> FrozenSet[Element]:
-        """Return the distinct values at ``position`` among tuples matching ``bound``."""
-        if not bound:
-            return self.column(position)
-        return frozenset(tup[position] for tup in self.matching(bound))
 
 
 class StructureIndex:

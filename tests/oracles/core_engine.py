@@ -28,6 +28,7 @@ from oracles.join_engine import (
     _bag_order,
     _candidates,
     _closed_atoms_by_level,
+    matching,
 )
 from repro.structures.indexes import StructureIndex, stable_key, stable_sorted
 from repro.structures.structure import Structure
@@ -92,7 +93,7 @@ def _fold_targets(
         a_positions = [p for p, x in enumerate(tup) if x == a]
         bound = {p: x for p, x in enumerate(tup) if x != a}
         values: Set[Element] = set()
-        for witness in relation.matching(bound):
+        for witness in matching(relation, bound):
             value = witness[a_positions[0]]
             if all(witness[p] == value for p in a_positions[1:]):
                 values.add(value)

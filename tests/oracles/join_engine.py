@@ -38,7 +38,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -47,6 +49,7 @@ from repro.decomposition.tree_decomposition import TreeDecomposition
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.indexes import (
+    RelationIndex,
     StructureIndex,
     stable_key,
     stable_sorted,
@@ -57,6 +60,28 @@ from repro.structures.structure import Structure
 Element = Hashable
 Assignment = Dict[Element, Element]
 Atom = Tuple[str, Tuple[Element, ...]]
+
+
+# ---------------------------------------------------------------------------
+# Index lookups by position → value maps
+# ---------------------------------------------------------------------------
+
+def matching(index: RelationIndex, bound: Mapping[int, Element]) -> Sequence[Tuple[Element, ...]]:
+    """The tuples of ``index`` agreeing with ``bound`` (position → value).
+
+    An empty ``bound`` returns every tuple.
+    """
+    pattern = tuple(sorted(bound))
+    return index.table(pattern).get(tuple(bound[i] for i in pattern), ())
+
+
+def values(
+    index: RelationIndex, position: int, bound: Mapping[int, Element]
+) -> FrozenSet[Element]:
+    """The distinct values at ``position`` among the tuples matching ``bound``."""
+    if not bound:
+        return index.column(position)
+    return frozenset(tup[position] for tup in matching(index, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +264,7 @@ def _candidates(
         variable_positions = [p for p, x in enumerate(tup) if x == variable]
         bound = {p: assignment[x] for p, x in enumerate(tup) if x != variable}
         values = set()
-        for target_tuple in relation.matching(bound):
+        for target_tuple in matching(relation, bound):
             value = target_tuple[variable_positions[0]]
             if all(target_tuple[p] == value for p in variable_positions[1:]):
                 values.add(value)

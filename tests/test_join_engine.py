@@ -21,9 +21,11 @@ from oracles.join_engine import (
     count_homomorphisms_join,
     homomorphism_exists_join,
     iter_bag_assignments,
+    matching,
     pruned_domains,
     run_decomposition_dp,
     run_path_sweep,
+    values,
 )
 from repro.decomposition.path_decomposition import PathDecomposition
 from repro.decomposition.width import (
@@ -64,21 +66,21 @@ class TestRelationIndex:
         )
 
     def test_matching_on_one_bound_position(self):
-        assert sorted(self.index.matching({0: 1})) == [(1, 2), (1, 3)]
-        assert sorted(self.index.matching({1: 3})) == [(1, 3), (2, 3)]
-        assert self.index.matching({0: 4}) == ()
+        assert sorted(matching(self.index, {0: 1})) == [(1, 2), (1, 3)]
+        assert sorted(matching(self.index, {1: 3})) == [(1, 3), (2, 3)]
+        assert matching(self.index, {0: 4}) == ()
 
     def test_matching_fully_bound(self):
-        assert list(self.index.matching({0: 1, 1: 2})) == [(1, 2)]
-        assert self.index.matching({0: 2, 1: 1}) == ()
+        assert list(matching(self.index, {0: 1, 1: 2})) == [(1, 2)]
+        assert matching(self.index, {0: 2, 1: 1}) == ()
 
     def test_matching_unbound_returns_all(self):
-        assert set(self.index.matching({})) == {(1, 2), (1, 3), (2, 3), (3, 1)}
+        assert set(matching(self.index, {})) == {(1, 2), (1, 3), (2, 3), (3, 1)}
 
     def test_column_and_values(self):
         assert self.index.column(0) == frozenset({1, 2, 3})
         assert self.index.column(1) == frozenset({1, 2, 3})
-        assert self.index.values(1, {0: 1}) == frozenset({2, 3})
+        assert values(self.index, 1, {0: 1}) == frozenset({2, 3})
 
     def test_membership_and_len(self):
         assert (1, 2) in self.index
@@ -89,7 +91,7 @@ class TestRelationIndex:
         with pytest.raises(IndexError):
             self.index.column(2)
         with pytest.raises(IndexError):
-            self.index.matching({5: 1})
+            matching(self.index, {5: 1})
 
 
 class TestStructureIndex:
@@ -101,7 +103,7 @@ class TestStructureIndex:
         index = StructureIndex(structure)
         assert index.structure is structure
         assert index.relation("E").arity == 2
-        assert index.relation("C").values(0, {}) == frozenset({1})
+        assert values(index.relation("C"), 0, {}) == frozenset({1})
 
     def test_factory_caches_per_structure(self):
         structure = cycle(4)
@@ -110,7 +112,7 @@ class TestStructureIndex:
     def test_empty_relation_indexes_cleanly(self):
         structure = Structure(GRAPH_VOCABULARY, [1, 2], {"E": []})
         index = StructureIndex(structure)
-        assert index.relation("E").matching({0: 1}) == ()
+        assert matching(index.relation("E"), {0: 1}) == ()
         assert index.relation("E").column(0) == frozenset()
 
     def test_sorted_universe_is_the_stable_order_sorted_once(self):

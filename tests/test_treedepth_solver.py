@@ -27,6 +27,7 @@ from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import solve_with_degree
 from repro.counting import count_hom
 from repro.counting.classification import FOREST_COUNT_SOLVER
+from repro.cq.query import ConjunctiveQuery
 from repro.decomposition.heuristics import min_fill_elimination_forest
 from repro.decomposition.treedepth import dfs_elimination_forest
 from repro.exceptions import VocabularyError
@@ -160,13 +161,36 @@ def test_target_missing_a_source_symbol_raises(missing, source_relation_empty):
         solver.count(target)
 
 
-def test_target_giving_a_symbol_another_arity_has_no_homomorphism():
-    source = Structure(Vocabulary({"R": 2}), [0, 1], {"R": [(0, 1)]})
+@pytest.mark.parametrize("source_relation_empty", [False, True])
+def test_target_giving_a_symbol_another_arity_raises(source_relation_empty):
+    source = Structure(
+        Vocabulary({"R": 2}), [0, 1], {"R": [] if source_relation_empty else [(0, 1)]}
+    )
     target = Structure(Vocabulary({"R": 3}), [0, 1], {"R": [(0, 1, 0), (0, 1, 1)]})
     solver = TreeDepthSolver(source, use_core=False)
-    assert oracle.exists(source, solver.forest, target) is False
-    assert solver.exists(target) is False
-    assert oracle.count(source, solver.forest, target) == solver.count(target) == 0
+    with pytest.raises(VocabularyError):
+        solver.exists(target)
+    with pytest.raises(VocabularyError):
+        solver.count(target)
+
+
+def test_every_route_raises_on_an_arity_clash():
+    # The backtracking solver checks arities up front; the forest engine
+    # behind the other three routes and counting must refuse the same
+    # target, not read the clash as an empty relation.
+    query = ConjunctiveQuery([("R", ("x", "y"))])
+    pattern = query.canonical_structure()
+    target = Structure(Vocabulary({"R": 3}), [0, 1], {"R": [(0, 1, 0), (0, 1, 1)]})
+    profile = classify_structure(pattern)
+    for degree in ComplexityDegree:
+        with pytest.raises(VocabularyError):
+            solve_with_degree(pattern, target, degree, profile)
+    with pytest.raises(VocabularyError):
+        query.holds_on(target)
+    with pytest.raises(VocabularyError):
+        query.count_matches(target)
+    with pytest.raises(VocabularyError):
+        count_hom(pattern, target)
 
 
 @pytest.fixture(scope="module")
