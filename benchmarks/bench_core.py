@@ -11,7 +11,7 @@ graph/tree corpora, while checking that engine cores are isomorphic to
 seed cores on every instance, and writes a machine-readable
 ``BENCH_core.json``.
 
-Run as a script for the full demonstration (the seed needs ~15 s on the
+Run as a script for the full demonstration (the seed needs ~20 s on the
 acceptance pair — that slowness is the point)::
 
     PYTHONPATH=src:tests python benchmarks/bench_core.py
@@ -32,6 +32,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from hostinfo import host
 from oracles.seeds import legacy_core
 from repro.homomorphism.core_engine import compute_core
 from repro.structures import are_isomorphic, grid
@@ -136,6 +137,7 @@ def run(quick: bool, verbose: bool = False) -> Dict:
             )
     return {
         "benchmark": "core_engine",
+        "host": host(),
         "quick": quick,
         "required_speedup": QUICK_REQUIRED_SPEEDUP if quick else REQUIRED_SPEEDUP,
         "headline": headline,

@@ -40,12 +40,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import time
 from typing import Callable, Dict, List, Tuple
 
+from hostinfo import host
 from oracles.seeds import legacy_exact_treedepth
 from repro.classification.classifier import classify_structure
 from repro.decomposition.treedepth_engine import compute_treedepth
@@ -189,22 +187,6 @@ def classification_check() -> Dict:
         "witness_ok": profile.core_elimination_forest is not None
         and profile.core_elimination_forest.height() == profile.core_treedepth,
     }
-
-
-def host() -> Dict[str, object]:
-    """The machine and code a report was measured on: CPU count, Python
-    version and the checked-out commit (``unknown`` outside git)."""
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-        )
-        commit = result.stdout.strip() if result.returncode == 0 else "unknown"
-    except OSError:
-        commit = "unknown"
-    return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "commit": commit}
 
 
 def run(quick: bool, verbose: bool = False) -> Dict:

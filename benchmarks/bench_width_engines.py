@@ -47,14 +47,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
-import subprocess
 import time
 from itertools import combinations
 from typing import Callable, Dict, List, Tuple
 
+from hostinfo import host
 from oracles.join_engine import BOOLEAN, run_decomposition_dp
 from oracles.seeds import legacy_exact_pathwidth, legacy_exact_treewidth
 from repro.classification.classifier import StructureProfile, classify_structure
@@ -333,22 +331,6 @@ def route_flip_check(quick: bool) -> Dict:
         and all(s["answers_agree"] for s in scenarios)
         and any(s["eval_speedup"] > 1.0 for s in scenarios),
     }
-
-
-def host() -> Dict[str, object]:
-    """The machine and code a report was measured on: CPU count, Python
-    version and the checked-out commit (``unknown`` outside git)."""
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-        )
-        commit = result.stdout.strip() if result.returncode == 0 else "unknown"
-    except OSError:
-        commit = "unknown"
-    return {"cpu_count": os.cpu_count(), "python": platform.python_version(), "commit": commit}
 
 
 def run(quick: bool, verbose: bool = False) -> Dict:

@@ -14,10 +14,12 @@ import os
 import random
 import sys
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_ROOT = os.path.dirname(_HERE)
 # ``tests`` holds the oracles (``tests/oracles/``) some benchmarks compare
-# the library against.
-for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src")):
+# the library against; this directory holds ``hostinfo``, which the script
+# benchmarks import as they do when run directly.
+for _path in (os.path.join(_ROOT, "tests"), os.path.join(_ROOT, "src"), _HERE):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 

@@ -20,7 +20,7 @@ views of it:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.classification.degrees import ComplexityDegree, degree_from_width_bounds
 from repro.decomposition.treedepth import EliminationForest
@@ -77,16 +77,17 @@ class StructureProfile:
     does for cores of at most :data:`LAZY_WIDTH_LIMIT` elements) are
     computed by the exact engines on first read.  :meth:`threshold_degree`
     stops each threshold question at its cheapest certificate instead.
-    Tree depth and pathwidth are capped searches (the treedepth engine
-    bounds td below by the longest path and cycle a DFS finds); treewidth
-    is settled by the treewidth engine's root bounds, a
-    contraction-degeneracy lower bound and a min-fill incumbent, unless
-    the threshold falls between them.  A width is stored only once it is
-    proven exactly, so a core whose root tw bounds differ gets its tw on
-    first read.  A lazy fill computes into locals and stores only
-    finished values, so a concurrent reader may recompute but never sees
-    half a result; no engine, memo or Gaifman graph outlives the call
-    that needed it.
+    Tree depth is a capped search (the treedepth engine bounds td below by
+    the longest path and cycle a DFS finds).  Treewidth and pathwidth are
+    settled by their engine's root bounds unless the threshold falls
+    between them: for tw a contraction-degeneracy lower bound and a
+    min-fill incumbent, for pw the tw (or its lower bound) and the
+    degeneracy below and the root's greedy layout above.  A width is
+    stored only once it is proven exactly, so a core whose root bounds
+    settle the question without meeting gets that width on first read.
+    A lazy fill computes into locals and stores only finished values, so
+    a concurrent reader may recompute but never sees half a result; no
+    engine, memo or Gaifman graph outlives the call that needed it.
     """
 
     __slots__ = (
@@ -196,8 +197,9 @@ class StructureProfile:
         settles para-L, and the same engine yields the forest.  Then tw:
         the treewidth engine's root bounds settle it unless
         ``treewidth_max`` falls between them, and only then does a capped
-        search run.  Then pw, seeded with the tw when it is known and with
-        its lower bound otherwise.
+        search run.  Then pw the same way, from the pathwidth engine's root
+        bounds: the root's greedy layout above, and below the tw when it is
+        known (its lower bound otherwise) and the degeneracy.
         """
         treedepth = self._treedepth
         if None not in (self._treewidth, self._pathwidth, treedepth):
@@ -217,25 +219,21 @@ class StructureProfile:
         shallow = treedepth is not None and treedepth[0] <= treedepth_max
         if shallow and treedepth[0] - 1 <= min(pathwidth_max, treewidth_max):
             return ComplexityDegree.PARA_L
-        # A capped value past its cap is only a lower bound: never stored.
-        # Nor is a tw the root bounds leave open: it waits for a read.
+        # A width is stored only once proven: a bound that answers the
+        # question without the value waits for a read.
         treewidth = self._treewidth
         if treewidth is None:
-            engine = TreewidthEngine(graph)
-            treewidth, upper = engine.root_bounds()
-            if treewidth <= treewidth_max < upper:
-                treewidth = engine.value(treewidth_max)
-                if treewidth <= treewidth_max:
-                    upper = treewidth
-            if treewidth == upper:
+            treewidth, proven = _settle(TreewidthEngine(graph), treewidth_max)
+            if proven:
                 self._treewidth = treewidth
         if treewidth > treewidth_max:
             return ComplexityDegree.W1_HARD
         pathwidth = self._pathwidth
         if pathwidth is None:
-            # pw ≥ tw: the exact tw, or the root lower bound, seeds the search.
-            pathwidth = PathwidthEngine(graph, lower_hint=treewidth).value(pathwidth_max)
-            if pathwidth <= pathwidth_max:
+            # pw ≥ tw: the exact tw, or its root lower bound, bounds pw below.
+            engine = PathwidthEngine(graph, lower_hint=treewidth)
+            pathwidth, proven = _settle(engine, pathwidth_max)
+            if proven:
                 self._pathwidth = pathwidth
         if pathwidth > pathwidth_max:
             return ComplexityDegree.TREE_COMPLETE
@@ -284,6 +282,22 @@ class StructureProfile:
             f"core_treedepth={shown(depth)}, "
             f"core_certificate={self.core_certificate!r})"
         )
+
+
+def _settle(engine: Union[TreewidthEngine, PathwidthEngine], cap: int) -> Tuple[int, bool]:
+    """Answer "width ≤ cap?" by the engine's root bounds, and by a capped
+    search only when ``cap`` falls between them.
+
+    Returns a lower bound on the width that is at most ``cap`` exactly
+    when the width is, and whether it is the width itself (the bounds
+    met, or the search settled the value).
+    """
+    lower, upper = engine.root_bounds()
+    if lower <= cap < upper:
+        lower = engine.value(cap)
+        if lower <= cap:
+            upper = lower
+    return lower, lower == upper
 
 
 @dataclass

@@ -38,7 +38,9 @@ but prunes the subset space hard:
   (pick the vertex minimising the largest remaining component) and a DFS
   forest both witness feasible orderings; the better one seeds the
   incumbent and its root seeds the branch order, so the search starts
-  from a good solution and only has to *prove* it (or beat it);
+  from a good solution and only has to *prove* it (or beat it).  It runs
+  only once a subproblem is about to branch: one its lower bounds settle
+  never needs it;
 * **closed forms** — paths, cycles and cliques (the shapes the rigid-core
   workloads actually produce) are recognised per subproblem and solved in
   O(1): ``td(P_n) = ⌈log2(n+1)⌉``, ``td(C_n) = 1 + ⌈log2 n⌉``,
@@ -81,17 +83,19 @@ class _Entry:
     and solving the components optimally yields a forest of height
     at most ``ub``.  When ``lb == ub`` the entry is exact and ``root`` is
     an optimal elimination-forest root for the subgraph.  ``deep`` marks
-    whether the expensive bounds (degeneracy, double-sweep path, greedy
-    decomposition) have run; cheap entries carry one-DFS bounds only.
+    whether the expensive lower bounds (degeneracy, double-sweep path and
+    cycle) have run and ``greedy`` whether the greedy decomposition has;
+    cheap entries carry one-DFS bounds only.
     """
 
-    __slots__ = ("lb", "ub", "root", "deep")
+    __slots__ = ("lb", "ub", "root", "deep", "greedy")
 
     def __init__(self, lb: int, ub: int, root: int, deep: bool = False) -> None:
         self.lb = lb
         self.ub = ub
         self.root = root
         self.deep = deep
+        self.greedy = deep
 
 
 @dataclass(frozen=True)
@@ -454,27 +458,39 @@ class TreedepthEngine:
                 stack.pop()
         return depth, longest
 
-    def _strengthen(self, mask: int, entry: _Entry) -> None:
-        """Expensive bounds, run once, just before a subproblem branches:
-        double-sweep path, DFS cycle and degeneracy lower bounds, greedy
-        upper bound.
+    def _strengthen(self, mask: int, entry: _Entry, budget: int) -> None:
+        """Expensive bounds, run once each: double-sweep path, DFS cycle and
+        degeneracy lower bounds, then the greedy upper bound once the
+        subproblem is about to branch.
 
         The cycle bound is ``td(C_ℓ) = 1 + ⌈log2 ℓ⌉`` for the longest
         cycle the second sweep's DFS closes with a back edge: tree depth
         never grows on taking a subgraph.
+
+        A lower bound past ``budget`` (or meeting the upper bound) is what
+        the visit returns with or without the incumbent, so the greedy
+        decomposition waits for a visit whose budget the bound fits.  The
+        first branching pass still starts from the seed bound improved by
+        the greedy one, so values, roots and branching are those of running
+        it at once, and the subproblems a capped search only bounds never
+        run it.
         """
-        entry.deep = True
-        start = (mask & -mask).bit_length() - 1
-        _, far = self._dfs_depth_from(start, mask)
-        path_vertices, cycle = self._dfs_path_and_cycle(far, mask)
-        lb = max(entry.lb, _log2_ceil(path_vertices + 1), self._degeneracy(mask) + 1)
-        if cycle:
-            lb = max(lb, 1 + _log2_ceil(cycle))
+        if not entry.deep:
+            entry.deep = True
+            start = (mask & -mask).bit_length() - 1
+            _, far = self._dfs_depth_from(start, mask)
+            path_vertices, cycle = self._dfs_path_and_cycle(far, mask)
+            lb = max(entry.lb, _log2_ceil(path_vertices + 1), self._degeneracy(mask) + 1)
+            if cycle:
+                lb = max(lb, 1 + _log2_ceil(cycle))
+            entry.lb = lb
+            if lb > budget or lb >= entry.ub:
+                return
+        entry.greedy = True
         ub, root = self._greedy_upper(mask)
         if ub < entry.ub:
             entry.ub = ub
             entry.root = root
-        entry.lb = max(lb, entry.lb)
 
     # -- branch and bound ---------------------------------------------------
     def _solve(self, mask: int, budget: int) -> int:
@@ -488,8 +504,8 @@ class TreedepthEngine:
             return entry.ub
         if entry.lb > budget:
             return entry.lb
-        if not entry.deep:
-            self._strengthen(mask, entry)
+        if not entry.greedy:
+            self._strengthen(mask, entry, budget)
             if entry.lb >= entry.ub:
                 return entry.ub
             if entry.lb > budget:

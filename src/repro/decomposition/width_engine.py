@@ -53,7 +53,15 @@ that follows once the boundary empties), and full-graph twins
 (``N(u) \\ {v} = N(v) \\ {u}``) branch only on their lowest index, the
 swap being an automorphism.  Upper bounds come from a boundary-greedy
 completion, lower bounds from degeneracy and — via the facade — from the
-exact treewidth, since ``pw ≥ tw``.
+exact treewidth, since ``pw ≥ tw``.  A placement changes the boundary
+only at the placed vertex and its placed neighbours, so the search, its
+candidate scores and the greedy completion derive each next boundary
+from the current one instead of rescanning the placed vertices.
+
+Both engines report their root bounds without branching
+(:meth:`~_MaskEngine.root_bounds`: recognised shapes, else the lower
+bound and incumbent a search would start from), which settles a
+"width ≤ cap?" question whenever the cap does not fall between them.
 
 Both engines recognise closed-form shapes at module level
 (:func:`recognized_treewidth` / :func:`recognized_pathwidth`), which is
@@ -157,6 +165,33 @@ class _MaskEngine:
             if cap is not None and best > cap:
                 break
         return best
+
+    def root_bounds(self) -> Tuple[int, int]:
+        """``(lower, upper)`` bounds on the width, with no branching.
+
+        Per component: a recognised shape's exact value, else the bounds
+        :meth:`value` would start its search from — for treewidth the
+        contraction-degeneracy lower bound and the min-fill incumbent, for
+        pathwidth the degeneracy lower bound and the boundary-greedy
+        layout — kept in the memo, so a later search starts where these
+        bounds stop.  The width is the maximum over components, so it lies
+        between the maxima of the two bounds, and equals them when they
+        meet.
+        """
+        lower = upper = 0
+        for comp in self._components(self._full):
+            recognised = self._recognise(comp)
+            if recognised is not None:
+                low = high = recognised[0]
+            else:
+                entry = self._memo.get(comp)
+                if entry is None:
+                    entry = self._memo[comp] = self._seed_entry(comp, _popcount(comp))
+                if not entry.deep:
+                    self._strengthen(comp, entry)
+                low, high = entry.lb, entry.ub
+            lower, upper = max(lower, low), max(upper, high)
+        return lower, upper
 
     def _solve_exact(self, mask: int, cap: Optional[int] = None) -> int:
         """Iterative deepening: raise the budget from the lower bound until
@@ -454,31 +489,6 @@ class TreewidthEngine(_MaskEngine):
             subproblems=len(self._memo),
             branched=self.branched,
         )
-
-    def root_bounds(self) -> Tuple[int, int]:
-        """``(lower, upper)`` bounds on the treewidth, with no branching.
-
-        Per component: a recognised shape's exact value, else the
-        contraction-degeneracy lower bound and the min-fill incumbent that
-        :meth:`value` would start its search from (kept in the memo, so a
-        later search starts where these bounds stop).  The treewidth is
-        the maximum over components, so it lies between the maxima of the
-        two bounds, and equals them when they meet.
-        """
-        lower = upper = 0
-        for comp in self._components(self._full):
-            recognised = self._recognise(comp)
-            if recognised is not None:
-                low = high = recognised[0]
-            else:
-                entry = self._memo.get(comp)
-                if entry is None:
-                    entry = self._memo[comp] = self._seed_entry(comp, _popcount(comp))
-                if not entry.deep:
-                    self._strengthen(comp, entry)
-                low, high = entry.lb, entry.ub
-            lower, upper = max(lower, low), max(upper, high)
-        return lower, upper
 
     # -- fill-graph helpers -------------------------------------------------
     def _fill_neighbourhood(self, eliminated: int, vertex: int) -> int:
@@ -780,6 +790,12 @@ class PathwidthEngine(_MaskEngine):
             )
         return layout, decomposition
 
+    def root_bounds(self) -> Tuple[int, int]:
+        """:meth:`_MaskEngine.root_bounds`, the lower bound raised to the
+        caller's hint, which the components of a disconnected graph lack."""
+        lower, upper = super().root_bounds()
+        return max(lower, self._lower_hint), upper
+
     def run(self) -> PathwidthResult:
         """Compute the exact pathwidth plus an optimal linear layout."""
         value = self.value()
@@ -802,6 +818,27 @@ class PathwidthEngine(_MaskEngine):
             probe ^= bit
             if self._adj[bit.bit_length() - 1] & remaining:
                 boundary |= bit
+        return boundary
+
+    def _next_boundary(self, boundary: int, after: int, vertex: int) -> int:
+        """``_boundary(after)`` once ``vertex`` is placed, from ``boundary``,
+        the boundary before it was.
+
+        Only ``vertex`` and its placed neighbours can change: ``vertex``
+        joins while it has an unplaced neighbour, and a placed neighbour
+        (one of the boundary, since ``vertex`` was unplaced) leaves when
+        ``vertex`` was its last unplaced one.
+        """
+        adj = self._adj
+        neighbours = adj[vertex]
+        if neighbours & after:
+            boundary |= 1 << vertex
+        probe = neighbours & boundary
+        while probe:
+            bit = probe & -probe
+            probe ^= bit
+            if not adj[bit.bit_length() - 1] & after:
+                boundary ^= bit
         return boundary
 
     def _candidates(self, remaining: int, boundary: int) -> List[int]:
@@ -832,18 +869,20 @@ class PathwidthEngine(_MaskEngine):
             vertex = bit.bit_length() - 1
             if self._twins[vertex] & remaining & (bit - 1):
                 continue  # a lower-index twin is available instead
-            after = remaining & ~bit
-            scored.append((_popcount(self._boundary(after)), vertex))
+            after = remaining ^ bit
+            scored.append((_popcount(self._next_boundary(boundary, after, vertex)), vertex))
         scored.sort()
         result = [vertex for _, vertex in scored]
         self._candidate_cache[remaining] = result
         return result
 
     # -- bounds -------------------------------------------------------------
-    def _greedy_completion(self, remaining: int) -> Tuple[int, int]:
-        """Greedy layout of ``remaining``: returns ``(max boundary, first
-        vertex)``.  Commits closed vertices for free, otherwise places the
-        candidate minimising the next boundary."""
+    def _greedy_completion(self, remaining: int, boundary: int) -> Tuple[int, int]:
+        """Greedy layout of ``remaining`` (``boundary`` its boundary):
+        returns ``(max boundary, first vertex)``.  Commits closed vertices
+        for free, otherwise places the candidate minimising the next
+        boundary."""
+        adj = self._adj
         current = remaining
         worst = 0
         first = -1
@@ -854,16 +893,17 @@ class PathwidthEngine(_MaskEngine):
                 bit = probe & -probe
                 probe ^= bit
                 vertex = bit.bit_length() - 1
-                if not self._adj[vertex] & current:
+                if not adj[vertex] & current:
                     chosen = vertex  # no unplaced neighbours: free to place
+                    following = self._next_boundary(boundary, current ^ bit, vertex)
                     break
             if chosen < 0:
                 pool = 0
-                probe = self._boundary(current)
+                probe = boundary
                 while probe:
                     bit = probe & -probe
                     probe ^= bit
-                    pool |= self._adj[bit.bit_length() - 1]
+                    pool |= adj[bit.bit_length() - 1]
                 pool &= current
                 if not pool:
                     pool = current
@@ -873,19 +913,23 @@ class PathwidthEngine(_MaskEngine):
                     bit = probe & -probe
                     probe ^= bit
                     vertex = bit.bit_length() - 1
-                    size = _popcount(self._boundary(current & ~bit))
+                    after = self._next_boundary(boundary, current ^ bit, vertex)
+                    size = _popcount(after)
                     if size < best_size:
                         best_size = size
                         chosen = vertex
+                        following = after
                 worst = max(worst, best_size)
             if first < 0:
                 first = chosen
             current &= ~(1 << chosen)
+            boundary = following
         return worst, first
 
-    def _seed_entry(self, mask: int, size: int) -> _Entry:
+    def _seed_entry(self, mask: int, size: int, boundary: int = 0) -> _Entry:
         """Cheap first look: any order stays within ``b(mask) + size − 1``
-        future boundary, and an internal edge forces at least 1."""
+        future boundary, and an internal edge forces at least 1.
+        ``boundary`` is ``b(mask)``, empty for a component of the graph."""
         lowest = (mask & -mask).bit_length() - 1
         if size == 1:
             return _Entry(0, 0, lowest, deep=True)
@@ -893,18 +937,19 @@ class PathwidthEngine(_MaskEngine):
         lb = 1 if has_edge else 0
         if mask == self._full and self._lower_hint > lb:
             lb = self._lower_hint
-        ub = _popcount(self._boundary(mask)) + size - 1
+        ub = _popcount(boundary) + size - 1
         return _Entry(lb, ub, lowest)
 
-    def _strengthen(self, mask: int, entry: _Entry) -> None:
+    def _strengthen(self, mask: int, entry: _Entry, boundary: int = 0) -> None:
         """Expensive bounds, run once, just before a subproblem branches:
         degeneracy lower bound (pw ≥ tw ≥ degeneracy, and future boundaries
-        dominate any induced layout), boundary-greedy incumbent."""
+        dominate any induced layout), boundary-greedy incumbent from
+        ``boundary``, as in :meth:`_seed_entry`."""
         entry.deep = True
         lb = self._degeneracy(mask)
         if lb > entry.lb:
             entry.lb = lb
-        ub, first = self._greedy_completion(mask)
+        ub, first = self._greedy_completion(mask, boundary)
         if ub < entry.ub:
             entry.ub = ub
             entry.choice = first
@@ -913,29 +958,33 @@ class PathwidthEngine(_MaskEngine):
     def _solve(self, remaining: int, budget: int) -> int:
         """Minimum over layouts of ``remaining`` of the maximum future
         boundary, when ≤ ``budget``; otherwise a lower bound exceeding it."""
+        return self._search(remaining, self._boundary(remaining), budget)
+
+    def _search(self, remaining: int, boundary: int, budget: int) -> int:
+        """:meth:`_solve` given the boundary of ``remaining``, which each
+        placement derives from its parent's (:meth:`_next_boundary`)."""
         if remaining == 0:
             return 0
-        boundary = self._boundary(remaining)
         if not boundary:
             components = self._components(remaining)
             if len(components) > 1:
                 # Closed prefix: lay the components out one after another.
                 value = 0
                 for component in components:
-                    value = max(value, self._solve(component, budget))
+                    value = max(value, self._search(component, 0, budget))
                     if value > budget:
                         return value
                 return value
         entry = self._memo.get(remaining)
         if entry is None:
-            entry = self._seed_entry(remaining, _popcount(remaining))
+            entry = self._seed_entry(remaining, _popcount(remaining), boundary)
             self._memo[remaining] = entry
         if entry.lb >= entry.ub:
             return entry.ub
         if entry.lb > budget:
             return entry.lb
         if not entry.deep:
-            self._strengthen(remaining, entry)
+            self._strengthen(remaining, entry, boundary)
             if entry.lb >= entry.ub:
                 return entry.ub
             if entry.lb > budget:
@@ -956,13 +1005,14 @@ class PathwidthEngine(_MaskEngine):
             if entry.lb > limit:
                 break
             after = remaining & ~(1 << vertex)
-            here = _popcount(self._boundary(after))
+            following = self._next_boundary(boundary, after, vertex)
+            here = _popcount(following)
             if here > limit:
                 continue
             child = memo.get(after)
             if child is not None and child.lb > limit:
                 continue
-            value = self._solve(after, limit)
+            value = self._search(after, following, limit)
             if value > limit:
                 continue
             entry.ub = max(here, value)

@@ -79,6 +79,12 @@ def _mask(numbers: Iterable[int]) -> int:
 
 def _split(row: Row, variable: int) -> Tuple[Row, Row]:
     """The positions of ``variable`` in ``row``, and the elements at the others."""
+    if len(row) == 2:  # every graph atom: no generator needed
+        first, second = row
+        if first == variable:
+            return ((0, 1), ()) if second == variable else ((0,), (second,))
+        if second == variable:
+            return (1,), (first,)
     free = tuple(p for p, x in enumerate(row) if x == variable)
     return free, tuple(x for x in row if x != variable)
 
@@ -126,7 +132,15 @@ class _Program:
 
     def _build_table(self, name: str, free: Row) -> Table:
         table: Table = {}
-        for row in self.rows[name]:
+        rows = self.rows[name]
+        if len(free) == 1 and rows and len(rows[0]) == 2:  # a binary relation
+            position = free[0]
+            other = 1 - position
+            for row in rows:
+                key = (row[other],)
+                table[key] = table.get(key, 0) | 1 << row[position]
+            return table
+        for row in rows:
             value = row[free[0]]
             if all(row[p] == value for p in free[1:]):
                 key = tuple(x for p, x in enumerate(row) if p not in free)

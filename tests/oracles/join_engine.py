@@ -46,6 +46,7 @@ from typing import (
 
 from repro.decomposition.path_decomposition import PathDecomposition
 from repro.decomposition.tree_decomposition import TreeDecomposition
+from repro.exceptions import VocabularyError
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.gaifman import gaifman_graph
 from repro.structures.indexes import (
@@ -156,6 +157,17 @@ def _source_atoms(source: Structure) -> List[Atom]:
 # solvers; keeping one implementation is what the differential fuzzing
 # harness relies on (every solver rejects the same obstructed inputs).
 _nullary_obstruction = nullary_obstruction
+
+
+def _check_arities(source: Structure, target: Structure) -> None:
+    """Refuse a target that lacks a source symbol or gives it another
+    arity: the sweeps would otherwise match an atom against the leading
+    positions of longer target tuples."""
+    for symbol in source.vocabulary:
+        if target.vocabulary.arity(symbol.name) != symbol.arity:
+            raise VocabularyError(
+                f"arity mismatch for {symbol.name!r} between source and target"
+            )
 
 
 def pruned_domains(
@@ -333,6 +345,7 @@ def run_decomposition_dp(
     only by memory, not the interpreter's recursion limit.
     """
     decomposition.validate_for_structure(source)
+    _check_arities(source, target)
     if _nullary_obstruction(source, target):
         return semiring.zero
     index = structure_index(target)
@@ -455,6 +468,7 @@ def run_path_sweep(
     regardless of the decomposition's length.
     """
     decomposition.validate(gaifman_graph(source))
+    _check_arities(source, target)
     if _nullary_obstruction(source, target):
         return semiring.zero
     index = structure_index(target)

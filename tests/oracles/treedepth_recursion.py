@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Hashable
 
 from repro.decomposition.treedepth import EliminationForest
+from repro.exceptions import VocabularyError
 from repro.homomorphism.backtracking import is_partial_homomorphism
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.structure import Structure
@@ -27,8 +28,18 @@ from repro.structures.structure import Structure
 Element = Hashable
 
 
+def _check_arities(source: Structure, target: Structure) -> None:
+    """Refuse a target that lacks a source symbol or gives it another arity."""
+    for symbol in source.vocabulary:
+        if target.vocabulary.arity(symbol.name) != symbol.arity:
+            raise VocabularyError(
+                f"arity mismatch for {symbol.name!r} between source and target"
+            )
+
+
 def exists(source: Structure, forest: EliminationForest, target: Structure) -> bool:
     """Decide ``hom(source → target)`` along ``forest`` (which must witness ``source``)."""
+    _check_arities(source, target)
     # The recursion walks Gaifman-graph components, so an arity-0 atom
     # (which touches no element) must be checked before it starts.
     if nullary_obstruction(source, target):
@@ -73,6 +84,7 @@ def _satisfiable(
 
 def count(source: Structure, forest: EliminationForest, target: Structure) -> int:
     """Count homomorphisms ``source → target`` along ``forest``."""
+    _check_arities(source, target)
     if nullary_obstruction(source, target):
         return 0
     total = 1

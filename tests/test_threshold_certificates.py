@@ -8,6 +8,9 @@ the planner's thresholds) and stops each at the first proof it finds:
   contraction-degeneracy lower bound and the min-fill incumbent, settle
   ``tw ≤ cap`` unless the cap falls between them.  A tw is stored only
   once proven exactly; the rest waits for a read;
+* **pathwidth** — :meth:`PathwidthEngine.root_bounds`, the tw (or its
+  root lower bound) and the degeneracy below, the root's greedy layout
+  above, settle ``pw ≤ cap`` the same way, with the same storage rule;
 * **tree depth** — every branching subproblem of the treedepth engine is
   bounded below by ``td(C_ℓ) = 1 + ⌈log2 ℓ⌉`` for the longest cycle ``ℓ``
   a back edge closes in one DFS;
@@ -30,9 +33,15 @@ from oracles.seeds import _exact_treedepth, legacy_exact_treedepth
 from test_core_engine_oracle import graph_patterns
 from test_lazy_widths import CONFIGS, Case
 
+from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, choose_degree
 from repro.decomposition.treedepth_engine import TreedepthEngine
-from repro.decomposition.width_engine import TreewidthEngine, engine_treewidth
+from repro.decomposition.width_engine import (
+    PathwidthEngine,
+    TreewidthEngine,
+    engine_pathwidth,
+    engine_treewidth,
+)
 from repro.graphlib.graph import Graph
 from repro.homomorphism import core_engine
 from repro.homomorphism.core_engine import endomorphism_domains
@@ -76,6 +85,46 @@ def test_treewidth_is_stored_only_once_proven(graph_cases):
                 assert profile._treewidth == treewidth
             assert profile.core_treewidth == engine_treewidth(graph) == treewidth
     assert left_open >= 1
+
+
+# ---------------------------------------------------------------------------
+# Pathwidth: the root layout
+# ---------------------------------------------------------------------------
+
+def test_pathwidth_is_stored_only_once_proven(graph_cases):
+    left_open = 0
+    for case in graph_cases:
+        graph = gaifman_graph(case.computation.core)
+        _, pathwidth, treedepth = case.report.values()
+        for config in CONFIGS:
+            profile = case.fresh_profile()
+            degree = choose_degree(profile, config)
+            assert degree is case.reference_degree(config)
+            cap = config.pathwidth_threshold
+            asked = degree is not ComplexityDegree.W1_HARD and not (
+                treedepth <= config.treedepth_threshold
+                and treedepth - 1 <= min(cap, config.treewidth_threshold)
+            )
+            if not asked:
+                assert profile._pathwidth is None
+                continue
+            # The decision's lower hint: the tw, or its root lower bound
+            # when the root bounds settled tw ≤ cap without the value.
+            hint = profile._treewidth
+            if hint is None:
+                hint = TreewidthEngine(graph).root_bounds()[0]
+            lower, upper = PathwidthEngine(graph, lower_hint=hint).root_bounds()
+            assert lower <= pathwidth <= upper
+            if lower < upper <= cap:
+                # The root layout answers pw ≤ cap: the value waits for a read.
+                assert profile._pathwidth is None
+                left_open += config is DEFAULT_PLANNER_CONFIG
+            elif lower == upper or pathwidth <= cap:
+                assert profile._pathwidth == pathwidth
+            if profile._pathwidth is not None:
+                assert profile._pathwidth == pathwidth
+            assert profile.core_pathwidth == engine_pathwidth(graph) == pathwidth
+    assert left_open >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -167,23 +216,31 @@ def test_symmetric_patterns_certify_without_propagation(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_threshold_decisions_settle_at_the_root(graph_cases, monkeypatch):
-    built: Dict[type, List] = {TreewidthEngine: [], TreedepthEngine: []}
+    built: Dict[type, List] = {TreewidthEngine: [], TreedepthEngine: [], PathwidthEngine: []}
     for cls, log in built.items():
 
-        def recording(self, graph, _original=cls.__init__, _log=log):
-            _original(self, graph)
+        def recording(self, *args, _original=cls.__init__, _log=log, **kwargs):
+            _original(self, *args, **kwargs)
             _log.append(self)
 
         monkeypatch.setattr(cls, "__init__", recording)
-    deep = settled = 0
+    deep = settled = paths = laid_out = 0
     for case in graph_cases:
         for log in built.values():
             log.clear()
-        choose_degree(case.fresh_profile())
+        degree = choose_degree(case.fresh_profile())
         assert sum(engine.branched for engine in built[TreewidthEngine]) == 0
         if case.report.treedepth.value > DEFAULT_PLANNER_CONFIG.treedepth_threshold:
             deep += 1
             (depth_engine,) = built[TreedepthEngine]
             settled += depth_engine.branched == 0
+        if degree is ComplexityDegree.PATH_COMPLETE:
+            paths += 1
+            (width_engine,) = built[PathwidthEngine]
+            laid_out += width_engine.branched == 0
     assert deep >= 100
     assert settled >= 45
+    # pw ≤ 3 without a branch: the root layout fits the cap or meets the
+    # lower bound (98 of 118; 73 when only a met bound stopped the search).
+    assert paths >= 100
+    assert laid_out >= 90

@@ -17,7 +17,8 @@ the seed solver:
 
 Plus the facade/classifier wiring: the width facade must now be exact at
 13–25 elements (and for recognised shapes beyond), which is what makes
-td(C13) = 5 visible end to end.
+td(C13) = 5 visible end to end; and the lazy greedy incumbent, held to
+the search an eager one runs.
 """
 
 import math
@@ -26,6 +27,7 @@ import random
 import pytest
 
 from oracles.seeds import legacy_exact_treedepth
+from test_core_engine_oracle import graph_patterns
 from repro.classification.classifier import classify_structure
 from repro.decomposition.treedepth import dfs_elimination_forest
 from repro.decomposition.treedepth_engine import (
@@ -43,6 +45,7 @@ from repro.decomposition.width import (
 )
 from repro.exceptions import DecompositionError
 from repro.graphlib.graph import Graph
+from repro.homomorphism.core_engine import compute_core
 from repro.structures.builders import (
     clique_graph,
     complete_binary_tree_graph,
@@ -225,3 +228,53 @@ class TestFacadeWiring:
     def test_profile_forest_witnesses_core_gaifman_graph(self):
         profile = classify_structure(cycle(15))
         assert profile.core_elimination_forest.witnesses(gaifman_graph(profile.core))
+
+
+class EagerTreedepthEngine(TreedepthEngine):
+    """Runs the greedy incumbent together with the lower bounds, the first
+    time a subproblem is strengthened, whether or not it then branches."""
+
+    def _strengthen(self, mask, entry, budget):
+        super()._strengthen(mask, entry, budget)
+        if not entry.greedy:
+            super()._strengthen(mask, entry, budget)
+
+
+class TestLazyIncumbent:
+    """The greedy incumbent waits until a subproblem is about to branch;
+    the search must be the one the eager incumbent runs."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [gaifman_graph(compute_core(pattern).core) for pattern in graph_patterns()]
+
+    @staticmethod
+    def outcome(engine, cap):
+        value = engine.value(cap)
+        forest = engine.forest() if cap is None or value <= cap else None
+        return (
+            value,
+            None if forest is None else (forest.parent, forest.roots),
+            engine.branched,
+            {mask: entry.lb for mask, entry in engine._memo.items()},
+        )
+
+    @pytest.mark.parametrize("cap", [4, None])
+    def test_same_search_as_the_eager_incumbent(self, graphs, cap):
+        for graph in graphs:
+            assert self.outcome(TreedepthEngine(graph), cap) == self.outcome(
+                EagerTreedepthEngine(graph), cap
+            )
+
+    def test_capped_decisions_run_fewer_greedy_decompositions(self, graphs):
+        lazy = eager = 0
+        for graph in graphs:
+            for cls in (TreedepthEngine, EagerTreedepthEngine):
+                engine = cls(graph)
+                if engine.value(4) <= 4:
+                    engine.forest()
+                if cls is TreedepthEngine:
+                    lazy += len(engine._greedy_cache)
+                else:
+                    eager += len(engine._greedy_cache)
+        assert lazy < eager

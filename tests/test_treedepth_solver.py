@@ -21,7 +21,11 @@ import sys
 import pytest
 
 from oracles import treedepth_recursion as oracle
-from oracles.join_engine import count_homomorphisms_join
+from oracles.join_engine import (
+    count_homomorphisms_join,
+    homomorphism_exists_join,
+    run_path_sweep,
+)
 from repro.classification.classifier import StructureProfile, classify_structure
 from repro.classification.degrees import ComplexityDegree
 from repro.classification.solver_dispatch import solve_with_degree
@@ -30,6 +34,7 @@ from repro.counting.classification import FOREST_COUNT_SOLVER
 from repro.cq.query import ConjunctiveQuery
 from repro.decomposition.heuristics import min_fill_elimination_forest
 from repro.decomposition.treedepth import dfs_elimination_forest
+from repro.decomposition.width import good_path_decomposition
 from repro.exceptions import VocabularyError
 from repro.homomorphism import (
     TreeDepthSolver,
@@ -191,6 +196,16 @@ def test_every_route_raises_on_an_arity_clash():
         query.count_matches(target)
     with pytest.raises(VocabularyError):
         count_hom(pattern, target)
+    # So do the references the routes are checked against.
+    forest = profile.core_elimination_forest
+    for reference in (oracle.exists, oracle.count):
+        with pytest.raises(VocabularyError, match="arity mismatch for 'R'"):
+            reference(pattern, forest, target)
+    for reference in (homomorphism_exists_join, count_homomorphisms_join):
+        with pytest.raises(VocabularyError, match="arity mismatch for 'R'"):
+            reference(pattern, target)
+    with pytest.raises(VocabularyError, match="arity mismatch for 'R'"):
+        run_path_sweep(pattern, target, good_path_decomposition(pattern))
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,8 @@ evidence:
 
 Plus the facade/classifier/planner wiring: exactness at 13–25 elements,
 recognised closed forms beyond, per-measure ``exact`` flags, and the
-end-to-end route flip the exact widths buy.
+end-to-end route flip the exact widths buy; and the pathwidth search's
+incremental boundaries, each held to a rescan of the placed vertices.
 """
 
 import random
@@ -29,6 +30,7 @@ from conftest import (
     assert_valid_path_decomposition,
     assert_valid_tree_decomposition,
 )
+from test_core_engine_oracle import graph_patterns
 from oracles.seeds import (
     legacy_exact_pathwidth,
     legacy_exact_pathwidth_layout,
@@ -71,6 +73,7 @@ from repro.eval.planner import route_certified
 from repro.exceptions import DecompositionError
 from repro.graphlib.graph import Graph
 from repro.homomorphism.backtracking import has_homomorphism
+from repro.homomorphism.core_engine import compute_core
 from repro.structures.builders import (
     clique_graph,
     complete_binary_tree_graph,
@@ -148,6 +151,54 @@ class TestDifferentialFuzz:
         width, layout = legacy_exact_pathwidth_layout(graph)
         realised = path_decomposition_from_ordering(graph, layout).width()
         assert realised == width == engine_pathwidth(graph)
+
+
+class CheckedPathwidthEngine(PathwidthEngine):
+    """Holds every boundary the search derives to a rescan of the placed
+    vertices (:meth:`PathwidthEngine._boundary`)."""
+
+    def __init__(self, graph, lower_hint=0):
+        super().__init__(graph, lower_hint)
+        self.derived = 0
+
+    def _next_boundary(self, boundary, after, vertex):
+        assert boundary == self._boundary(after | 1 << vertex)
+        following = super()._next_boundary(boundary, after, vertex)
+        assert following == self._boundary(after)
+        self.derived += 1
+        return following
+
+    def _search(self, remaining, boundary, budget):
+        assert boundary == self._boundary(remaining)
+        return super()._search(remaining, boundary, budget)
+
+
+class TestIncrementalBoundary:
+    """Each placement derives its boundary from its parent's; every one the
+    greedy layouts, the candidate scores and the search visit must equal
+    the rescan the engine made before, so the search is unchanged."""
+
+    @staticmethod
+    def check(graph, caps):
+        derived = 0
+        for cap in caps:
+            engine = CheckedPathwidthEngine(graph)
+            value = engine.value(cap)
+            reference = PathwidthEngine(graph)
+            assert value == reference.value(cap)
+            assert engine.branched == reference.branched
+            if cap is None:
+                assert engine.witness()[0] == reference.witness()[0]
+            derived += engine.derived
+        return derived
+
+    def test_graph_pattern_cores(self):
+        graphs = [gaifman_graph(compute_core(pattern).core) for pattern in graph_patterns()]
+        assert sum(self.check(graph, (3, None)) for graph in graphs) > 100_000
+
+    def test_random_graphs(self):
+        graphs = [graph for _, graph in random_small_graphs(120)]
+        assert sum(self.check(graph, (1, None)) for graph in graphs) > 100_000
 
 
 class TestKnownValues:
