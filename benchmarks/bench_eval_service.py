@@ -38,6 +38,7 @@ import os
 import time
 from typing import Dict, List
 
+from hostinfo import host
 from repro.cq.evaluation import clear_profile_cache, evaluate_query_set_sequential
 from repro.eval import EvalService, ExecutorConfig, clear_plan_cache
 from repro.workloads import all_scenario_names, scenario_by_name
@@ -68,8 +69,9 @@ def run_scenario(name: str, count: int, workers: int, repeats: int = 3) -> Dict:
 
     The service side runs unforced, so each batch starts in-process and
     moves to the pool only once the seconds it measured say the pool
-    finishes the rest sooner; the chosen mode and its reason are
-    recorded in the report.
+    finishes the rest sooner (a batch of at most ``workers × chunk_size``
+    queries, which the pool could never take, stays in-process
+    untimed); the chosen mode and its reason are recorded in the report.
 
     Each repeat times one cold one-shot reference run (profile cache
     cleared first) against one evaluate() call on a *fresh* service, so
@@ -79,7 +81,7 @@ def run_scenario(name: str, count: int, workers: int, repeats: int = 3) -> Dict:
     caches any evaluation path shares.  Best of ``repeats`` on both sides.
     """
     scenario = scenario_by_name(name, count=count, seed=SEED)
-    config = ExecutorConfig(workers=workers, min_parallel_batch=1)
+    config = ExecutorConfig(workers=workers)
     sequential_seconds = float("inf")
     parallel_seconds = float("inf")
     mode = mode_reason = None
@@ -160,8 +162,8 @@ def main() -> int:
 
     report = {
         "benchmark": "eval_service",
+        "host": host(),
         "quick": args.quick,
-        "cpu_count": cpu_count,
         "workers": args.workers,
         "required_speedup": REQUIRED_SPEEDUP,
         "scenarios": scenario_reports,

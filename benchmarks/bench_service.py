@@ -28,6 +28,7 @@ import os
 import time
 from typing import Dict
 
+from hostinfo import host
 from repro.eval import ExecutorConfig
 from repro.service import QueryService
 from repro.workloads import scenario_by_name
@@ -69,7 +70,7 @@ def skewed_repeated_workload(count: int):
 def run_dedup(count: int, workers: int) -> Dict:
     scenario, queries = skewed_repeated_workload(count)
     distinct = len({query.canonical_structure() for query in queries})
-    config = ExecutorConfig(workers=workers, chunk_size=8, min_parallel_batch=1)
+    config = ExecutorConfig(workers=workers, chunk_size=8)
     with QueryService(scenario.database, executor=config, batch_size=64) as service:
         start = time.perf_counter()
         # Force the pool so the dedup guarantee is demonstrated *across
@@ -103,7 +104,7 @@ def run_throughput(batches: int, count: int, workers: int, scale: int) -> Dict:
     scenario = scenario_by_name(
         "mixed_vocabulary", count=count, seed=SEED + 2, scale=scale
     )
-    config = ExecutorConfig(workers=workers, chunk_size=16, min_parallel_batch=8)
+    config = ExecutorConfig(workers=workers, chunk_size=16)
     with QueryService(scenario.database, executor=config, batch_size=128) as service:
         start = time.perf_counter()
         total = 0
@@ -171,8 +172,8 @@ def main() -> int:
 
     report = {
         "benchmark": "service",
+        "host": host(),
         "quick": args.quick,
-        "cpu_count": os.cpu_count() or 1,
         "workers": args.workers,
         "dedup": dedup,
         "throughput": throughput,

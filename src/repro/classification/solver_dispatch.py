@@ -75,23 +75,6 @@ class PlannerConfig:
 DEFAULT_PLANNER_CONFIG = PlannerConfig()
 
 
-@dataclass(frozen=True)
-class SlimSolveResult:
-    """The wire-size-conscious projection of a :class:`SolveResult`.
-
-    Carries the answer and the provenance scalars (solver string, route
-    degree, core certificate tag) but none of the embedded structures —
-    no pattern, no core, no elimination forest.  Pool workers ship these
-    back when the executor runs with ``slim_results=True``, cutting IPC
-    for large batches to a few dozen bytes per query.
-    """
-
-    answer: bool
-    solver: str
-    degree: ComplexityDegree
-    core_certificate: Optional[str] = None
-
-
 @dataclass
 class SolveResult:
     """Answer plus provenance of a dispatched homomorphism query.
@@ -123,15 +106,6 @@ class SolveResult:
     ) -> ComplexityDegree:
         """The threshold classification of the query's core widths."""
         return choose_degree(self.profile, config)
-
-    def slim(self) -> SlimSolveResult:
-        """Project to the IPC-friendly result (drops the profile)."""
-        return SlimSolveResult(
-            answer=self.answer,
-            solver=self.solver,
-            degree=self.degree,
-            core_certificate=self.profile.core_certificate,
-        )
 
 
 def choose_degree(

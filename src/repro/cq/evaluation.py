@@ -79,7 +79,6 @@ def clear_profile_cache() -> None:
 def evaluate_query_set(
     queries: Sequence[ConjunctiveQuery],
     database: Database | Structure,
-    use_cache: bool = True,
     workers: Optional[int] = None,
     planner: Optional[PlannerConfig] = None,
     executor: "Optional[ExecutorConfig]" = None,
@@ -90,8 +89,7 @@ def evaluate_query_set(
     the answers and which of the three algorithmic regimes each query fell
     into.  The batch shares work across queries: one classification per
     distinct canonical structure and one database→structure conversion per
-    distinct vocabulary.  ``use_cache=False`` additionally bypasses the
-    cross-call profile cache (each batch still deduplicates internally).
+    distinct vocabulary.
 
     ``workers`` (or an explicit ``executor`` config) routes the batch
     through the :class:`repro.eval.EvalService` process pool; ``planner``
@@ -100,7 +98,7 @@ def evaluate_query_set(
     ``(query, answer, solver)`` results as the sequential reference.
     """
     if workers is None and planner is None and executor is None:
-        return evaluate_query_set_sequential(queries, database, use_cache)
+        return evaluate_query_set_sequential(queries, database)
     from repro.eval.executor import EvalService, ExecutorConfig
 
     if executor is None:
@@ -110,13 +108,12 @@ def evaluate_query_set(
     elif workers is not None and executor.workers != workers:
         raise ValueError("pass either workers or an executor config, not both")
     with EvalService(database, planner=planner, executor=executor) as service:
-        return service.evaluate(queries, use_cache=use_cache)
+        return service.evaluate(queries)
 
 
 def evaluate_query_set_stream(
     queries: Iterable[ConjunctiveQuery],
     database: Database | Structure,
-    use_cache: bool = True,
     workers: Optional[int] = None,
     planner: Optional[PlannerConfig] = None,
     executor: "Optional[ExecutorConfig]" = None,
@@ -140,7 +137,7 @@ def evaluate_query_set_stream(
     elif workers is not None and executor.workers != workers:
         raise ValueError("pass either workers or an executor config, not both")
     with EvalService(database, planner=planner, executor=executor) as service:
-        yield from service.evaluate_stream(queries, use_cache=use_cache)
+        yield from service.evaluate_stream(queries)
 
 
 def evaluate_query_set_sequential(

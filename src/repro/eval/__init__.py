@@ -14,7 +14,6 @@ package; the pieces are exported here for direct use.
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     PlannerConfig,
-    SlimSolveResult,
 )
 from repro.eval.executor import EvalService, ExecutorConfig
 from repro.eval.planner import (
@@ -30,7 +29,6 @@ __all__ = [
     "DatabaseStatistics",
     "PlannerConfig",
     "DEFAULT_PLANNER_CONFIG",
-    "SlimSolveResult",
     "QueryPlan",
     "plan_query",
     "plan_query_cached",

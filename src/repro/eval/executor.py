@@ -17,14 +17,14 @@ service able to chew through very large query batches:
   (at pool initialisation), converts it to one structure on its first
   solve and keeps that structure, its hash indexes and its
   classification-profile cache, so a chunk never re-ships or re-derives
-  the database side.  With the cross-call cache the parent keeps every
-  answer it has, its own and what the pool returned, in one content
-  memo, and a chunk whose every query that memo holds is answered in
-  the parent and never submitted.  A chunk with a miss sends only the
-  content keys that neither the memo holds nor an earlier chunk of the
-  batch sends, each once, and its other queries take their results
-  from the memo or from the chunk that sends their key; the pool
-  starts only when a chunk must send something.  A batch starts
+  the database side.  The parent keeps every answer it has, its own
+  and what the pool returned, in one content memo, and a chunk whose
+  every query that memo holds is answered in the parent and never
+  submitted.  A chunk with a miss sends only the content keys that
+  neither the memo holds nor an earlier chunk of the batch sends, each
+  once, and its other queries take their results from the memo or from
+  the chunk that sends their key; the pool starts only when a chunk
+  must send something.  A batch starts
   in-process and moves to the pool only once the seconds it has
   measured say the pool finishes the rest sooner.
 * **determinism** — chunks are indexed at submission and results are
@@ -67,7 +67,6 @@ from repro.exceptions import DeadlineExceededError
 from repro.classification.solver_dispatch import (
     DEFAULT_PLANNER_CONFIG,
     PlannerConfig,
-    SlimSolveResult,
     SolveResult,
     solve_with_degree,
 )
@@ -84,8 +83,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, types only
     from repro.service.store import ServiceStores
 
 DatabaseLike = Union[Database, Structure]
-
-AnySolveResult = Union[SolveResult, SlimSolveResult]
 
 #: Bound of each per-context memoised-result cache (see
 #: :class:`_EvaluationContext`).  4096 distinct queries or (pattern,
@@ -108,40 +105,33 @@ POOL_STARTUP_PRIOR_SECONDS = 0.020
 #: 1 ms per 16-query chunk of full results over cold 600-query batches.
 CHUNK_OVERHEAD_PRIOR_SECONDS = 0.001
 
+#: Chunks a parallel batch keeps in flight per worker.  The window of
+#: ``workers · INFLIGHT_FACTOR`` chunks keeps a stream over a huge batch
+#: memory-bounded; a chunk that sends nothing (the parent answers it from
+#: its own memo and from earlier chunks of the batch) takes a place in
+#: it like a submitted one.
+INFLIGHT_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class ExecutorConfig:
     """Degrees of freedom of the parallel executor.
 
     ``workers=None`` asks for one worker per CPU; ``workers<=1`` keeps
-    everything in-process (the sequential reference behaviour).  Batches
-    shorter than ``min_parallel_batch`` stay in-process too — pool
-    start-up costs more than a handful of queries.  A chunk of
-    ``chunk_size`` queries goes to a worker as their content keys, plain
-    tuples rather than query objects (:func:`_evaluate_chunk`); the
-    in-process path reads its input in chunks of the same size, and each
-    chunk probes the content memo once.
-    ``inflight_factor`` bounds the submission window to
-    ``workers · inflight_factor`` chunks, which is what keeps streaming
-    over huge batches memory-bounded; a chunk that sends nothing (the
-    parent answers it from its own memo and from earlier chunks of the
-    batch) takes a place in the window like a submitted one.  A chunk
-    sends only the content keys the parent lacks and no earlier chunk of
-    the batch sends, so one key goes to one worker.
+    everything in-process (the sequential reference behaviour).  A chunk
+    of ``chunk_size`` queries goes to a worker as their content keys,
+    plain tuples rather than query objects (:func:`_evaluate_chunk`);
+    the in-process path reads its input in chunks of the same size, and
+    each chunk probes the content memo once.  A chunk sends only the
+    content keys the parent lacks and no earlier chunk of the batch
+    sends, so one key goes to one worker.
 
-    Whether a batch that could go either way runs in-process or on the
-    pool is not configured: :class:`EvalService` decides it from seconds
-    it measures (see :meth:`EvalService.evaluate_stream`) and records the
-    outcome in :attr:`EvalService.last_mode`.
-
-    ``slim_results=True`` makes evaluation return
-    :class:`~repro.classification.solver_dispatch.SlimSolveResult`
-    projections instead of full results — pool workers then ship a few
-    scalars per query back to the parent instead of the profile with its
-    embedded structures (ROADMAP: "leaner result shipping").  Either
-    way a worker ships each result object to the parent once and a
-    number for it afterwards (:func:`_evaluate_chunk`), so a repeated
-    query costs a few bytes per trip whichever shape it has.
+    Whether a batch runs in-process or on the pool is not configured:
+    :class:`EvalService` decides it from seconds it measures (see
+    :meth:`EvalService.evaluate_stream`) and records the outcome in
+    :attr:`EvalService.last_mode`.  The hand-over needs a full chunk per
+    worker left after at least one query, so a batch of at most
+    ``workers · chunk_size`` queries stays in-process.
 
     ``chunk_deadline_seconds`` arms fault tolerance: while waiting on
     the next in-order chunk the service gives up once the chunk has
@@ -159,9 +149,6 @@ class ExecutorConfig:
 
     workers: Optional[int] = None
     chunk_size: int = 16
-    min_parallel_batch: int = 32
-    inflight_factor: int = 4
-    slim_results: bool = False
     chunk_deadline_seconds: Optional[float] = None
     max_recycles: int = 3
 
@@ -170,8 +157,6 @@ class ExecutorConfig:
             raise ValueError("workers must be None or non-negative")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if self.inflight_factor < 1:
-            raise ValueError("inflight_factor must be at least 1")
         if self.chunk_deadline_seconds is not None and self.chunk_deadline_seconds <= 0:
             raise ValueError("chunk_deadline_seconds must be positive")
         if self.max_recycles < 0:
@@ -187,9 +172,9 @@ class ExecutorConfig:
 class _EvaluationContext:
     """Per-process evaluation state shared across the queries it sees.
 
-    The parent keeps one for in-process evaluation (for the service's
-    lifetime, or fresh per batch under ``use_cache=False``), one more for
-    introspection (:meth:`EvalService.context`), and every worker process
+    The parent keeps one for the service's lifetime, which evaluates
+    every in-process batch, holds what the pool returned and serves
+    introspection (:meth:`EvalService.context`); every worker process
     keeps one for the lifetime of its pool.  It solves against one
     structure of the whole database, converted on its first solve, so
     the structure index, the sorted universe and each hash table are
@@ -208,12 +193,11 @@ class _EvaluationContext:
     is probed first, once per chunk for all of the chunk's queries, so a
     repeated query — the same objects, an equal one parsed afresh, or a
     key sent to a pool worker — is answered without building its
-    canonical structure.  The parent's in-process context
-    (``use_cache=True``) also holds there every result the pool sent back,
-    and a parallel batch probes it before it submits a chunk.  On a miss
-    the query is canonicalised and :attr:`solved`, keyed by (pattern,
-    vocabulary), catches queries that differ only in atom order or
-    repeated atoms.  A new pattern is classified, and :attr:`by_core` then
+    canonical structure.  The parent's context also holds there every
+    result the pool sent back, and a parallel batch probes it before it
+    submits a chunk.  On a miss the query is canonicalised and
+    :attr:`solved`, keyed by (pattern, vocabulary), catches queries that
+    differ only in atom order or repeated atoms.  A new pattern is classified, and :attr:`by_core` then
     holds one route decision and one answer per distinct core (Theorem 3.1
     classifies a query by its core, and hom(A → B) holds iff hom(core(A) →
     B) does): a pattern that folds to a core already solved here gets its
@@ -223,27 +207,23 @@ class _EvaluationContext:
     structure and core, and are solved separately.
 
     :attr:`classifications` counts the classifier calls this context
-    made, whichever profile cache missed; the owner takes the count
-    (:meth:`take_classifications`) and sums it per service.
+    made, whichever profile cache missed; a pool worker hands its count
+    to the parent with each chunk (:meth:`take_classifications`).
     """
 
     def __init__(
         self,
         database: DatabaseLike,
         config: PlannerConfig,
-        use_cache: bool,
-        slim: bool = False,
         stores: "Optional[ServiceStores]" = None,
         timed: bool = False,
     ) -> None:
         self.database = database
         self.config = config
-        self.use_cache = use_cache
-        self.slim = slim
         #: Service-lifetime shared state (:mod:`repro.service.store`):
         #: cross-process profile/answer stores and, in the parent, the
-        #: telemetry sink.  None keeps the historical per-context
-        #: behaviour.
+        #: telemetry sink.  None classifies through the module-level
+        #: profile cache.
         self.stores = stores
         #: Whether solves are timed into :attr:`telemetry_buffer`: when
         #: ``stores`` carries the sink, or when ``timed`` says the parent's
@@ -258,7 +238,6 @@ class _EvaluationContext:
         self.whole: Optional[Structure] = None
         self.targets: Dict[Vocabulary, Structure] = {}
         self.stats: Dict[Vocabulary, DatabaseStatistics] = {}
-        self.local_profiles: Dict[Structure, StructureProfile] = {}
         #: Memoised results keyed by (canonical pattern, vocabulary).  The
         #: context is bound to one database, so the answer — and, with the
         #: planner config fixed per context, the route and provenance —
@@ -266,14 +245,14 @@ class _EvaluationContext:
         #: sampled from shape generators repeat patterns constantly) pay
         #: for one solve.  Bounded so a streaming workload over endless
         #: distinct patterns cannot grow it without limit.
-        self.solved: "BoundedLRU[Tuple[Structure, Vocabulary], AnySolveResult]" = (
+        self.solved: "BoundedLRU[Tuple[Structure, Vocabulary], SolveResult]" = (
             BoundedLRU(_SOLVED_CACHE_LIMIT)
         )
         #: The same result objects keyed by
         #: :meth:`~repro.cq.query.ConjunctiveQuery.content_key`, probed
         #: before canonicalising.  Every answered query leaves an entry,
         #: whichever level answered it.
-        self.by_content: "BoundedLRU[ContentKey, AnySolveResult]" = BoundedLRU(
+        self.by_content: "BoundedLRU[ContentKey, SolveResult]" = BoundedLRU(
             _SOLVED_CACHE_LIMIT
         )
         #: The full result of the first solve of each distinct core, keyed
@@ -291,7 +270,7 @@ class _EvaluationContext:
         #: and the number each result object it shipped went out under
         #: (see :meth:`ship`).
         self.worker: Tuple[int, int] = (0, 0)
-        self.shipped: "BoundedLRU[int, Tuple[int, AnySolveResult]]" = BoundedLRU(
+        self.shipped: "BoundedLRU[int, Tuple[int, SolveResult]]" = BoundedLRU(
             _SOLVED_CACHE_LIMIT
         )
         self.next_number = 0
@@ -356,10 +335,7 @@ class _EvaluationContext:
     def profile_for(
         self, pattern: Structure, deadline: "Optional[DeadlineBudget]" = None
     ) -> StructureProfile:
-        # ``use_cache=False`` promises batch-scoped profile sharing only,
-        # so the service-lifetime stores are bypassed along with the
-        # module-level LRU.
-        if self.use_cache and self.stores is not None and self.stores.profiles is not None:
+        if self.stores is not None and self.stores.profiles is not None:
             # The service-lifetime shared store: one classification per
             # distinct pattern across *all* workers and batches — the
             # store's claim protocol makes the compute exactly-once and
@@ -367,17 +343,11 @@ class _EvaluationContext:
             return self.stores.profiles.get_or_compute(
                 pattern, lambda: self._classify(pattern), deadline=deadline
             )
-        if self.use_cache:
-            # The bounded cross-call LRU owned by repro.cq.evaluation;
-            # imported lazily to keep the import graph acyclic.
-            from repro.cq.evaluation import _cached_profile
+        # The bounded cross-call LRU owned by repro.cq.evaluation;
+        # imported lazily to keep the import graph acyclic.
+        from repro.cq.evaluation import _cached_profile
 
-            return _cached_profile(pattern, self._classify)
-        profile = self.local_profiles.get(pattern)
-        if profile is None:
-            profile = self._classify(pattern)
-            self.local_profiles[pattern] = profile
-        return profile
+        return _cached_profile(pattern, self._classify)
 
     def _classify(self, pattern: Structure) -> StructureProfile:
         self.classifications += 1
@@ -396,7 +366,7 @@ class _EvaluationContext:
         self,
         query: ConjunctiveQuery,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> AnySolveResult:
+    ) -> SolveResult:
         """One query's result: its content-memo entry, or a solve."""
         result = self.by_content.get(query.content_key())
         if result is None:
@@ -407,7 +377,7 @@ class _EvaluationContext:
         self,
         query: ConjunctiveQuery,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> AnySolveResult:
+    ) -> SolveResult:
         """Solve a query the content memo was probed for and lacks.
 
         The result lands in the content memo.  A chunk probes the memo
@@ -423,19 +393,13 @@ class _EvaluationContext:
         self,
         pattern: Structure,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> AnySolveResult:
+    ) -> SolveResult:
         vocabulary = pattern.vocabulary
         key = (pattern, vocabulary)
         memoised = self.solved.get(key)
         if memoised is not None:
             return memoised
-        # The shared answer store is cross-call state; honour the
-        # ``use_cache=False`` contract by staying out of it entirely.
-        answers = (
-            self.stores.answers
-            if self.use_cache and self.stores is not None
-            else None
-        )
+        answers = self.stores.answers if self.stores is not None else None
         if answers is not None:
             # The service-lifetime shared answer store: a pattern solved
             # by any worker in any earlier chunk is an IPC lookup here,
@@ -465,8 +429,6 @@ class _EvaluationContext:
             else:
                 result = solve_with_degree(pattern, target, plan.degree, profile)
             self.by_core.put(profile.core, result)
-        if self.slim:
-            result = result.slim()
         self.solved.put(key, result)
         if answers is not None:
             answers.put(key, result)
@@ -478,8 +440,8 @@ class _EvaluationContext:
         return samples
 
     def ship(
-        self, results: Sequence[AnySolveResult]
-    ) -> Tuple[Tuple[int, ...], Dict[int, AnySolveResult]]:
+        self, results: Sequence[SolveResult]
+    ) -> Tuple[Tuple[int, ...], Dict[int, SolveResult]]:
         """Number a chunk's results for the trip to the parent (worker side).
 
         Returns one number per result and the results shipped for the
@@ -493,7 +455,7 @@ class _EvaluationContext:
         entry the parent lacks is a miss there, never a wrong result.
         """
         numbers = []
-        fresh: Dict[int, AnySolveResult] = {}
+        fresh: Dict[int, SolveResult] = {}
         for result in results:
             entry = self.shipped.get(id(result))
             if entry is None:
@@ -518,16 +480,12 @@ _WORKER_CONTEXT: Optional[_EvaluationContext] = None
 def _initialize_worker(
     database: DatabaseLike,
     config: PlannerConfig,
-    use_cache: bool,
-    slim: bool,
     stores: "Optional[ServiceStores]" = None,
     timed: bool = False,
     generation: int = 0,
 ) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = _EvaluationContext(
-        database, config, use_cache, slim, stores, timed
-    )
+    _WORKER_CONTEXT = _EvaluationContext(database, config, stores, timed)
     # The pid alone could repeat in a later pool; the parent numbers
     # every pool it starts.
     _WORKER_CONTEXT.worker = (generation, os.getpid())
@@ -541,7 +499,7 @@ class _ChunkPayload(NamedTuple):
     #: One number per query, in chunk order (see :meth:`_EvaluationContext.ship`).
     numbers: Tuple[int, ...]
     #: The result objects this worker ships for the first time, by number.
-    fresh: Dict[int, AnySolveResult]
+    fresh: Dict[int, SolveResult]
     #: The ``(route, seconds)`` samples of the solves the worker ran.
     samples: List[object]
     #: Seconds the worker spent evaluating the chunk.
@@ -569,9 +527,7 @@ def _evaluate_chunk(
     number alone afterwards; the parent keeps every object it received
     under its worker's token and number, so a repeat costs a few bytes
     instead of a pickled profile with its pattern, core and forest, and
-    resolves to the very object the first trip delivered.  With
-    ``slim_results`` configured the worker projects each result before
-    it is numbered, so a first trip ships a few scalars too.  The
+    resolves to the very object the first trip delivered.  The
     payload also carries the telemetry samples of the solves the chunk
     ran, the seconds the worker spent on it and its classifier calls;
     the parent records the samples when it yields the chunk and
@@ -599,7 +555,7 @@ def _evaluate_chunk(
     start = time.perf_counter()
     # The loop of EvalService._evaluate_sequential, over keys.
     results = context.by_content.get_many(keys)
-    solved: Dict[ContentKey, AnySolveResult] = {}
+    solved: Dict[ContentKey, SolveResult] = {}
     for index, key in enumerate(keys):
         if deadline is not None:
             deadline.check("worker chunk query")
@@ -634,8 +590,8 @@ def _submit_chunk(
 ) -> Future:
     """Send a chunk's queries to the pool as their content keys.
 
-    With the cross-call cache these are only the queries whose keys the
-    chunk sends (:meth:`_InFlight.split`); a recycle re-sends the same.
+    These are only the queries whose keys the chunk sends
+    (:meth:`_InFlight.split`); a recycle re-sends the same.
 
     A pool that broke before the chunk went out (a worker died between
     batches, or while the window was filling) refuses the submission.
@@ -684,17 +640,17 @@ class _InFlight:
             Tuple[
                 Tuple[ConjunctiveQuery, ...],
                 List[ContentKey],
-                List[Optional[AnySolveResult]],
+                List[Optional[SolveResult]],
             ],
         ] = {}
         self.carried: Dict[ContentKey, int] = {}
-        self.landed: Dict[ContentKey, AnySolveResult] = {}
+        self.landed: Dict[ContentKey, SolveResult] = {}
 
     def split(
         self,
         chunk: Tuple[ConjunctiveQuery, ...],
         keys: List[ContentKey],
-        held: List[Optional[AnySolveResult]],
+        held: List[Optional[SolveResult]],
         index: int,
     ) -> Tuple[ConjunctiveQuery, ...]:
         """Record chunk ``index``, its content keys and what the memo
@@ -711,7 +667,7 @@ class _InFlight:
 
     def assemble(
         self, index: int
-    ) -> Tuple[Tuple[ConjunctiveQuery, ...], List[AnySolveResult]]:
+    ) -> Tuple[Tuple[ConjunctiveQuery, ...], List[SolveResult]]:
         """Chunk ``index``'s queries and results, once its turn has come:
         every key it takes from the pool has landed, from this chunk or
         an earlier one."""
@@ -758,14 +714,11 @@ class EvalService:
         #: recycle and deadline expiry is reported to it.
         self._monitor = monitor
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_key: Optional[Tuple[bool, bool]] = None
-        #: Parent-side contexts for plan()/statistics(), keyed by the
-        #: use_cache flag — kept so repeated introspection amortises the
-        #: per-vocabulary targets, statistics and profiles.
-        self._introspection: Dict[bool, _EvaluationContext] = {}
-        #: The persistent in-process evaluation context (see
-        #: :meth:`_evaluate_sequential`); created on first use.
-        self._sequential_contexts: Dict[bool, _EvaluationContext] = {}
+        #: The parent's one evaluation context, for the service's
+        #: lifetime: every in-process batch runs in it, its content memo
+        #: also holds what the pool returned, and :meth:`context`,
+        #: :meth:`plan` and :meth:`statistics` read it.
+        self._context = _EvaluationContext(database, self._planner, stores=stores)
         #: How the most recent evaluate()/evaluate_stream() call actually
         #: ran — "sequential" or "parallel" — and why.  Benchmarks record
         #: this next to their timings so a handover is visible in the report.
@@ -788,9 +741,9 @@ class EvalService:
         self._generation = 0
         #: Per worker token, the result objects its chunks delivered, by
         #: number: the parent half of :meth:`_EvaluationContext.ship`.
-        self._shipped: Dict[Tuple[int, int], "BoundedLRU[int, AnySolveResult]"] = {}
-        #: Classifier calls of the contexts this service no longer reads
-        #: and of the pool workers (see :attr:`classification_calls`).
+        self._shipped: Dict[Tuple[int, int], "BoundedLRU[int, SolveResult]"] = {}
+        #: Classifier calls of the pool workers (see
+        #: :attr:`classification_calls`).
         self._classifications = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -799,7 +752,6 @@ class EvalService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-            self._pool_key = None
         self._shipped.clear()
 
     def __enter__(self) -> "EvalService":
@@ -835,106 +787,82 @@ class EvalService:
     def classification_calls(self) -> int:
         """Classifier calls made for this service, in every process.
 
-        Counted where the classifier is called, in the parent's contexts
+        Counted where the classifier is called, in the parent's context
         and in every pool worker (each chunk's payload carries the
         worker's count), so the value means the same with the shared
-        profile store, with the module cache and without either.  Calls
-        made in a chunk whose payload the service never reads (a stream
-        closed early, a worker killed mid-chunk) are not counted.
+        profile store and with the module cache.  Calls made in a chunk
+        whose payload the service never reads (a stream closed early, a
+        worker killed mid-chunk) are not counted.
         """
-        return self._classifications + sum(
-            context.classifications
-            for context in chain(
-                self._introspection.values(), self._sequential_contexts.values()
-            )
-        )
+        return self._classifications + self._context.classifications
 
-    def _introspection_context(self, use_cache: bool) -> _EvaluationContext:
-        context = self._introspection.get(use_cache)
-        if context is None:
-            context = _EvaluationContext(
-                self._database, self._planner, use_cache, stores=self._stores
-            )
-            self._introspection[use_cache] = context
-        return context
+    def context(self) -> _EvaluationContext:
+        """The parent's evaluation context (targets, stats, profiles, memos).
 
-    def context(self, use_cache: bool = True) -> _EvaluationContext:
-        """The parent-side introspection context (targets, stats, profiles).
-
-        :meth:`plan` and :meth:`statistics` read it.  It is not the
-        context that evaluates: batches run in the in-process context and
-        in the pool workers, which solve against their own structure of
-        the whole database.  Warming this one builds per-vocabulary
-        targets, their indexes and statistics, and never the whole
-        database.  With ``use_cache`` the profiles it computes reach the
-        evaluating contexts through the module cache or the shared
-        profile store.
+        Every in-process batch runs in it, its content memo holds what
+        the pool returned too, and :meth:`plan` and :meth:`statistics`
+        read it.  Warming it with :meth:`~_EvaluationContext.stats_for`
+        builds per-vocabulary targets, their indexes and statistics, and
+        never the whole database, which the context converts on its
+        first solve (:meth:`~_EvaluationContext.solve_target`).
         """
-        return self._introspection_context(use_cache)
+        return self._context
 
-    def plan(self, query: ConjunctiveQuery, use_cache: bool = True) -> QueryPlan:
+    def plan(self, query: ConjunctiveQuery) -> QueryPlan:
         """Return the plan (without solving) the service would use for a query."""
-        return self._introspection_context(use_cache).plan(query)
+        return self._context.plan(query)
 
     def statistics(self, query: ConjunctiveQuery) -> DatabaseStatistics:
         """Return the database statistics for a query's vocabulary."""
-        return self._introspection_context(use_cache=True).stats_for(query.vocabulary())
+        return self._context.stats_for(query.vocabulary())
 
     # -- evaluation ---------------------------------------------------------
     def evaluate(
         self,
         queries: Sequence[ConjunctiveQuery],
-        use_cache: bool = True,
         mode: Optional[str] = None,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> List[Tuple[ConjunctiveQuery, SolveResult]]:
         """Evaluate a whole batch; the materialised form of the stream.
 
-        Small batches (shorter than the executor's ``min_parallel_batch``)
-        take the in-process path even when workers are configured.
-        ``mode`` forces a path (see :meth:`evaluate_stream`).
+        A batch of at most ``workers · chunk_size`` queries, which the
+        hand-over could never give to the pool (condition 2 of
+        :meth:`_evaluate_measured`), takes the in-process path without
+        being timed.  ``mode`` forces a path (see :meth:`evaluate_stream`).
         ``deadline`` bounds the whole call with one composed budget;
         exhausting it raises
         :class:`~repro.exceptions.DeadlineExceededError`.
         """
         workers = self._executor.effective_workers()
-        if (
-            mode is None
-            and workers > 1
-            and len(queries) < self._executor.min_parallel_batch
-        ):
-            self._record_mode("sequential", "batch below min_parallel_batch")
-            return list(self._evaluate_sequential(queries, use_cache, deadline))
-        return list(
-            self.evaluate_stream(
-                queries, use_cache=use_cache, mode=mode, deadline=deadline
+        floor = workers * self._executor.chunk_size + 1
+        if mode is None and workers > 1 and len(queries) < floor:
+            self._record_mode(
+                "sequential", f"batch below {floor} queries (workers × chunk_size + 1)"
             )
-        )
+            return list(self._evaluate_sequential(queries, deadline))
+        return list(self.evaluate_stream(queries, mode=mode, deadline=deadline))
 
     def evaluate_stream(
         self,
         queries: Iterable[ConjunctiveQuery],
-        use_cache: bool = True,
         mode: Optional[str] = None,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> Iterator[Tuple[ConjunctiveQuery, SolveResult]]:
         """Yield ``(query, SolveResult)`` pairs in input order.
 
         The input may be an arbitrary (even unbounded) iterable; at most
-        ``workers · inflight_factor`` chunks are in flight at any moment,
+        ``workers · INFLIGHT_FACTOR`` chunks are in flight at any moment,
         so memory stays proportional to the window, not the batch.  The
         input is read ahead: in-process a chunk of ``chunk_size`` queries
         at a time, and at most ``workers · chunk_size`` queries during a
         measured head (:meth:`_evaluate_measured`), so a slow producer's
         first query is answered only once its chunk is full (or the input
         ends), and an input that raises partway through a chunk leaves
-        that chunk's earlier queries unanswered.  With
-        ``use_cache`` (the default) a chunk whose every query the parent
-        has answered before, in-process or through the pool, is answered
-        from the parent's content memo with the objects it holds and is
-        not sent to the pool; it still takes its place in the window.
-        ``use_cache=False`` submits every chunk and keeps nothing between
-        calls.
+        that chunk's earlier queries unanswered.  A chunk whose every
+        query the parent has answered before, in-process or through the
+        pool, is answered from the parent's content memo with the objects
+        it holds and is not sent to the pool; it still takes its place
+        in the window.
 
         With more than one worker and more than one visible CPU the batch
         starts in-process and hands the rest to the pool once that pays
@@ -950,22 +878,22 @@ class EvalService:
             raise ValueError(f"unknown forced mode {mode!r}")
         if self._executor.effective_workers() <= 1:
             self._record_mode("sequential", "workers <= 1")
-            yield from self._evaluate_sequential(queries, use_cache, deadline)
+            yield from self._evaluate_sequential(queries, deadline)
             return
         if mode == "sequential":
             self._record_mode("sequential", "forced by caller")
-            yield from self._evaluate_sequential(queries, use_cache, deadline)
+            yield from self._evaluate_sequential(queries, deadline)
             return
         if mode == "parallel":
             self._record_mode("parallel", "forced by caller")
-            yield from self._evaluate_parallel(queries, use_cache, deadline)
+            yield from self._evaluate_parallel(queries, deadline)
             return
         if (os.cpu_count() or 1) <= 1:
             # Fan-out can only add IPC on top of the same core.
             self._record_mode("sequential", "single CPU")
-            yield from self._evaluate_sequential(queries, use_cache, deadline)
+            yield from self._evaluate_sequential(queries, deadline)
             return
-        yield from self._evaluate_measured(queries, use_cache, deadline)
+        yield from self._evaluate_measured(queries, deadline)
 
     def _record_mode(self, mode: str, reason: str) -> None:
         self.last_mode = mode
@@ -975,9 +903,8 @@ class EvalService:
     def _evaluate_measured(
         self,
         queries: Iterable[ConjunctiveQuery],
-        use_cache: bool,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> Iterator[Tuple[ConjunctiveQuery, SolveResult]]:
         """Run the batch in-process, timing each query, until the pool pays.
 
         Before each query after the first, the rest of the batch goes to
@@ -1009,8 +936,7 @@ class EvalService:
         if not ahead:
             self._record_mode("sequential", "empty batch")
             return
-        key = (use_cache, self._executor.slim_results)
-        if self._pool is not None and self._pool_key == key:
+        if self._pool is not None:
             startup = 0.0
         else:
             startup = max(POOL_STARTUP_PRIOR_SECONDS, self.pool_startup_seconds or 0.0)
@@ -1019,7 +945,7 @@ class EvalService:
             if self.chunk_overhead_seconds is None
             else self.chunk_overhead_seconds
         )
-        context = self._batch_context(use_cache)
+        context = self._context
         spent = 0.0
         done = 0
         handover: Optional[str] = None
@@ -1051,7 +977,7 @@ class EvalService:
                 yield query, result
                 ahead.extend(islice(source, 1))
         finally:
-            self._settle(context)
+            context.flush_telemetry()
         if handover is None:
             self._record_mode(
                 "sequential",
@@ -1060,14 +986,13 @@ class EvalService:
             )
             return
         self._record_mode("parallel", handover)
-        yield from self._evaluate_parallel(chain(ahead, source), use_cache, deadline)
+        yield from self._evaluate_parallel(chain(ahead, source), deadline)
 
     def _evaluate_sequential(
         self,
         queries: Iterable[ConjunctiveQuery],
-        use_cache: bool,
         deadline: "Optional[DeadlineBudget]" = None,
-    ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> Iterator[Tuple[ConjunctiveQuery, SolveResult]]:
         """Answer the batch in-process, ``chunk_size`` queries at a time.
 
         Each chunk is read whole, then probes the content memo once and
@@ -1079,11 +1004,11 @@ class EvalService:
         query read 2.5-5% lower ``service_repeat`` throughput (2-vCPU VM,
         Python 3.11).
         """
-        context = self._batch_context(use_cache)
+        context = self._context
         try:
             for chunk in _chunks(queries, self._executor.chunk_size):
                 keys = [query.content_key() for query in chunk]
-                solved: Dict[ContentKey, AnySolveResult] = {}
+                solved: Dict[ContentKey, SolveResult] = {}
                 for query, key, result in zip(
                     chunk, keys, context.by_content.get_many(keys)
                 ):
@@ -1095,62 +1020,22 @@ class EvalService:
                             result = solved[key] = context.solve_miss(query, deadline)
                     yield query, result
         finally:
-            self._settle(context)
-
-    def _settle(self, context: _EvaluationContext) -> None:
-        """Record a parent context's telemetry and classifier calls."""
-        context.flush_telemetry()
-        self._classifications += context.take_classifications()
-
-    def _batch_context(self, use_cache: bool) -> _EvaluationContext:
-        # With the cross-call cache enabled the service context persists
-        # across batches, exactly like a worker process does: the
-        # database structure and its hash indexes are built once for the
-        # service's lifetime (this is what lets the in-process path beat
-        # the batch-scoped reference evaluator on repeated calls).
-        # ``use_cache=False`` keeps the batch-scoped context so profile
-        # sharing stays per batch, as that flag promises.  Slim
-        # projection applies here too, so an in-process batch returns the
-        # same result shape the pool would have.
-        if use_cache:
-            return self._sequential_context(True)
-        return _EvaluationContext(
-            self._database,
-            self._planner,
-            False,
-            self._executor.slim_results,
-            self._stores,
-        )
-
-    def _sequential_context(self, use_cache: bool) -> _EvaluationContext:
-        context = self._sequential_contexts.get(use_cache)
-        if context is None:
-            context = _EvaluationContext(
-                self._database,
-                self._planner,
-                use_cache,
-                self._executor.slim_results,
-                self._stores,
-            )
-            self._sequential_contexts[use_cache] = context
-        return context
+            context.flush_telemetry()
 
     def _evaluate_parallel(
         self,
         queries: Iterable[ConjunctiveQuery],
-        use_cache: bool,
         budget: "Optional[DeadlineBudget]" = None,
-    ) -> Iterator[Tuple[ConjunctiveQuery, AnySolveResult]]:
-        # With the cross-call cache, the in-process context's content memo
-        # holds every answer the parent has, its own and the pool's: a
-        # chunk it holds whole is answered here, and a chunk with a miss
-        # sends each key once, only if neither the memo holds it nor an
-        # earlier chunk of this call sends it.
-        memo = self._sequential_context(True).by_content if use_cache else None
-        # No running pool for these options: one starts, fresh, when the
-        # first chunk must be submitted.
-        key = (use_cache, self._executor.slim_results)
-        pool = self._pool if self._pool_key == key else None
+    ) -> Iterator[Tuple[ConjunctiveQuery, SolveResult]]:
+        # The parent context's content memo holds every answer the
+        # parent has, its own and the pool's: a chunk it holds whole is
+        # answered here, and a chunk with a miss sends each key once,
+        # only if neither the memo holds it nor an earlier chunk of this
+        # call sends it.
+        memo = self._context.by_content
+        # Without a running pool one starts, fresh, when the first chunk
+        # must be submitted.
+        pool = self._pool
         # Only a running pool's numbers can still arrive.
         live = self._generation if self._pool is not None else None
         self._shipped = {
@@ -1166,10 +1051,10 @@ class EvalService:
         paused = 0.0
         sink = self._stores.telemetry if self._stores is not None else None
         workers = self._executor.effective_workers()
-        window = workers * self._executor.inflight_factor
+        window = workers * INFLIGHT_FACTOR
         deadline = self._executor.chunk_deadline_seconds
         chunk_iterator = _chunks(queries, self._executor.chunk_size)
-        held: Dict[int, Tuple[Tuple[ConjunctiveQuery, ...], List[AnySolveResult]]] = {}
+        held: Dict[int, Tuple[Tuple[ConjunctiveQuery, ...], List[SolveResult]]] = {}
         # Built by the first chunk with a miss; a batch the parent holds
         # in full never builds it.
         inflight: Optional[_InFlight] = None
@@ -1191,25 +1076,23 @@ class EvalService:
                     break
                 index = next_submit
                 next_submit += 1
-                sends = chunk
-                if memo is not None:
-                    # One probe of the memo per chunk serves both the
-                    # held check and the split.
-                    keys = [query.content_key() for query in chunk]
-                    answers = memo.get_many(keys)
-                    for answer in answers:
-                        if answer is None:
-                            break
-                    else:  # the memo holds the whole chunk
-                        held[index] = (chunk, answers)
-                        continue
-                    if inflight is None:
-                        inflight = _InFlight()
-                    sends = inflight.split(chunk, keys, answers, index)
-                    if not sends:  # every miss rides on an earlier chunk
-                        continue
+                # One probe of the memo per chunk serves both the held
+                # check and the split.
+                keys = [query.content_key() for query in chunk]
+                answers = memo.get_many(keys)
+                for answer in answers:
+                    if answer is None:
+                        break
+                else:  # the memo holds the whole chunk
+                    held[index] = (chunk, answers)
+                    continue
+                if inflight is None:
+                    inflight = _InFlight()
+                sends = inflight.split(chunk, keys, answers, index)
+                if not sends:  # every miss rides on an earlier chunk
+                    continue
                 if pool is None:
-                    pool = self._ensure_pool(use_cache)
+                    pool = self._ensure_pool()
                     fresh = index
                 submitted[index] = sends
                 submit_times[index] = time.monotonic()
@@ -1270,8 +1153,7 @@ class EvalService:
                         f"(chunk deadline {deadline}s)"
                     )
                 pool = self._recycle_pool(
-                    use_cache, pending, submitted, submit_times, "chunk-deadline",
-                    budget,
+                    pending, submitted, submit_times, "chunk-deadline", budget
                 )
                 continue
             except BrokenProcessPool:
@@ -1282,8 +1164,7 @@ class EvalService:
                     self._abandon_pool()
                     raise
                 pool = self._recycle_pool(
-                    use_cache, pending, submitted, submit_times, "broken-pool",
-                    budget,
+                    pending, submitted, submit_times, "broken-pool", budget
                 )
                 continue
             pending.pop(next_yield)
@@ -1301,13 +1182,12 @@ class EvalService:
             if payload.samples and sink is not None:
                 sink.record(payload.samples)
             self._classifications += payload.classifications
-            results = self._receive(payload, chunk, use_cache, budget)
-            if inflight is not None:  # with the cross-call cache
-                for query, result in zip(chunk, results):
-                    content = query.content_key()
-                    memo.put(content, result)
-                    inflight.landed[content] = result
-                chunk, results = inflight.assemble(next_yield)
+            results = self._receive(payload, chunk, budget)
+            for query, result in zip(chunk, results):
+                content = query.content_key()
+                memo.put(content, result)
+                inflight.landed[content] = result
+            chunk, results = inflight.assemble(next_yield)
             next_yield += 1
             handed = time.perf_counter()
             yield from zip(chunk, results)
@@ -1323,9 +1203,8 @@ class EvalService:
         self,
         payload: _ChunkPayload,
         chunk: Tuple[ConjunctiveQuery, ...],
-        use_cache: bool,
         budget: "Optional[DeadlineBudget]" = None,
-    ) -> List[AnySolveResult]:
+    ) -> List[SolveResult]:
         """Resolve a chunk's numbers to result objects (parent side).
 
         Each worker's table mirrors the worker's own LRU: the parent
@@ -1347,7 +1226,7 @@ class EvalService:
             else:
                 result = table.get(number)
                 if result is None:
-                    result = self._solve_here(query, use_cache, budget)
+                    result = self._solve_here(query, budget)
                     table.put(number, result)
             results.append(result)
         return results
@@ -1355,18 +1234,15 @@ class EvalService:
     def _solve_here(
         self,
         query: ConjunctiveQuery,
-        use_cache: bool,
         budget: "Optional[DeadlineBudget]" = None,
-    ) -> AnySolveResult:
-        context = self._batch_context(use_cache)
+    ) -> SolveResult:
         try:
-            return context.solve(query, budget)
+            return self._context.solve(query, budget)
         finally:
-            self._settle(context)
+            self._context.flush_telemetry()
 
     def _recycle_pool(
         self,
-        use_cache: bool,
         pending: Dict[int, Future],
         submitted: Dict[int, Tuple[ConjunctiveQuery, ...]],
         submit_times: Dict[int, float],
@@ -1387,8 +1263,7 @@ class EvalService:
         """
         old = self._pool
         self._pool = None
-        self._pool_key = None
-        pool = self._ensure_pool(use_cache)
+        pool = self._ensure_pool()
         redispatched = 0
         for index in sorted(pending):
             future = pending[index]
@@ -1434,15 +1309,11 @@ class EvalService:
         """
         old = self._pool
         self._pool = None
-        self._pool_key = None
         for pid in self._terminate_pool(old):
             if self._monitor is not None:
                 self._monitor.forget_worker(pid)
 
-    def _ensure_pool(self, use_cache: bool) -> ProcessPoolExecutor:
-        key = (use_cache, self._executor.slim_results)
-        if self._pool is not None and self._pool_key != key:
-            self.close()
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             self._generation += 1
             stores = self._stores
@@ -1456,14 +1327,7 @@ class EvalService:
                 max_workers=self._executor.effective_workers(),
                 initializer=_initialize_worker,
                 initargs=(
-                    self._database,
-                    self._planner,
-                    use_cache,
-                    self._executor.slim_results,
-                    stores,
-                    timed,
-                    self._generation,
+                    self._database, self._planner, stores, timed, self._generation
                 ),
             )
-            self._pool_key = key
         return self._pool

@@ -106,8 +106,6 @@ class _Atom(NamedTuple):
     """A source atom, attached to the deepest forest vertex among its elements."""
 
     name: str
-    #: The atom's elements as vertex numbers.
-    vertices: Tuple[int, ...]
     #: The positions holding an ancestor of the attachment vertex (sorted):
     #: assigned whenever the vertex is.
     bound_positions: Tuple[int, ...]
@@ -376,7 +374,6 @@ def _attach_atoms(
             attached[vertex].append(
                 _Atom(
                     name=symbol.name,
-                    vertices=vertices,
                     bound_positions=bound,
                     own_positions=tuple(p for p, x in enumerate(vertices) if x == vertex),
                     bound_vertices=bound_vertices,

@@ -32,10 +32,10 @@ from collections import deque
 from collections.abc import Mapping as AbstractMapping
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.classification.solver_dispatch import PlannerConfig
+from repro.classification.solver_dispatch import PlannerConfig, SolveResult
 from repro.cq.database import Database
 from repro.cq.query import ConjunctiveQuery
-from repro.eval.executor import AnySolveResult, EvalService, ExecutorConfig
+from repro.eval.executor import EvalService, ExecutorConfig
 from repro.exceptions import DeadlineExceededError, StoreUnavailableError
 from repro.service.metrics import MetricsRegistry, register_store_metrics
 from repro.service.monitor import ServiceMonitor
@@ -102,9 +102,6 @@ class QueryService:
         Back the stores with a ``multiprocessing.Manager`` (required
         for cross-worker sharing).  Default: exactly when the executor
         resolves to more than one worker.
-    telemetry:
-        Record a :class:`~repro.service.store.SolveSample` per realised
-        solve (counted per route in ``route_solves_total``).
     batch_size:
         Upper bound on one executor batch; a flush of more pending
         queries is split, each slice getting its own mode decision.
@@ -129,7 +126,6 @@ class QueryService:
         executor: Optional[ExecutorConfig] = None,
         *,
         shared: Optional[bool] = None,
-        telemetry: bool = True,
         batch_size: int = 256,
         metrics: Optional[MetricsRegistry] = None,
         batch_deadline_seconds: Optional[float] = None,
@@ -142,7 +138,7 @@ class QueryService:
         self._database = database
         if shared is None:
             shared = executor.effective_workers() > 1
-        self._store_manager = StoreManager(shared=shared, telemetry=telemetry)
+        self._store_manager = StoreManager(shared=shared)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.monitor = ServiceMonitor(
             heartbeats=self._store_manager.stores.heartbeats,
@@ -220,7 +216,7 @@ class QueryService:
 
     def eval_context(self):
         """The parent-side evaluation context (targets, stats, profiles)."""
-        return self._eval.context(use_cache=True)
+        return self._eval.context()
 
     def submit(self, query: ConjunctiveQuery) -> None:
         """Queue one query; it runs at the next :meth:`flush`.
@@ -233,7 +229,7 @@ class QueryService:
 
     def flush(
         self, mode: Optional[str] = None
-    ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> List[Tuple[ConjunctiveQuery, SolveResult]]:
         """Evaluate everything queued, in submission order.
 
         Pending queries are cut into batches of at most ``batch_size``;
@@ -252,7 +248,7 @@ class QueryService:
         flush answered before it are served (and counted) but go with the
         exception, not to the caller.
         """
-        out: List[Tuple[ConjunctiveQuery, AnySolveResult]] = []
+        out: List[Tuple[ConjunctiveQuery, SolveResult]] = []
         while self._pending:
             batch = self._pending[: self._batch_size]
             try:
@@ -271,7 +267,7 @@ class QueryService:
 
     def evaluate(
         self, queries: Sequence[ConjunctiveQuery], mode: Optional[str] = None
-    ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> List[Tuple[ConjunctiveQuery, SolveResult]]:
         """Submit a whole batch and flush it (the one-call convenience).
 
         A batch that raises is kept or handed back as in :meth:`flush`.
@@ -298,7 +294,7 @@ class QueryService:
 
     def _run_batch(
         self, batch: List[ConjunctiveQuery], mode: Optional[str]
-    ) -> List[Tuple[ConjunctiveQuery, AnySolveResult]]:
+    ) -> List[Tuple[ConjunctiveQuery, SolveResult]]:
         self.check_store_health()
         budget = (
             None
@@ -338,16 +334,14 @@ class QueryService:
         dropping its oldest batches; only batches recorded and dropped
         between two calls are never seen.
         """
-        sink = self.stores.telemetry
-        if sink is None:
-            return []
-        samples, self._telemetry_cursor = sink.since(self._telemetry_cursor)
+        samples, self._telemetry_cursor = self.stores.telemetry.since(
+            self._telemetry_cursor
+        )
         return samples
 
     def telemetry_samples(self) -> list:
         """Every solve sample the sink retains (read non-destructively)."""
-        sink = self.stores.telemetry
-        return [] if sink is None else sink.drain()
+        return self.stores.telemetry.drain()
 
     # -- the stats endpoint -------------------------------------------------
     def stats(self) -> Dict[str, Any]:

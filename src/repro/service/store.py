@@ -898,7 +898,6 @@ class StoreManager:
         shared: bool,
         profile_capacity: int = 4096,
         answer_capacity: int = 8192,
-        telemetry: bool = True,
         claim_timeout: float = 30.0,
         policy: Optional[FaultPolicy] = DEFAULT_FAULT_POLICY,
     ) -> None:
@@ -931,7 +930,7 @@ class StoreManager:
         self.stores = ServiceStores(
             profiles=profiles,
             answers=answers,
-            telemetry=TelemetrySink() if telemetry else None,
+            telemetry=TelemetrySink(),
             heartbeats=heartbeats,
         )
 

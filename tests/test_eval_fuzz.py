@@ -136,7 +136,7 @@ class TestDifferentialEvaluation:
     def test_parallel_sequential_and_backtracking_agree(self):
         rng = random.Random(FUZZ_SEED)
         pairs = 0
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         for database, tables in fuzz_databases(FUZZ_SEED):
             queries = []
             while len(queries) < 20:

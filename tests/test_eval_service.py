@@ -5,18 +5,13 @@ import multiprocessing
 import os
 import pickle
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import restated, sent_to_pool
 from repro.classification import ComplexityDegree, PlannerConfig, classify_structure
-from repro.classification.solver_dispatch import (
-    DEFAULT_PLANNER_CONFIG,
-    SlimSolveResult,
-    SolveResult,
-)
+from repro.classification.solver_dispatch import DEFAULT_PLANNER_CONFIG, SolveResult
 from repro.cq import (
     ConjunctiveQuery,
     Database,
@@ -30,7 +25,7 @@ from repro.cq.evaluation import clear_profile_cache
 from repro.decomposition.treedepth_engine import TreedepthEngine
 from repro.decomposition.width_engine import PathwidthEngine, TreewidthEngine
 from repro.eval import EvalService, ExecutorConfig
-from repro.eval.executor import POOL_STARTUP_PRIOR_SECONDS, _chunks
+from repro.eval.executor import INFLIGHT_FACTOR, POOL_STARTUP_PRIOR_SECONDS, _chunks
 from repro.exceptions import DeadlineExceededError, VocabularyError
 from repro.service import DeadlineBudget, ServiceStores, SharedStore, TelemetrySink
 from repro.structures import Structure, clique
@@ -56,7 +51,7 @@ class TestExecutorConfig:
         assert ExecutorConfig(workers=0).effective_workers() == 1
 
     @pytest.mark.parametrize(
-        "kwargs", [{"workers": -1}, {"chunk_size": 0}, {"inflight_factor": 0}]
+        "kwargs", [{"workers": -1}, {"chunk_size": 0}, {"max_recycles": -1}]
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,7 +66,7 @@ class TestExecutorConfig:
 class TestParallelEquivalence:
     def test_parallel_results_byte_identical_to_sequential(self, scenario):
         sequential = evaluate_query_set_sequential(scenario.queries, scenario.database)
-        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=5)
         with EvalService(scenario.database, executor=config) as service:
             parallel = service.evaluate(scenario.queries, mode="parallel")
             assert service.last_mode == "parallel"
@@ -93,8 +88,8 @@ class TestParallelEquivalence:
         assert triples(parallel) == triples(sequential)
 
     def test_small_batches_stay_in_process(self, scenario):
-        # Below min_parallel_batch the service must not pay for a pool.
-        config = ExecutorConfig(workers=2, min_parallel_batch=1000)
+        # A batch the pool could never take must not pay for a pool.
+        config = ExecutorConfig(workers=2)
         with EvalService(scenario.database, executor=config) as service:
             results = service.evaluate(scenario.queries[:5])
             assert service._pool is None  # no pool was created
@@ -114,7 +109,7 @@ class TestParallelEquivalence:
 
 class TestStreaming:
     def test_stream_preserves_input_order(self, scenario):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             streamed = list(
                 service.evaluate_stream(iter(scenario.queries), mode="parallel")
@@ -140,17 +135,15 @@ class TestStreaming:
         stream.close()
 
     def test_stream_window_bounds_inflight_chunks(self, scenario):
-        # With a tiny window the stream still terminates and stays ordered.
-        config = ExecutorConfig(
-            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1
-        )
+        # With more chunks than the window holds the stream still
+        # terminates and stays ordered.
+        config = ExecutorConfig(workers=2, chunk_size=2)
+        assert len(scenario.queries) > config.workers * INFLIGHT_FACTOR * config.chunk_size
         with EvalService(scenario.database, executor=config) as service:
-            streamed = list(
-                service.evaluate_stream(scenario.queries[:12], mode="parallel")
-            )
+            streamed = list(service.evaluate_stream(scenario.queries, mode="parallel"))
             assert service.last_mode == "parallel"
         assert triples(streamed) == triples(
-            evaluate_query_set_sequential(scenario.queries[:12], scenario.database)
+            evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
 
 
@@ -176,6 +169,56 @@ class TestIntrospection:
         assert stats.universe_size == 36
         assert stats.relation_sizes["E"] == 120
 
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_batches_run_in_the_context_it_hands_out(self, scenario, mode):
+        batch = scenario.queries[:12]
+        config = ExecutorConfig(workers=2, chunk_size=4)
+        with EvalService(scenario.database, executor=config) as service:
+            context = service.context()
+            results = service.evaluate(batch, mode=mode)
+            assert service.context() is context
+            held = context.by_content.get_many([query.content_key() for query in batch])
+        assert all(result is memo for (_, result), memo in zip(results, held))
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_a_planned_query_is_classified_once(self, scenario):
+        query = scenario.queries[0]
+        clear_profile_cache()
+        with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
+            plan = service.plan(query)
+            assert service.classification_calls == 1
+            ((_, result),) = service.evaluate([query])
+            assert service.classification_calls == 1
+        assert result.degree is plan.degree
+
+    def test_a_handed_over_batch_is_held_whole_in_the_context(
+        self, scenario, monkeypatch
+    ):
+        # The head's results and the pool's land in the same context.
+        import repro.eval.executor as executor_module
+
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
+        original = executor_module.solve_with_degree
+
+        def slow(*args, **kwargs):
+            time.sleep(0.025)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "solve_with_degree", slow)
+        batch = list(scenario.queries[: 2 * 4 + 4])
+        with EvalService(
+            scenario.database, executor=ExecutorConfig(workers=2, chunk_size=4)
+        ) as service:
+            results = service.evaluate(batch)
+            assert service.last_mode == "parallel"
+            held = service.context().by_content.get_many(keys_of(batch))
+        assert all(result is memo for (_, result), memo in zip(results, held))
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
 
 class TestMeasuredCutover:
     """Unforced batches start in-process and hand over once the pool pays."""
@@ -184,7 +227,7 @@ class TestMeasuredCutover:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2)
         with EvalService(scenario.database, executor=config) as service:
             results = service.evaluate(scenario.queries)
             assert service.last_mode == "sequential"
@@ -197,7 +240,7 @@ class TestMeasuredCutover:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2)
         # Three distinct queries, each asked twenty times: a few
         # milliseconds of work, below what a new pool costs to start.
         batch = list(scenario.queries[:3]) * 20
@@ -231,7 +274,7 @@ class TestMeasuredCutover:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "solve_with_degree", slow)
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         batch = list(scenario.queries[: 2 * 4 + 4])
         later = list(scenario.queries[12:24])
         with EvalService(scenario.database, executor=config) as service:
@@ -257,7 +300,7 @@ class TestMeasuredCutover:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         queries = list(scenario.queries[:3]) * 20
         pulled = []
 
@@ -298,17 +341,19 @@ class TestMeasuredCutover:
         )
 
     def test_small_batches_record_sequential_mode(self, scenario):
-        config = ExecutorConfig(workers=2, min_parallel_batch=1000)
+        config = ExecutorConfig(workers=2)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(scenario.queries[:4])
             assert service.last_mode == "sequential"
-            assert "min_parallel_batch" in service.last_mode_reason
+            assert service.last_mode_reason == (
+                "batch below 33 queries (workers × chunk_size + 1)"
+            )
 
     def test_single_cpu_stream_matches_reference(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-        config = ExecutorConfig(workers=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=4)
         with EvalService(scenario.database, executor=config) as service:
             streamed = list(service.evaluate_stream(iter(scenario.queries)))
         assert triples(streamed) == triples(
@@ -343,12 +388,12 @@ class HandoverProbe:
         return self.costs.pop(0) if self.costs else self.seconds_per_query
 
     def attach(self, service):
-        def parallel(queries, use_cache, deadline=None):
+        def parallel(queries, deadline=None):
             if self.on_handover is not None:
                 self.on_handover()
             rest = list(queries)
             self.handovers.append((self.solves, rest))
-            return service._evaluate_sequential(rest, use_cache, deadline)
+            return service._evaluate_sequential(rest, deadline)
 
         service._evaluate_parallel = parallel
         return service
@@ -382,7 +427,7 @@ def probe(monkeypatch):
 
 
 #: Two workers of four-query chunks: a hand-over needs eight queries left.
-HANDOVER_CONFIG = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+HANDOVER_CONFIG = ExecutorConfig(workers=2, chunk_size=4)
 
 
 class TestHandoverDecision:
@@ -477,20 +522,6 @@ class TestHandoverDecision:
             results = probe.attach(service).evaluate(batch)
             assert service.last_mode == "parallel"
         assert [head for head, _ in probe.handovers] == [1]
-        assert triples(results) == triples(
-            evaluate_query_set_sequential(batch, scenario.database)
-        )
-
-    def test_a_pool_started_for_other_options_is_not_free(self, scenario, probe):
-        batch = list(scenario.queries)
-        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
-            service.evaluate(batch[:8], mode="parallel")
-            service.pool_startup_seconds = 3.5 * probe.seconds_per_query
-            probe.solves = 0
-            # The running pool caches across calls; a use_cache=False
-            # batch would replace it, so it pays the start-up again.
-            results = probe.attach(service).evaluate(batch, use_cache=False)
-        assert [head for head, _ in probe.handovers] == [4]
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
         )
@@ -595,6 +626,28 @@ class TestHandoverDecision:
         [(samples, solves)] = at_handover
         assert samples == solves >= 1
 
+    def test_a_batch_the_pool_could_not_take_is_not_timed(self, scenario, probe):
+        # With the pool running its start-up is free, so one timed query
+        # with a full chunk per worker behind it hands over: workers ×
+        # chunk_size + 1 queries is the least batch the pool can take.
+        full = HANDOVER_CONFIG.workers * HANDOVER_CONFIG.chunk_size
+        batch = list(scenario.queries[8 : 8 + full + 1])
+        with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
+            service.evaluate(scenario.queries[:8], mode="parallel")
+            probe.attach(service)
+            service.evaluate(batch[:full])
+            assert service.last_mode == "sequential"
+            assert service.last_mode_reason == (
+                f"batch below {full + 1} queries (workers × chunk_size + 1)"
+            )
+            assert probe.solves == 0 and probe.handovers == []
+            results = service.evaluate(batch)
+            assert service.last_mode == "parallel"
+        assert [(head, rest) for head, rest in probe.handovers] == [(1, batch[1:])]
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
+
     def test_empty_stream_starts_no_pool(self, scenario, probe):
         with EvalService(scenario.database, executor=HANDOVER_CONFIG) as service:
             assert list(probe.attach(service).evaluate_stream(iter([]))) == []
@@ -611,18 +664,6 @@ class TestHandoverDecision:
         assert probe.solves == 0
         assert probe.handovers == []
 
-    def test_head_returns_the_result_shape_the_pool_would(self, scenario, probe):
-        config = ExecutorConfig(
-            workers=2, chunk_size=4, min_parallel_batch=1, slim_results=True
-        )
-        with EvalService(scenario.database, executor=config) as service:
-            results = probe.attach(service).evaluate(scenario.queries)
-        assert [head for head, _ in probe.handovers] == [4]
-        assert all(isinstance(result, SlimSolveResult) for _, result in results)
-        assert triples(results) == triples(
-            evaluate_query_set_sequential(scenario.queries, scenario.database)
-        )
-
 
 class TestPoolMeasurements:
     """The two measured inputs, taken from real pool batches."""
@@ -630,7 +671,7 @@ class TestPoolMeasurements:
     def test_a_fresh_pool_measures_startup_and_a_running_one_overhead(
         self, scenario
     ):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(scenario.queries[:16], mode="parallel")
             assert service.pool_startup_seconds >= 0.0
@@ -673,7 +714,7 @@ class TestPoolMeasurements:
         # each miss through ``solve_miss`` (forked workers inherit both).
         slowed("solve")
         slowed("solve_miss")
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         later = [query for query in batch[:16] + batch[32:] if str(query) != slow]
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(batch[:8], mode="parallel")
@@ -692,7 +733,7 @@ class TestPoolMeasurements:
     def test_the_consumers_time_between_results_is_not_pool_overhead(
         self, scenario
     ):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(scenario.queries[:8], mode="parallel")
             stream = service.evaluate_stream(scenario.queries[8:24], mode="parallel")
@@ -716,9 +757,7 @@ class TestPoolMeasurements:
 
         monkeypatch.setattr(executor_module, "solve_with_degree", slow)
         monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
-        executor_module._initialize_worker(
-            scenario.database, DEFAULT_PLANNER_CONFIG, True, False
-        )
+        executor_module._initialize_worker(scenario.database, DEFAULT_PLANNER_CONFIG)
         chunk = tuple(scenario.queries[:4])
         payload = executor_module._evaluate_chunk(
             tuple(query.content_key() for query in chunk)
@@ -743,7 +782,7 @@ class TestWireFormat:
 
     def test_first_dispatch_sends_no_query_objects(self, scenario, monkeypatch):
         sent = sent_to_pool(monkeypatch)
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             results = service.evaluate(scenario.queries, mode="parallel")
         assert len(sent) == len(scenario.queries) // 4
@@ -761,7 +800,7 @@ class TestWireFormat:
     ):
         import faultinject
 
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with faultinject.chunk_fault(faultinject.kill_worker) as flags:
             sent = sent_to_pool(monkeypatch)
             with EvalService(scenario.database, executor=config) as service:
@@ -785,7 +824,7 @@ class TestBrokenPoolAtSubmission:
         from repro.service import ServiceMonitor
 
         monitor = ServiceMonitor()
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config, monitor=monitor) as service:
             service.evaluate(scenario.queries[:8], mode="parallel")
             pool = service._pool
@@ -825,11 +864,7 @@ class TestHeartbeats:
         board = RecordingBoard()
         monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
         executor_module._initialize_worker(
-            scenario.database,
-            DEFAULT_PLANNER_CONFIG,
-            True,
-            False,
-            ServiceStores(heartbeats=board),
+            scenario.database, DEFAULT_PLANNER_CONFIG, ServiceStores(heartbeats=board)
         )
         return board
 
@@ -1020,41 +1055,29 @@ class TestContentMemo:
         )
 
 
-class TestSlimResults:
-    def test_slim_results_drop_the_profile(self, scenario):
-        from repro.eval import SlimSolveResult
+class TestFullResults:
+    """Every path returns the whole :class:`SolveResult`, profile included:
+    a pool worker ships each result object once and repeats as numbers,
+    so a slimmer form would save no IPC."""
 
-        config = ExecutorConfig(workers=1, slim_results=True)
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_results_equal_the_references_profiles_included(self, scenario, mode):
+        clear_profile_cache()
+        reference = evaluate_query_set_sequential(scenario.queries, scenario.database)
+        clear_profile_cache()
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:10])
-        reference = evaluate_query_set_sequential(scenario.queries[:10], scenario.database)
-        assert all(isinstance(r, SlimSolveResult) for _, r in results)
-        assert [(r.answer, r.solver, r.degree) for _, r in results] == [
-            (r.answer, r.solver, r.degree) for _, r in reference
+            results = service.evaluate(scenario.queries, mode=mode)
+            assert service.last_mode == mode
+        assert all(type(result) is SolveResult for _, result in results)
+        assert all(
+            result.profile is not expected.profile
+            for (_, result), (_, expected) in zip(results, reference)
+        )
+        assert [result for _, result in results] == [result for _, result in reference]
+        assert [result.core_certificate for _, result in results] == [
+            result.core_certificate for _, result in reference
         ]
-        assert [r.core_certificate for _, r in results] == [
-            r.core_certificate for _, r in reference
-        ]
-
-    def test_slim_results_pickle_smaller(self, scenario):
-        import pickle
-
-        config = ExecutorConfig(workers=1, slim_results=True)
-        with EvalService(scenario.database, executor=config) as service:
-            slim = [r for _, r in service.evaluate(scenario.queries)]
-        full = [
-            r for _, r in evaluate_query_set_sequential(scenario.queries, scenario.database)
-        ]
-        assert len(pickle.dumps(slim)) < len(pickle.dumps(full)) / 2
-
-    def test_slim_results_ship_from_pool_workers(self, scenario):
-        from repro.eval import SlimSolveResult
-
-        config = ExecutorConfig(workers=2, min_parallel_batch=1, slim_results=True)
-        with EvalService(scenario.database, executor=config) as service:
-            results = service.evaluate(scenario.queries[:12], mode="parallel")
-            assert service.last_mode == "parallel"
-        assert all(isinstance(r, SlimSolveResult) for _, r in results)
 
 
 fork_only = pytest.mark.skipif(
@@ -1131,15 +1154,12 @@ class TestResultNumbers:
     def references(self, scenario, waves):
         return [evaluate_query_set_sequential(wave, scenario.database) for wave in waves]
 
-    @pytest.mark.parametrize("slim", [False, True])
     def test_a_second_wave_resolves_numbers_to_the_first_waves_objects(
-        self, scenario, waves, references, payloads, slim
+        self, scenario, waves, references, payloads
     ):
         import pickle
 
-        config = ExecutorConfig(
-            workers=2, chunk_size=8, min_parallel_batch=1, slim_results=slim
-        )
+        config = ExecutorConfig(workers=2, chunk_size=8)
         with EvalService(scenario.database, executor=config) as service:
             first = service.evaluate(waves[0], mode="parallel")
             assert len({payload.worker for payload in payloads}) == 2
@@ -1148,8 +1168,7 @@ class TestResultNumbers:
         assert payloads
         assert all(b"SolveResult" not in pickle.dumps(payload) for payload in payloads)
         assert {id(result) for _, result in second} <= {id(result) for _, result in first}
-        expected = SlimSolveResult if slim else SolveResult
-        assert all(type(result) is expected for _, result in second)
+        assert all(type(result) is SolveResult for _, result in second)
         assert triples(second) == triples(references[1])
 
     def test_numbers_shipped_to_a_closed_stream_are_answered_in_the_parent(
@@ -1163,7 +1182,7 @@ class TestResultNumbers:
             return original(service, query, *args, **kwargs)
 
         monkeypatch.setattr(EvalService, "_solve_here", counting)
-        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=8)
         with EvalService(scenario.database, executor=config) as service:
             stream = service.evaluate_stream(waves[0], mode="parallel")
             for _ in range(3):
@@ -1181,7 +1200,7 @@ class TestResultNumbers:
     def test_a_restarted_pool_ships_under_new_worker_tokens(
         self, scenario, waves, references, payloads
     ):
-        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=8)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(waves[0], mode="parallel")
             before = {payload.worker for payload in payloads}
@@ -1197,7 +1216,7 @@ class TestResultNumbers:
     ):
         import faultinject
 
-        config = ExecutorConfig(workers=2, chunk_size=8, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=8)
         with faultinject.chunk_fault(faultinject.kill_worker) as flags:
             flags.pop("armed")
             with EvalService(scenario.database, executor=config) as service:
@@ -1211,11 +1230,11 @@ class TestResultNumbers:
 
 
 class TestParentMemo:
-    """With the cross-call cache the parent keeps every answer it has, its
-    own and the pool's, in its content memo, and answers a chunk it holds
-    whole from there instead of submitting it."""
+    """The parent keeps every answer it has, its own and the pool's, in its
+    content memo, and answers a chunk it holds whole from there instead of
+    submitting it."""
 
-    config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+    config = ExecutorConfig(workers=2, chunk_size=4)
 
     @pytest.mark.parametrize("warm", ["parallel", "sequential"])
     def test_a_batch_the_parent_holds_submits_nothing(
@@ -1238,15 +1257,16 @@ class TestParentMemo:
         assert triples(results) == triples(reference)
         assert triples(again) == triples(reference)
 
-    @pytest.mark.parametrize("slim", [False, True])
-    def test_held_results_are_the_first_waves_objects(self, scenario, slim):
-        config = replace(self.config, slim_results=slim)
-        with EvalService(scenario.database, executor=config) as service:
+    @pytest.mark.parametrize("again", ["parallel", "sequential"])
+    def test_held_results_are_the_first_waves_objects(self, scenario, again):
+        # The in-process path reads the one context the pool's results
+        # were put in, so it too answers with the pool's objects.
+        with EvalService(scenario.database, executor=self.config) as service:
             first = service.evaluate(scenario.queries, mode="parallel")
-            second = service.evaluate(scenario.queries, mode="parallel")
+            second = service.evaluate(scenario.queries, mode=again)
+            assert service.last_mode == again
         assert {id(result) for _, result in second} <= {id(result) for _, result in first}
-        expected = SlimSolveResult if slim else SolveResult
-        assert all(type(result) is expected for _, result in second)
+        assert all(type(result) is SolveResult for _, result in second)
         assert triples(second) == triples(
             evaluate_query_set_sequential(scenario.queries, scenario.database)
         )
@@ -1269,26 +1289,50 @@ class TestParentMemo:
             evaluate_query_set_sequential(batch, scenario.database)
         )
 
-    def test_without_the_cache_every_chunk_is_submitted(self, scenario, monkeypatch):
-        batch = scenario.queries[:16]
+    def test_another_services_answers_keep_nothing_off_the_pool(
+        self, scenario, monkeypatch
+    ):
+        # Each service holds its own context: what one answered is not in
+        # the memo of another on the same database.
+        batch = list(scenario.queries[:16])
         with EvalService(scenario.database, executor=self.config) as service:
             service.evaluate(batch, mode="parallel")
-            service.evaluate(batch, use_cache=False, mode="parallel")
-            sent = sent_to_pool(monkeypatch)
-            results = service.evaluate(batch, use_cache=False, mode="parallel")
-        assert len(sent) == len(batch) // self.config.chunk_size
+        sent = sent_to_pool(monkeypatch)
+        with EvalService(scenario.database, executor=self.config) as service:
+            results = service.evaluate(batch, mode="parallel")
+        assert sorted(key for keys in sent_keys(sent) for key in keys) == sorted(
+            set(keys_of(batch))
+        )
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
+        )
+
+    def test_one_pool_serves_every_batch(self, scenario, monkeypatch):
+        batch = list(scenario.queries)
+        with EvalService(scenario.database, executor=self.config) as service:
+            service.evaluate(batch[:8], mode="parallel")
+            pool = service._pool
+            assert pool is not None
+            list(service.evaluate_stream(batch[8:24], mode="parallel"))
+            service.evaluate(batch[24:], mode="sequential")
+            service.evaluate(batch[24:32])
+            copies = restated(batch)
+            sent = sent_to_pool(monkeypatch)
+            results = service.evaluate(copies, mode="parallel")
+            assert service._pool is pool
+        assert sorted(key for keys in sent_keys(sent) for key in keys) == sorted(
+            set(keys_of(copies))
+        )
+        assert triples(results) == triples(
+            evaluate_query_set_sequential(copies, scenario.database)
         )
 
     @fork_only
     def test_held_chunks_count_toward_the_window(self, scenario, monkeypatch):
         import repro.eval.executor as executor_module
 
-        config = ExecutorConfig(
-            workers=2, chunk_size=2, min_parallel_batch=1, inflight_factor=1
-        )
-        window = config.workers * config.inflight_factor * config.chunk_size
+        config = ExecutorConfig(workers=2, chunk_size=2)
+        window = config.workers * INFLIGHT_FACTOR * config.chunk_size
         held = list(scenario.queries[:8])
         keys = {query.content_key() for query in held}
         unseen = next(q for q in scenario.queries if q.content_key() not in keys)
@@ -1375,7 +1419,7 @@ class TestEachKeySentOnce:
     chunk with a miss sends only the keys neither the parent's memo holds
     nor an earlier chunk of the batch sends."""
 
-    config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+    config = ExecutorConfig(workers=2, chunk_size=4)
 
     @pytest.fixture
     def batch(self, scenario):
@@ -1510,7 +1554,7 @@ class TestOneProbePerChunk:
             service.evaluate(batch)
             memo_probes.clear()
             results = service.evaluate(batch)
-            memo = service._sequential_context(True).by_content
+            memo = service.context().by_content
         assert probes_of(memo_probes, memo) == [("get_many", keys_of(batch))]
         assert triples(results) == triples(
             evaluate_query_set_sequential(batch, scenario.database)
@@ -1534,7 +1578,7 @@ class TestOneProbePerChunk:
         config = ExecutorConfig(workers=1, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             results = service.evaluate(batch)
-            memo = service._sequential_context(True).by_content
+            memo = service.context().by_content
         assert probes_of(memo_probes, memo) == [
             ("get_many", keys_of(batch[:4])),
             ("get_many", keys_of(batch[4:8])),
@@ -1567,9 +1611,7 @@ class TestOneProbePerChunk:
         a, b = one_per_pattern(scenario.queries)[:2]
         chunk = [a, b, a, b, a]
         monkeypatch.setattr(executor_module, "_WORKER_CONTEXT", None)
-        executor_module._initialize_worker(
-            scenario.database, DEFAULT_PLANNER_CONFIG, True, False
-        )
+        executor_module._initialize_worker(scenario.database, DEFAULT_PLANNER_CONFIG)
         context = executor_module._WORKER_CONTEXT
         canonical_calls.clear()
         payload = executor_module._evaluate_chunk(keys_of(chunk))
@@ -1586,7 +1628,7 @@ class TestOneProbePerChunk:
     def test_a_parallel_chunk_with_a_miss_probes_the_parent_memo_once(
         self, scenario, memo_probes, monkeypatch
     ):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         seen = list(scenario.queries[:8])
         held = {query.content_key() for query in seen}
         unseen = next(q for q in scenario.queries if q.content_key() not in held)
@@ -1597,7 +1639,7 @@ class TestOneProbePerChunk:
             sent = sent_to_pool(monkeypatch)
             results = service.evaluate(batch, mode="parallel")
             assert service.last_mode == "parallel"
-            memo = service._sequential_context(True).by_content
+            memo = service.context().by_content
         assert probes_of(memo_probes, memo) == [("get_many", keys_of(batch))]
         assert sent_keys(sent) == [(unseen.content_key(),)]
         assert triples(results) == triples(
@@ -1649,34 +1691,33 @@ class TestCoreTable:
         )
 
     @fork_only
-    @pytest.mark.parametrize("slim", [False, True])
-    def test_a_worker_solves_once_per_core(self, scenario, core_sharing, solve_calls, slim):
+    def test_a_worker_solves_once_per_core(self, scenario, core_sharing, solve_calls):
         patterns, cores = core_sharing
         # One chunk, so one worker sees every pattern.
-        config = ExecutorConfig(
-            workers=2, chunk_size=len(patterns), min_parallel_batch=1, slim_results=slim
-        )
+        config = ExecutorConfig(workers=2, chunk_size=len(patterns))
         with EvalService(scenario.database, executor=config) as service:
             results = service.evaluate(patterns, mode="parallel")
             assert service.last_mode == "parallel"
         assert len(solve_calls) == cores
-        expected = SlimSolveResult if slim else SolveResult
-        assert all(type(result) is expected for _, result in results)
+        assert all(type(result) is SolveResult for _, result in results)
         assert outcomes(results) == outcomes(
             evaluate_query_set_sequential(patterns, scenario.database)
         )
 
-    def test_without_the_cache_cores_are_shared_within_a_batch_only(
-        self, scenario, core_sharing, solve_calls
+    def test_a_core_solved_by_one_batch_serves_the_next(
+        self, scenario, core_pair, solve_calls
     ):
-        patterns, cores = core_sharing
-        reference = outcomes(evaluate_query_set_sequential(patterns, scenario.database))
+        # Every batch runs in the service's one context, core table included.
+        first, second = core_pair
         with EvalService(scenario.database, executor=ExecutorConfig(workers=1)) as service:
-            first = service.evaluate(patterns, use_cache=False)
-            assert len(solve_calls) == cores
-            second = service.evaluate(patterns, use_cache=False)
-        assert len(solve_calls) == 2 * cores
-        assert outcomes(first) == outcomes(second) == reference
+            ((_, solved),) = service.evaluate([first])
+            ((_, hit),) = service.evaluate([second])
+        assert len(solve_calls) == 1
+        assert hit is not solved
+        assert hit.profile.core == solved.profile.core
+        assert outcomes([(second, hit)]) == outcomes(
+            evaluate_query_set_sequential([second], scenario.database)
+        )
 
     def test_a_hit_classifies_compares_and_pickles_like_the_reference(
         self, scenario, core_pair, monkeypatch
@@ -1729,23 +1770,33 @@ class TestCoreTable:
             assert stores.answers.peek((pattern, pattern.vocabulary)) is result
 
 
-#: The three ways a batch reaches an evaluation context: in-process with
-#: the service-lifetime context, forced onto the pool, and in-process
-#: with a batch-scoped context.
+#: The three ways a batch reaches an evaluation context: in-process a
+#: chunk at a time with the service-lifetime context, forced onto the
+#: pool, and through the measured head, one timed query at a time in the
+#: same context (a chunk larger than any batch here keeps the head from
+#: handing over).
 RUNS = {
     "in-process": (ExecutorConfig(workers=1), {}),
-    "parallel": (
-        ExecutorConfig(workers=2, chunk_size=3, min_parallel_batch=1),
-        {"mode": "parallel"},
-    ),
-    "uncached": (ExecutorConfig(workers=1), {"use_cache": False}),
+    "parallel": (ExecutorConfig(workers=2, chunk_size=3), {"mode": "parallel"}),
+    "head": (ExecutorConfig(workers=2, chunk_size=1000), {}),
 }
 
 
 def served(queries, database, run):
+    import repro.eval.executor as executor_module
+
     config, options = RUNS[run]
     with EvalService(database, executor=config) as service:
-        results = service.evaluate(queries, **options)
+        if run != "head":
+            results = service.evaluate(queries, **options)
+        else:
+            # The head runs only where the pool could pay, on more than
+            # one CPU; a batch under the fast path's floor must stream.
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(executor_module.os, "cpu_count", lambda: 8)
+                results = list(service.evaluate_stream(queries, **options))
+            assert service.last_mode_reason.startswith(f"{len(queries)} queries took")
+            assert service._pool is None
         assert service.last_mode == ("parallel" if run == "parallel" else "sequential")
     return results
 
@@ -1872,7 +1923,7 @@ class TestWholeDatabaseTarget:
 
     @fork_only
     def test_a_worker_converts_the_database_once(self, scenario, conversions):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with EvalService(scenario.database, executor=config) as service:
             service.evaluate(scenario.queries, mode="parallel")
             service.evaluate(restated(scenario.queries[::-1]), mode="parallel")
@@ -1881,7 +1932,7 @@ class TestWholeDatabaseTarget:
 
     @pytest.mark.parametrize(
         "run, contexts",
-        [("in-process", 1), ("uncached", 1), pytest.param("parallel", 2, marks=fork_only)],
+        [("head", 1), ("in-process", 1), pytest.param("parallel", 2, marks=fork_only)],
     )
     def test_an_equal_target_cached_first_is_compared_once_per_context(
         self, scenario, monkeypatch, run, contexts

@@ -45,6 +45,7 @@ from repro.classification.solver_dispatch import (
     choose_degree,
     solve_with_degree,
 )
+from repro.cq.evaluation import clear_profile_cache
 from repro.cq.query import ConjunctiveQuery
 from repro.decomposition.treedepth_engine import TreedepthEngine
 from repro.decomposition.width import width_profile_report_with_forest
@@ -359,11 +360,10 @@ class TestWorkAvoided:
             classmethod(lambda cls, target: measured.append(target) or original(cls, target)),
         )
         clear_plan_cache()
+        clear_profile_cache()
         for log in calls.values():
             log.clear()
-        context = _EvaluationContext(
-            TRIANGLE, DEFAULT_PLANNER_CONFIG, use_cache=False, timed=True
-        )
+        context = _EvaluationContext(TRIANGLE, DEFAULT_PLANNER_CONFIG, timed=True)
         result = context.solve(ConjunctiveQuery.from_structure(case.pattern))
         assert result.degree is ComplexityDegree.PATH_COMPLETE
         assert measured == []

@@ -91,16 +91,21 @@ class TestEvaluateQuerySetCacheFlag:
         evaluate_query_set_sequential(queries, database, use_cache=False)
         assert len(calls) == 1  # one classification for five identical queries
 
-    def test_service_sequential_path_respects_use_cache(self):
+    def test_service_sequential_path_shares_the_cache_across_services(self):
         from repro.eval import EvalService, ExecutorConfig
 
         database = dense_graph_database(8, 0.4, seed=1)
         queries = [parse_query("E(a, b), E(b, c)")]
         with EvalService(database, executor=ExecutorConfig(workers=1)) as service:
-            service.evaluate(queries, use_cache=False)
-            assert len(_PROFILE_CACHE) == 0
-            service.evaluate(queries, use_cache=True)
-            assert len(_PROFILE_CACHE) == 1
+            service.evaluate(queries)
+            assert service.classification_calls == 1
+        assert len(_PROFILE_CACHE) == 1
+        # A second service keeps its own context but classifies nothing:
+        # without shared stores every context reads the module cache.
+        with EvalService(database, executor=ExecutorConfig(workers=1)) as service:
+            service.evaluate(queries)
+            assert service.classification_calls == 0
+        assert len(_PROFILE_CACHE) == 1
 
 
 class TestBoundedLRU:

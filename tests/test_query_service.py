@@ -37,7 +37,7 @@ class TestServing:
         assert triples(results) == triples(reference)
 
     def test_parallel_service_matches_reference(self, scenario, reference):
-        config = ExecutorConfig(workers=2, chunk_size=5, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=5)
         with QueryService(scenario.database, executor=config) as service:
             results = service.evaluate(scenario.queries, mode="parallel")
         assert triples(results) == triples(reference)
@@ -216,7 +216,7 @@ class TestClassificationDedup:
     def test_one_classification_per_distinct_pattern_across_workers(self, scenario):
         duplicated = list(scenario.queries) * 2
         distinct = len({q.canonical_structure() for q in duplicated})
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config) as service:
             service.evaluate(duplicated, mode="parallel")
             stats = service.stats()
@@ -232,7 +232,7 @@ class TestClassificationDedup:
         scenario = scenario_by_name("mixed_vocabulary", count=60, seed=1)
         queries = distinct_patterns(scenario.queries)
         distinct = len({query.canonical_structure() for query in queries})
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config, shared=shared) as service:
             service.evaluate(queries, mode="parallel")
             stats = service.stats()
@@ -286,7 +286,7 @@ class TestTelemetryFromWorkers:
         distinct = distinct_patterns(scenario.queries)
         cores = distinct_cores(distinct)
         assert len(cores) < len(distinct)
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config) as service:
             for query in distinct:
                 service.submit(query)
@@ -312,7 +312,7 @@ class TestTelemetryFromWorkers:
         # must still reach the parent's sink, not a copy of it.
         distinct = distinct_patterns(scenario.queries)
         cores = distinct_cores(distinct)
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config, shared=False) as service:
             service.evaluate(distinct, mode="parallel")
             assert len(cores) <= len(service.stores.telemetry) <= len(distinct)
@@ -364,15 +364,17 @@ class TestTelemetrySamples:
             counted = route_counts(service)
         assert counted == dict(Counter(sample.route for sample in samples))
 
-    def test_telemetry_off_records_nothing(self, scenario, reference):
+    def test_manager_backed_stores_keep_a_sink_too(self, scenario, reference):
+        # The sink is part of every store bundle, shared or local.
+        cores = distinct_cores(scenario.queries)
         with QueryService(
-            scenario.database, executor=ExecutorConfig(workers=1), telemetry=False
+            scenario.database, executor=ExecutorConfig(workers=1), shared=True
         ) as service:
             results = service.evaluate(scenario.queries)
-            assert service.stores.telemetry is None
-            assert service.telemetry_samples() == []
-            assert service.stats()["stores"]["telemetry_samples"] is None
-            assert route_counts(service) == {}
+            samples = service.telemetry_samples()
+            assert len(samples) == len(cores)
+            assert service.stats()["stores"]["telemetry_samples"] == len(cores)
+            assert route_counts(service) == dict(Counter(s.route for s in samples))
         assert triples(results) == triples(reference)
 
 
@@ -413,7 +415,7 @@ class TestForcedRoutes:
 
 class TestContentMemoInWorkers:
     def test_parallel_wave_of_fresh_copies_solves_nothing(self, scenario, reference):
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config) as service:
             for query in scenario.queries:
                 service.submit(query)
@@ -432,22 +434,31 @@ class TestContentMemoInWorkers:
         ]
 
 
-class TestUseCacheContract:
-    def test_use_cache_false_bypasses_shared_stores(self, scenario):
+class TestSharedStoresContract:
+    def test_a_new_service_answers_from_the_shared_stores(self, scenario):
         from repro.eval import EvalService
         from repro.service import ServiceStores, SharedStore
 
         stores = ServiceStores(
             profiles=SharedStore.local(), answers=SharedStore.local()
         )
-        with EvalService(
-            scenario.database, executor=ExecutorConfig(workers=1), stores=stores
-        ) as service:
-            service.evaluate(scenario.queries[:6], use_cache=False)
-        # The promise of use_cache=False is batch-scoped sharing only:
-        # nothing may touch (or be served from) the cross-call stores.
-        assert stores.profiles.info()["computes"] == 0
-        assert len(stores.answers) == 0
+        batch = scenario.queries[:6]
+        config = ExecutorConfig(workers=1)
+        with EvalService(scenario.database, executor=config, stores=stores) as service:
+            first = service.evaluate(batch)
+        computes = stores.profiles.info()["computes"]
+        assert computes == service.classification_calls > 0
+        assert len(stores.answers) == len({q.canonical_structure() for q in batch})
+        # Every batch reads and writes the cross-call stores: a service
+        # with a new context of its own classifies and solves nothing.
+        with EvalService(scenario.database, executor=config, stores=stores) as service:
+            second = service.evaluate(batch)
+            assert service.classification_calls == 0
+        assert stores.profiles.info()["computes"] == computes
+        assert all(b is a for (_, a), (_, b) in zip(first, second))
+        assert triples(second) == triples(
+            evaluate_query_set_sequential(batch, scenario.database)
+        )
 
 
 class TestStatsEndpoint:
@@ -486,7 +497,7 @@ class TestServingModes:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config, shared=False) as service:
             results = service.evaluate(scenario.queries)
             assert modes(service) == [("sequential", "single CPU")]
@@ -496,11 +507,11 @@ class TestServingModes:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1000)
+        config = ExecutorConfig(workers=2)
         with QueryService(scenario.database, executor=config, shared=False) as service:
             results = service.evaluate(scenario.queries)
             assert modes(service) == [
-                ("sequential", "batch below min_parallel_batch")
+                ("sequential", "batch below 33 queries (workers × chunk_size + 1)")
             ]
         assert triples(results) == triples(reference)
 
@@ -508,7 +519,7 @@ class TestServingModes:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         # Three distinct queries asked ten times each: far less work
         # than a new pool costs to start.
         batch = list(scenario.queries[:3]) * 10
@@ -530,7 +541,7 @@ class TestServingModes:
         import repro.eval.executor as executor_module
 
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        config = ExecutorConfig(workers=2, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2)
         with QueryService(scenario.database, executor=config, shared=False) as service:
             results = service.evaluate(scenario.queries, mode="sequential")
             assert modes(service) == [("sequential", "forced by caller")]

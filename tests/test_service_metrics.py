@@ -381,7 +381,7 @@ class TestStatsSchema:
             assert "repro_spawn_overhead_seconds NaN" in service.render_prometheus()
             samples = service.stats()["metrics"]["repro_spawn_overhead_seconds"]
             assert samples["samples"] == {"": None}
-        config = ExecutorConfig(workers=2, chunk_size=4, min_parallel_batch=1)
+        config = ExecutorConfig(workers=2, chunk_size=4)
         with QueryService(scenario.database, executor=config) as service:
             # The first batch starts the pool; the second, restated so
             # that the parent cannot answer it by content, runs on it.

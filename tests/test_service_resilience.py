@@ -72,7 +72,7 @@ def reference(scenario):
 
 
 def parallel_config(**overrides):
-    defaults = dict(workers=2, chunk_size=4, min_parallel_batch=1)
+    defaults = dict(workers=2, chunk_size=4)
     defaults.update(overrides)
     return ExecutorConfig(**defaults)
 
