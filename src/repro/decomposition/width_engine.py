@@ -52,11 +52,12 @@ delayed until its first neighbour is placed, or to the component split
 that follows once the boundary empties), and full-graph twins
 (``N(u) \\ {v} = N(v) \\ {u}``) branch only on their lowest index, the
 swap being an automorphism.  Upper bounds come from a boundary-greedy
-completion, lower bounds from degeneracy and — via the facade — from the
-exact treewidth, since ``pw ≥ tw``.  A placement changes the boundary
-only at the placed vertex and its placed neighbours, so the search, its
-candidate scores and the greedy completion derive each next boundary
-from the current one instead of rescanning the placed vertices.
+completion, lower bounds from degeneracy (on masks with an empty
+boundary) and — via the facade — from the exact treewidth, since
+``pw ≥ tw``.  A placement changes the boundary only at the placed vertex
+and its placed neighbours, so the search, its candidate scores and the
+greedy completion derive each next boundary from the current one
+instead of rescanning the placed vertices.
 
 Both engines report their root bounds without branching
 (:meth:`~_MaskEngine.root_bounds`: recognised shapes, else the lower
@@ -942,13 +943,18 @@ class PathwidthEngine(_MaskEngine):
 
     def _strengthen(self, mask: int, entry: _Entry, boundary: int = 0) -> None:
         """Expensive bounds, run once, just before a subproblem branches:
-        degeneracy lower bound (pw ≥ tw ≥ degeneracy, and future boundaries
-        dominate any induced layout), boundary-greedy incumbent from
-        ``boundary``, as in :meth:`_seed_entry`."""
+        boundary-greedy incumbent from ``boundary``, as in
+        :meth:`_seed_entry`, and, on a mask with an empty boundary (the
+        graph, or a component once a prefix closes), the degeneracy lower
+        bound (pw ≥ tw ≥ degeneracy, and future boundaries dominate any
+        induced layout).  Below those masks it rarely prunes: a mask's
+        degeneracy is at most that of any mask containing it, and a search
+        budget starts at the lower bound above it."""
         entry.deep = True
-        lb = self._degeneracy(mask)
-        if lb > entry.lb:
-            entry.lb = lb
+        if not boundary:
+            lb = self._degeneracy(mask)
+            if lb > entry.lb:
+                entry.lb = lb
         ub, first = self._greedy_completion(mask, boundary)
         if ub < entry.ub:
             entry.ub = ub

@@ -181,6 +181,15 @@ class Graph:
             self._hash = hash((self._vertices, self._edges))
         return self._hash
 
+    def __getstate__(self) -> Tuple:
+        # The cached hash stays out of the pickle: ``str`` hashing is salted
+        # per process, so a receiver hashes the graph itself.
+        return self._vertices, self._edges, self._adjacency
+
+    def __setstate__(self, state: Tuple) -> None:
+        self._vertices, self._edges, self._adjacency = state
+        self._hash = None
+
     def __repr__(self) -> str:
         return f"Graph(|V|={len(self._vertices)}, |E|={len(self._edges)})"
 
@@ -274,6 +283,14 @@ class DiGraph:
         if self._hash is None:
             self._hash = hash((self._vertices, self._arcs))
         return self._hash
+
+    def __getstate__(self) -> Tuple:
+        # The cached hash stays out of the pickle, as in ``Graph``.
+        return self._vertices, self._arcs, self._successors, self._predecessors
+
+    def __setstate__(self, state: Tuple) -> None:
+        self._vertices, self._arcs, self._successors, self._predecessors = state
+        self._hash = None
 
     def __repr__(self) -> str:
         return f"DiGraph(|V|={len(self._vertices)}, |A|={len(self._arcs)})"

@@ -77,7 +77,7 @@ from repro.exceptions import DecompositionError, VocabularyError
 from repro.homomorphism.cores import core as compute_core
 from repro.homomorphism.obstructions import nullary_obstruction
 from repro.structures.gaifman import gaifman_graph
-from repro.structures.indexes import stable_sorted, structure_index
+from repro.structures.indexes import structure_index
 from repro.structures.structure import Structure
 
 Element = Hashable
@@ -361,21 +361,36 @@ def _attach_atoms(
     structure: Structure, number: Mapping[Element, int]
 ) -> List[Tuple[_Atom, ...]]:
     """Attach every positive-arity atom to its deepest forest vertex — the
-    element with the largest pre-order number, since they share a root path."""
+    element with the largest pre-order number, since they share a root path.
+
+    A vertex's atoms come in the order of their numbered tuples.
+    """
     attached: List[List[_Atom]] = [[] for _ in number]
+    number_of = number.__getitem__
     for symbol in structure.vocabulary:
         if symbol.arity == 0:
             continue
-        for tup in stable_sorted(structure.relation(symbol.name)):
-            vertices = tuple(number[x] for x in tup)
-            vertex = max(vertices)
-            bound = tuple(p for p, x in enumerate(vertices) if x != vertex)
-            bound_vertices = tuple(vertices[p] for p in bound)
+        for vertices in sorted(
+            tuple(map(number_of, tup)) for tup in structure.relation(symbol.name)
+        ):
+            if len(vertices) == 2:  # every graph atom: no generator needed
+                first, second = vertices
+                if first == second:
+                    vertex, bound, own, bound_vertices = first, (), (0, 1), ()
+                elif first > second:
+                    vertex, bound, own, bound_vertices = first, (1,), (0,), (second,)
+                else:
+                    vertex, bound, own, bound_vertices = second, (0,), (1,), (first,)
+            else:
+                vertex = max(vertices)
+                bound = tuple(p for p, x in enumerate(vertices) if x != vertex)
+                own = tuple(p for p, x in enumerate(vertices) if x == vertex)
+                bound_vertices = tuple(vertices[p] for p in bound)
             attached[vertex].append(
                 _Atom(
                     name=symbol.name,
                     bound_positions=bound,
-                    own_positions=tuple(p for p, x in enumerate(vertices) if x == vertex),
+                    own_positions=own,
                     bound_vertices=bound_vertices,
                     bound=_tuple_getter(bound_vertices),
                     image=_tuple_getter(vertices),

@@ -27,6 +27,8 @@ from repro.structures.vocabulary import GRAPH_VOCABULARY, Vocabulary
 
 Element = Hashable
 RelationTuple = Tuple[Element, ...]
+#: What a structure pickles: vocabulary, universe and relations.
+_State = Tuple[Vocabulary, FrozenSet[Element], Dict[str, FrozenSet[RelationTuple]]]
 
 
 class Structure:
@@ -224,6 +226,15 @@ class Structure:
                 )
             )
         return self._hash
+
+    def __getstate__(self) -> _State:
+        # The cached hash stays out of the pickle: ``str`` hashing is salted
+        # per process, so a receiver hashes the structure itself.
+        return self._vocabulary, self._universe, self._relations
+
+    def __setstate__(self, state: _State) -> None:
+        self._vocabulary, self._universe, self._relations = state
+        self._hash = None
 
     def __repr__(self) -> str:
         rels = ", ".join(

@@ -1,5 +1,12 @@
 """Tests for vocabularies and relational structures."""
 
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import StructureError, VocabularyError
@@ -130,3 +137,65 @@ class TestStructure:
     def test_elements_of(self):
         structure = path(4)
         assert structure.elements_of("E") == frozenset({1, 2, 3, 4})
+
+
+class TestPicklingAcrossProcesses:
+    """A pickled structure, graph or digraph is hashed anew by its receiver.
+
+    ``str`` hashing is salted per process, so a hash cached by the sender
+    is wrong in a receiver with another salt: the structure would compare
+    equal to a fresh one there and still miss it in a set or dict key.
+    """
+
+    _BUILD = textwrap.dedent(
+        """
+        from repro.graphlib.graph import DiGraph, Graph
+        from repro.structures import GRAPH_VOCABULARY, Structure
+
+        def build():
+            return (
+                Structure(GRAPH_VOCABULARY, ["a", "b", "c"], {"E": [("a", "b"), ("b", "c")]}),
+                Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+                DiGraph(["a", "b", "c"], [("a", "b"), ("b", "c")]),
+            )
+        """
+    )
+    _SEND = textwrap.dedent(
+        """
+        import pickle, sys
+        objects = build()
+        for hashed in objects:
+            hash(hashed)  # cache each hash before pickling
+        sys.stdout.buffer.write(pickle.dumps(objects))
+        """
+    )
+    _RECEIVE = textwrap.dedent(
+        """
+        import pickle, sys
+        received = pickle.loads(sys.stdin.buffer.read())
+        print([(x == y, x in {y}, hash(x) == hash(y)) for x, y in zip(received, build())])
+        """
+    )
+
+    def _run(self, code: str, seed: str, data: bytes = b"") -> bytes:
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", self._BUILD + code],
+            input=data, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    def test_a_receiver_with_another_hash_seed_finds_the_structure(self):
+        sent = self._run(self._SEND, "1")
+        received = self._run(self._RECEIVE, "12345", sent)
+        assert received.decode().strip() == repr([(True, True, True)] * 3)
+
+    def test_the_cached_hash_stays_out_of_the_pickle(self):
+        structure = path(3)
+        hash(structure)
+        copy = pickle.loads(pickle.dumps(structure))
+        assert copy._hash is None
+        assert copy == structure and hash(copy) == hash(structure)
